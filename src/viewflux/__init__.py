@@ -142,7 +142,6 @@ from .suites import (
     LawResult,
     SuiteReport,
     SUITE_NAMES,
-    enumerate_instances,
     render_report,
     run_suite,
 )

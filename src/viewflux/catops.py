@@ -55,12 +55,9 @@ def merging(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
     return power_view(instance_union(a, b), cfg)
 
 
-def lattice_inf(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
-    return matching(a, b, cfg)
-
-
-def lattice_sup(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
-    return merging(a, b, cfg)
+#: The lattice meet and join of closed instances.
+lattice_inf = matching
+lattice_sup = merging
 
 
 def tensor_arrow(f: Morphism, g: Morphism) -> Morphism:

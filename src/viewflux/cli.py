@@ -5,7 +5,7 @@ instances back in the same format with views auto-named v1, v2, ... in
 canonical order.  The ``check`` command runs the property suites and exits
 nonzero exactly when a law fails; flagged entries (documented divergences)
 keep the zero exit status.  VIEWFLUX_MAX_ENUM overrides the enumeration
-bounds.
+bounds, and the instance cap of ``check`` unless ``--max-instances`` is given.
 """
 
 from __future__ import annotations
@@ -21,15 +21,29 @@ from .errors import ViewfluxError
 from .formats import load_instance, load_morphism, render_instance
 from .morphisms import compose, is_epi, is_iso, is_mono
 from .queries import evaluate, parse_query
-from .suites import DEFAULT_MAX_RELATIONS, SUITE_NAMES, render_report, run_suite
+from .suites import (
+    DEFAULT_MAX_INSTANCES,
+    DEFAULT_MAX_RELATIONS,
+    SUITE_NAMES,
+    render_report,
+    run_suite,
+)
 from .topos import classifier, closure_classes, distance
 
 
-def _cfg(domain, k_max: int) -> UniverseConfig:
-    overrides = {}
+def _max_enum() -> int | None:
+    """The VIEWFLUX_MAX_ENUM override, or None when it is unset."""
     env = os.environ.get("VIEWFLUX_MAX_ENUM")
-    if env:
-        overrides = {"max_enumeration": int(env), "max_universe": int(env)}
+    if not env:
+        return None
+    if not env.strip().isdecimal() or int(env) < 1:
+        raise ViewfluxError(f"VIEWFLUX_MAX_ENUM must be a positive integer, got {env!r}")
+    return int(env)
+
+
+def _cfg(domain, k_max: int) -> UniverseConfig:
+    bound = _max_enum()
+    overrides = {} if bound is None else {"max_enumeration": bound, "max_universe": bound}
     return UniverseConfig(domain=frozenset(domain), k_max=k_max, **overrides)
 
 
@@ -146,9 +160,8 @@ def cmd_classify_subobject(args) -> int:
 def cmd_check(args) -> int:
     cfg = _cfg(args.domain.split(","), args.kmax)
     max_instances = args.max_instances
-    env = os.environ.get("VIEWFLUX_MAX_ENUM")
-    if env and max_instances == 64:
-        max_instances = int(env)
+    if max_instances is None:
+        max_instances = _max_enum() or DEFAULT_MAX_INSTANCES
     report = run_suite(args.suite, cfg, args.max_relations, max_instances)
     sys.stdout.write(render_report(report, timings=args.timings))
     return 0 if report.ok else 1
@@ -236,7 +249,11 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--domain", default="a,b", help="comma-separated constants")
         add_kmax(p)
         p.add_argument("--max-relations", type=int, default=DEFAULT_MAX_RELATIONS)
-        p.add_argument("--max-instances", type=int, default=64)
+        p.add_argument(
+            "--max-instances",
+            type=int,
+            help=f"instance cap (default VIEWFLUX_MAX_ENUM, else {DEFAULT_MAX_INSTANCES})",
+        )
         p.add_argument("--timings", action="store_true", help="append elapsed time")
         p.set_defaults(fn=cmd_check)
 

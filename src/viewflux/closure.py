@@ -4,9 +4,10 @@
 (with results capped at the configured view arity), yielding the set of all
 views of the instance.  It is extensive, monotone and idempotent, so closed
 instances (fixed points) form a closure system; their sublattices drive the
-semantic hom-sets.  Saturation is a deterministic worklist: the resulting set
-does not depend on processing order, and the first generating query found for
-each view is recorded for witness construction.
+semantic hom-sets.  Saturation is one deterministic worklist: the resulting
+set does not depend on processing order, and for each view it records the
+first derivation found (the operator and its operand views), from which
+``generating_queries`` rebuilds a witness query per view.
 """
 
 from __future__ import annotations
@@ -36,7 +37,6 @@ from .queries import (
     QueryTerm,
     Select,
     UnionTerm,
-    evaluate,
 )
 
 
@@ -79,25 +79,32 @@ def _compatible(a: Relation, b: Relation) -> bool:
     return not a.tag or not b.tag or a.tag == b.tag
 
 
-def _saturate(relations: frozenset[Relation], cfg: UniverseConfig) -> frozenset[Relation]:
-    """Least superset of the input (plus bottom) closed under the operators."""
-    closed = set(relations) | {BOTTOM}
-    frontier = sorted_relations(closed)
+def _record(views: dict[Relation, tuple], rel: Relation, how: tuple, cfg: UniverseConfig) -> None:
+    """Insert a new view with its derivation; fail once there are too many."""
+    views[rel] = how
+    if len(views) > cfg.max_universe:
+        raise UniverseTooLarge(f"saturation produced more than {cfg.max_universe} views")
+
+
+def _saturate(relations: frozenset[Relation], cfg: UniverseConfig) -> dict[Relation, tuple]:
+    """Least superset of the input (plus bottom) closed under the operators.
+
+    Maps each view to its first derivation, in insertion order: ``()`` for
+    the bottom and the inputs, otherwise ``(build, operand, ...)``, where
+    ``build`` turns the operands' query terms into the view's term.  Every
+    operand is inserted before the views derived from it.
+    """
+    views: dict[Relation, tuple] = {}
+    for rel in sorted_relations(set(relations) | {BOTTOM}):
+        _record(views, rel, (), cfg)
+    frontier = list(views)
     while frontier:
-        if len(closed) > cfg.max_universe:
-            raise UniverseTooLarge(
-                f"saturation produced more than {cfg.max_universe} views"
-            )
-        fresh: set[Relation] = set()
-
-        def emit(rel: Relation) -> None:
-            if rel not in closed and rel not in fresh:
-                fresh.add(rel)
-
+        known = len(views)
         for rel in frontier:
-            for result, _ in _apply_unary(rel, cfg):
-                emit(result)
-        current = sorted_relations(closed | fresh)
+            for result, build in _apply_unary(rel, cfg):
+                if result not in views:
+                    _record(views, result, (build, rel), cfg)
+        current = sorted_relations(views)
         for a in current:
             if a.is_bottom:
                 continue
@@ -105,13 +112,16 @@ def _saturate(relations: frozenset[Relation], cfg: UniverseConfig) -> frozenset[
                 if b.is_bottom or not _compatible(a, b):
                     continue
                 if a.arity == b.arity:
-                    emit(_can(a.arity, a.tuples | b.tuples, a.tag or b.tag))
+                    union = _can(a.arity, a.tuples | b.tuples, a.tag or b.tag)
+                    if union not in views:
+                        _record(views, union, (UnionTerm, a, b), cfg)
                 if a.arity + b.arity <= cfg.k_max:
                     rows = frozenset(x + y for x in a.tuples for y in b.tuples)
-                    emit(_can(a.arity + b.arity, rows, a.tag or b.tag))
-        closed |= fresh
-        frontier = sorted_relations(fresh)
-    return frozenset(closed)
+                    join = _can(a.arity + b.arity, rows, a.tag or b.tag)
+                    if join not in views:
+                        _record(views, join, (Join, a, b), cfg)
+        frontier = sorted_relations(itertools.islice(views, known, None))
+    return views
 
 
 @lru_cache(maxsize=None)
@@ -149,59 +159,20 @@ def meet_closed(a: Instance, b: Instance) -> ClosedInstance:
 def generating_queries(inst: Instance, cfg: UniverseConfig) -> dict[Relation, QueryTerm]:
     """A deterministic generating query (over the instance's labels) per view.
 
-    Unlabeled relations are auto-named first.  For each view of the instance
-    the first query found during saturation is recorded; base relations map
-    to base queries and the bottom maps to the bottom term.
+    Unlabeled relations are auto-named first.  Base relations map to base
+    queries and the bottom to the bottom term; every other view gets the
+    term of its first derivation in the saturation, built from its operands'
+    terms.
     """
     labeled = with_default_labels(inst)
-    name_of = {rel: name for name, rel in labeled.labels.items()}
-    witness: dict[Relation, QueryTerm] = {BOTTOM: Bot()}
-    for rel in sorted_relations(labeled.relations):
-        if rel.is_bottom:
-            continue
-        witness[rel] = Base(name_of[rel])
-
-    closed = set(witness)
-    frontier = sorted_relations(closed)
-    while frontier:
-        fresh: dict[Relation, QueryTerm] = {}
-
-        def emit(rel: Relation, query: QueryTerm) -> None:
-            if rel not in witness and rel not in fresh:
-                fresh[rel] = query
-
-        for rel in frontier:
-            for result, build in _apply_unary(rel, cfg):
-                emit(result, build(witness[rel]))
-        current = sorted_relations(closed | set(fresh))
-
-        def query_of(rel: Relation) -> QueryTerm:
-            return witness[rel] if rel in witness else fresh[rel]
-
-        for a in current:
-            if a.is_bottom:
-                continue
-            for b in current:
-                if b.is_bottom or not _compatible(a, b):
-                    continue
-                if a.arity == b.arity:
-                    emit(
-                        _can(a.arity, a.tuples | b.tuples, a.tag or b.tag),
-                        UnionTerm(query_of(a), query_of(b)),
-                    )
-                if a.arity + b.arity <= cfg.k_max:
-                    rows = frozenset(x + y for x in a.tuples for y in b.tuples)
-                    emit(
-                        _can(a.arity + b.arity, rows, a.tag or b.tag),
-                        Join(query_of(a), query_of(b)),
-                    )
-        witness.update(fresh)
-        closed |= set(fresh)
-        frontier = sorted_relations(fresh)
-
-    # Sanity: witnesses evaluate to their views.
-    for rel, query in witness.items():
-        assert evaluate(query, labeled) == rel
+    witness: dict[Relation, QueryTerm] = {
+        rel: Base(name) for name, rel in labeled.labels.items()
+    }
+    witness[BOTTOM] = Bot()
+    for rel, how in _saturate(labeled.relations, cfg).items():
+        if how:
+            build, *operands = how
+            witness[rel] = build(*(witness[op] for op in operands))
     return witness
 
 
@@ -296,6 +267,6 @@ def brute_force_closed_subsets(
     for k in range(0, len(ground) + 1):
         for combo in itertools.combinations(ground, k):
             subset = frozenset(combo) | {BOTTOM}
-            if _saturate(subset, cfg) == subset:
+            if _saturate(subset, cfg).keys() == subset:
                 out.append(_closed(subset))
     return tuple(sorted(out, key=lambda c: tuple(r.sort_key() for r in c)))

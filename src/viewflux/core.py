@@ -21,7 +21,6 @@ from .errors import (
 )
 
 Constant = str
-Tuple_ = tuple  # alias kept local; tuples of constants are plain tuples
 
 
 @dataclass(frozen=True)

@@ -16,7 +16,6 @@ from typing import Iterable
 
 from .closure import (
     ClosedInstance,
-    certify_closed,
     generating_queries,
     is_closed,
     meet_closed,
@@ -175,12 +174,12 @@ def semantic_arrow(
     exhaustive suites quantify over these.
     """
     rels = frozenset(flux.relations if isinstance(flux, Instance) else flux) | {BOTTOM}
-    candidate = Instance(rels, {})
-    if not is_closed(candidate, cfg):
+    closed = power_view(Instance(rels, {}), cfg)
+    if closed.relations != rels:
         raise FluxOutOfRange(
             f"prescribed flux {sorted_relations(rels)!r} is not closed"
         )
-    return _morphism(source, target, (), certify_closed(candidate, cfg), cfg)
+    return _morphism(source, target, (), closed, cfg)
 
 
 def identity(a: Instance, cfg: UniverseConfig) -> Morphism:

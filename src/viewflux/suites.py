@@ -101,8 +101,9 @@ from .topos import (
 #: the default two-constant domain this yields the full sixteen-instance
 #: space.
 DEFAULT_MAX_RELATIONS = 4
-
-enumerate_instances = subset_instances
+#: The suites iterate over triples of instances, so the enumeration is
+#: capped at this many instances by default.
+DEFAULT_MAX_INSTANCES = 64
 
 
 @dataclass
@@ -142,7 +143,7 @@ class SuiteReport:
 class SuiteContext:
     """Shared enumeration and caches for the law implementations."""
 
-    def __init__(self, cfg: UniverseConfig, max_relations: int, max_instances: int = 64):
+    def __init__(self, cfg: UniverseConfig, max_relations: int, max_instances: int = DEFAULT_MAX_INSTANCES):
         self.cfg = cfg
         self.max_relations = max_relations
         self.instances = list(subset_instances(cfg, max_relations))
@@ -962,7 +963,7 @@ def run_suite(
     name: str,
     cfg: UniverseConfig,
     max_relations: int = DEFAULT_MAX_RELATIONS,
-    max_instances: int = 64,
+    max_instances: int = DEFAULT_MAX_INSTANCES,
 ) -> SuiteReport:
     """Run one suite (or all of them) and collect per-law results."""
     if name not in SUITE_NAMES:

@@ -119,3 +119,21 @@ def test_env_override(files, capsys, monkeypatch):
     code = main(["check", "closure"])
     # ten instances exceed the overridden bound, so enumeration errors out
     assert code == 2
+
+
+@pytest.mark.parametrize("value", ["abc", "0"])
+def test_env_override_rejects_bad_value(files, capsys, monkeypatch, value):
+    monkeypatch.setenv("VIEWFLUX_MAX_ENUM", value)
+    for argv in (["closure", str(files / "A.db")], ["check", "closure"]):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: VIEWFLUX_MAX_ENUM"), err
+
+
+def test_explicit_max_instances_beats_env(files, capsys, monkeypatch):
+    # 93 instances at {a,b,c} with up to three relations: within the
+    # environment's bound of 100, but over the explicit cap of 64
+    monkeypatch.setenv("VIEWFLUX_MAX_ENUM", "100")
+    argv = ["check", "closure", "--domain", "a,b,c", "--max-relations", "3"]
+    assert main(argv + ["--max-instances", "64"]) == 2
+    assert "93 instances enumerated" in capsys.readouterr().err

@@ -2,25 +2,36 @@ import itertools
 
 import pytest
 
+import frozen_closure
 from viewflux import (
     BOTTOM,
     EnumerationTooLarge,
     Instance,
+    UniverseConfig,
+    UniverseTooLarge,
     ZERO,
     closed_subsets,
     evaluate,
     generating_queries,
+    instance,
     is_closed,
     isomorphic,
     make_relation,
     po_leq,
     power_view,
     sorted_relations,
+    subset_instances,
     total_object,
     universe_relations,
     with_default_labels,
     zero_object,
 )
+
+ABC1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
+ABC2 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=2)
+#: The binary chain {(a,b),(b,c)}: its closure at {a,b,c}, k=2 is the whole
+#: 519-view universe, reached in five rounds.
+CHAIN = with_default_labels(instance(make_relation(2, {("a", "b"), ("b", "c")})))
 
 
 def _closed_one_round(relations, cfg):
@@ -53,6 +64,63 @@ def _closed_one_round(relations, cfg):
             if make_relation(r.arity + s.arity, rows) not in rels:
                 return False
     return True
+
+
+def _assert_closure_of(inst, views, witness, cfg):
+    """Reference closure check that runs no saturation.
+
+    The input and the bottom are views and one more round of every operator
+    adds nothing, so ``views`` holds the closure; every view's witness query
+    over the instance evaluates to it, so every view is a view of the
+    instance.  Together: ``views`` is exactly the closure.
+    """
+    labeled = with_default_labels(inst)
+    assert inst.relations | {BOTTOM} <= views
+    assert _closed_one_round(views, cfg)
+    assert witness.keys() == views
+    for rel, query in witness.items():
+        assert evaluate(query, labeled) == rel, (rel, query)
+
+
+@pytest.fixture(scope="module")
+def differential_closures(cfg2):
+    """(instance, cfg, views, witnesses) for every input the closure is
+    checked on: all instances at {a,b} k=2 with up to two relations, all
+    instances at {a,b,c} k=1, and the binary chain at {a,b,c} k=2."""
+    inputs = [(inst, cfg2) for inst in subset_instances(cfg2, 2)]
+    inputs += [(inst, ABC1) for inst in subset_instances(ABC1, 8)]
+    inputs.append((CHAIN, ABC2))
+    return [
+        (inst, cfg, power_view(inst, cfg).relations, generating_queries(inst, cfg))
+        for inst, cfg in inputs
+    ]
+
+
+def test_differential_inputs(differential_closures):
+    assert len(differential_closures) == 191 + 256 + 1
+    assert len(differential_closures[-1][2]) == 519
+
+
+def test_saturation_matches_frozen_reference(differential_closures):
+    for inst, cfg, views, witness in differential_closures:
+        assert views == frozen_closure._saturate(inst.relations, cfg), inst
+        assert witness == frozen_closure.generating_queries(inst, cfg), inst
+
+
+def test_closure_passes_independent_oracle(differential_closures):
+    for inst, cfg, views, witness in differential_closures:
+        _assert_closure_of(inst, views, witness, cfg)
+
+
+def test_max_universe_bound(pab):
+    # pab closes to four views: bottom, {a}, {b} and {a,b}
+    exact = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_universe=4)
+    assert len(power_view(pab, exact)) == 4
+    assert len(generating_queries(pab, exact)) == 4
+    tight = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_universe=3)
+    for closure in (power_view, generating_queries):
+        with pytest.raises(UniverseTooLarge, match="more than 3 views"):
+            closure(pab, tight)
 
 
 def _oracle_closure(inst, cfg):

@@ -4,22 +4,22 @@ from viewflux import (
     EnumerationTooLarge,
     UniverseConfig,
     UnknownSuite,
-    enumerate_instances,
     render_report,
     run_suite,
+    subset_instances,
 )
 from viewflux.suites import SUITE_NAMES, SUITES
 
 
 def test_enumeration_counts(cfg0, cfg_single):
-    assert len(list(enumerate_instances(cfg0, 1))) == 5
-    assert len(list(enumerate_instances(cfg0, 4))) == 16
-    assert len(list(enumerate_instances(cfg_single, 2))) == 4
+    assert len(list(subset_instances(cfg0, 1))) == 5
+    assert len(list(subset_instances(cfg0, 4))) == 16
+    assert len(list(subset_instances(cfg_single, 2))) == 4
 
 
 def test_enumeration_order_deterministic(cfg0):
-    a = [i.relations for i in enumerate_instances(cfg0, 4)]
-    b = [i.relations for i in enumerate_instances(cfg0, 4)]
+    a = [i.relations for i in subset_instances(cfg0, 4)]
+    b = [i.relations for i in subset_instances(cfg0, 4)]
     assert a == b
     sizes = [len(r) for r in a]
     assert sizes == sorted(sizes)
@@ -28,7 +28,7 @@ def test_enumeration_order_deterministic(cfg0):
 def test_enumeration_bound():
     cfg = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_enumeration=10)
     with pytest.raises(EnumerationTooLarge):
-        list(enumerate_instances(cfg, 4))
+        list(subset_instances(cfg, 4))
 
 
 def test_unknown_suite(cfg0):

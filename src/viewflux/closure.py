@@ -4,10 +4,12 @@
 (with results capped at the configured view arity), yielding the set of all
 views of the instance.  It is extensive, monotone and idempotent, so closed
 instances (fixed points) form a closure system; their sublattices drive the
-semantic hom-sets.  Saturation is one deterministic worklist: the resulting
-set does not depend on processing order, and for each view it records the
-first derivation found (the operator and its operand views), from which
-``generating_queries`` rebuilds a witness query per view.
+semantic hom-sets.  Saturation is one deterministic, semi-naive worklist
+(``_saturate``): each round combines only pairs of views with a member added
+since the last round, forms each union once per unordered pair, and looks a
+candidate up by its key before building a ``Relation``.  For each view it
+records the first derivation found (the operator and its operand views),
+from which ``generating_queries`` rebuilds a witness query per view.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from .core import (
     universe_relations,
     with_default_labels,
 )
-from .errors import EnumerationTooLarge, UniverseTooLarge
+from .errors import EnumerationTooLarge, NotClosedDomain, UniverseTooLarge
 from .queries import (
     Base,
     Bot,
@@ -54,34 +56,33 @@ def _closed(relations: Iterable[Relation]) -> ClosedInstance:
 
 
 def _apply_unary(rel: Relation, cfg: UniverseConfig):
-    """Yield (result, query-builder) for every select/project applicable to rel."""
+    """Yield (arity, tuples, query-builder) for every select/project applicable to rel."""
     if rel.is_bottom:
         return
     n = rel.arity
     for i in range(1, n + 1):
         for c in cfg.constants():
             kept = frozenset(t for t in rel.tuples if t[i - 1] == c)
-            yield _can(n, kept, rel.tag), lambda q, i=i, c=c: Select(ColEqConst(i, c), q)
+            yield n, kept, lambda q, i=i, c=c: Select(ColEqConst(i, c), q)
         for j in range(i + 1, n + 1):
             kept = frozenset(t for t in rel.tuples if t[i - 1] == t[j - 1])
-            yield _can(n, kept, rel.tag), lambda q, i=i, j=j: Select(ColEqCol(i, j), q)
+            yield n, kept, lambda q, i=i, j=j: Select(ColEqCol(i, j), q)
     for m in range(1, cfg.k_max + 1):
         for cols in itertools.product(range(1, n + 1), repeat=m):
             rows = frozenset(tuple(t[c - 1] for c in cols) for t in rel.tuples)
-            yield _can(m, rows, rel.tag), lambda q, cols=cols: Project(cols, q)
-
-
-def _can(arity: int, tuples: frozenset, tag: tuple) -> Relation:
-    return BOTTOM if not tuples else Relation(arity, tuples, tag)
+            yield m, rows, lambda q, cols=cols: Project(cols, q)
 
 
 def _compatible(a: Relation, b: Relation) -> bool:
     return not a.tag or not b.tag or a.tag == b.tag
 
 
-def _record(views: dict[Relation, tuple], rel: Relation, how: tuple, cfg: UniverseConfig) -> None:
+def _record(
+    views: dict[Relation, tuple], keys: set[tuple], rel: Relation, how: tuple, cfg: UniverseConfig
+) -> None:
     """Insert a new view with its derivation; fail once there are too many."""
     views[rel] = how
+    keys.add((rel.arity, rel.tuples, rel.tag))
     if len(views) > cfg.max_universe:
         raise UniverseTooLarge(f"saturation produced more than {cfg.max_universe} views")
 
@@ -93,33 +94,47 @@ def _saturate(relations: frozenset[Relation], cfg: UniverseConfig) -> dict[Relat
     the bottom and the inputs, otherwise ``(build, operand, ...)``, where
     ``build`` turns the operands' query terms into the view's term.  Every
     operand is inserted before the views derived from it.
+
+    A round applies the unary operators to the views the last round added,
+    then combines pairs of non-bottom views in canonical order.  A pair of
+    views both present at the last pair pass is skipped (it was combined
+    then), and a union is formed only at the pair whose second view sorts
+    later (the mirrored pair gave the same union earlier).  Candidates are
+    looked up by their ``(arity, tuples, tag)`` key, and a ``Relation`` is
+    built only for a new view.  No skipped candidate could have been new,
+    so the record is the one that combining all pairs every round gives.
     """
     views: dict[Relation, tuple] = {}
+    keys: set[tuple] = set()
     for rel in sorted_relations(set(relations) | {BOTTOM}):
-        _record(views, rel, (), cfg)
+        _record(views, keys, rel, (), cfg)
     frontier = list(views)
+    old: set[Relation] = set()
     while frontier:
         known = len(views)
         for rel in frontier:
-            for result, build in _apply_unary(rel, cfg):
-                if result not in views:
-                    _record(views, result, (build, rel), cfg)
-        current = sorted_relations(views)
-        for a in current:
-            if a.is_bottom:
-                continue
-            for b in current:
-                if b.is_bottom or not _compatible(a, b):
+            for arity, rows, build in _apply_unary(rel, cfg):
+                key = (arity, rows, rel.tag)
+                if rows and key not in keys:
+                    _record(views, keys, Relation(*key), (build, rel), cfg)
+        # The bottom drops out: a union or join of non-empty relations is non-empty.
+        current = list(enumerate(sorted_relations(r for r in views if not r.is_bottom)))
+        fresh = [(j, b) for j, b in current if b not in old]
+        for i, a in current:
+            for j, b in fresh if a in old else current:
+                if not _compatible(a, b):
                     continue
-                if a.arity == b.arity:
-                    union = _can(a.arity, a.tuples | b.tuples, a.tag or b.tag)
-                    if union not in views:
-                        _record(views, union, (UnionTerm, a, b), cfg)
+                tag = a.tag or b.tag
+                if j > i and a.arity == b.arity:
+                    key = (a.arity, a.tuples | b.tuples, tag)
+                    if key not in keys:
+                        _record(views, keys, Relation(*key), (UnionTerm, a, b), cfg)
                 if a.arity + b.arity <= cfg.k_max:
                     rows = frozenset(x + y for x in a.tuples for y in b.tuples)
-                    join = _can(a.arity + b.arity, rows, a.tag or b.tag)
-                    if join not in views:
-                        _record(views, join, (Join, a, b), cfg)
+                    key = (a.arity + b.arity, rows, tag)
+                    if key not in keys:
+                        _record(views, keys, Relation(*key), (Join, a, b), cfg)
+        old = {a for _, a in current}
         frontier = sorted_relations(itertools.islice(views, known, None))
     return views
 
@@ -146,7 +161,7 @@ def is_closed(inst: Instance, cfg: UniverseConfig) -> bool:
 def certify_closed(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
     """Wrap an instance after verifying it is a fixed point of power_view."""
     if not is_closed(inst, cfg):
-        raise UniverseTooLarge(f"instance {inst!r} is not closed")
+        raise NotClosedDomain(f"instance {inst!r} is not closed")
     return _closed(inst.relations)
 
 
@@ -219,7 +234,7 @@ def _closed_subsets_cached(
 ) -> tuple[ClosedInstance, ...]:
     x = Instance(relations, {})
     if not is_closed(x, cfg):
-        raise EnumerationTooLarge("closed_subsets needs a closed instance")
+        raise NotClosedDomain("closed_subsets needs a closed instance")
     ground = [r for r in sorted_relations(x.relations) if not r.is_bottom]
     if len(ground) > cfg.max_homset_ground:
         raise EnumerationTooLarge(

@@ -50,7 +50,11 @@ class NotParallel(ViewfluxError):
 
 
 class NotClosedDomain(ViewfluxError):
-    """Totalization requires closed source and target instances."""
+    """An operation that needs a closed instance was given one that is not.
+
+    Raised by totalization (closed source and target), by ``certify_closed``
+    and by ``closed_subsets``.
+    """
 
 
 class NotMonic(ViewfluxError):

@@ -1,10 +1,18 @@
-"""Frozen reference: the two saturation worklists as they stood before the merge.
+"""Frozen references: two earlier forms of the power-view saturation.
 
 ``viewflux.closure`` once ran the power-view saturation twice, in
 ``_saturate`` (the view set) and in ``generating_queries`` (a witness query
 per view).  Both are kept here verbatim, with the helpers they used, so the
 single worklist that replaced them and any later kernel can be compared
-against them.  Do not edit: a change here hides a change in the library.
+against them.
+
+The single worklist that replaced them, which recombined every pair of views
+in every round and recorded each view's first derivation, is kept verbatim
+too, as ``_saturate_record`` and ``generating_queries_record`` (renamed only
+to sit beside the first pair).  A later kernel must reproduce its record
+exactly: the same views in the same insertion order with the same operands.
+
+Do not edit: a change here hides a change in the library.
 """
 
 from __future__ import annotations
@@ -151,4 +159,69 @@ def generating_queries(inst: Instance, cfg: UniverseConfig) -> dict[Relation, Qu
     # Sanity: witnesses evaluate to their views.
     for rel, query in witness.items():
         assert evaluate(query, labeled) == rel
+    return witness
+
+
+def _record(views: dict[Relation, tuple], rel: Relation, how: tuple, cfg: UniverseConfig) -> None:
+    """Insert a new view with its derivation; fail once there are too many."""
+    views[rel] = how
+    if len(views) > cfg.max_universe:
+        raise UniverseTooLarge(f"saturation produced more than {cfg.max_universe} views")
+
+
+def _saturate_record(relations: frozenset[Relation], cfg: UniverseConfig) -> dict[Relation, tuple]:
+    """Least superset of the input (plus bottom) closed under the operators.
+
+    Maps each view to its first derivation, in insertion order: ``()`` for
+    the bottom and the inputs, otherwise ``(build, operand, ...)``, where
+    ``build`` turns the operands' query terms into the view's term.  Every
+    operand is inserted before the views derived from it.
+    """
+    views: dict[Relation, tuple] = {}
+    for rel in sorted_relations(set(relations) | {BOTTOM}):
+        _record(views, rel, (), cfg)
+    frontier = list(views)
+    while frontier:
+        known = len(views)
+        for rel in frontier:
+            for result, build in _apply_unary(rel, cfg):
+                if result not in views:
+                    _record(views, result, (build, rel), cfg)
+        current = sorted_relations(views)
+        for a in current:
+            if a.is_bottom:
+                continue
+            for b in current:
+                if b.is_bottom or not _compatible(a, b):
+                    continue
+                if a.arity == b.arity:
+                    union = _can(a.arity, a.tuples | b.tuples, a.tag or b.tag)
+                    if union not in views:
+                        _record(views, union, (UnionTerm, a, b), cfg)
+                if a.arity + b.arity <= cfg.k_max:
+                    rows = frozenset(x + y for x in a.tuples for y in b.tuples)
+                    join = _can(a.arity + b.arity, rows, a.tag or b.tag)
+                    if join not in views:
+                        _record(views, join, (Join, a, b), cfg)
+        frontier = sorted_relations(itertools.islice(views, known, None))
+    return views
+
+
+def generating_queries_record(inst: Instance, cfg: UniverseConfig) -> dict[Relation, QueryTerm]:
+    """A deterministic generating query (over the instance's labels) per view.
+
+    Unlabeled relations are auto-named first.  Base relations map to base
+    queries and the bottom to the bottom term; every other view gets the
+    term of its first derivation in the saturation, built from its operands'
+    terms.
+    """
+    labeled = with_default_labels(inst)
+    witness: dict[Relation, QueryTerm] = {
+        rel: Base(name) for name, rel in labeled.labels.items()
+    }
+    witness[BOTTOM] = Bot()
+    for rel, how in _saturate_record(labeled.relations, cfg).items():
+        if how:
+            build, *operands = how
+            witness[rel] = build(*(witness[op] for op in operands))
     return witness

@@ -1,16 +1,20 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import frozen_closure
 from viewflux import (
     BOTTOM,
+    Base,
     EnumerationTooLarge,
     Instance,
+    NotClosedDomain,
     UniverseConfig,
     UniverseTooLarge,
     ZERO,
     closed_subsets,
+    coproduct,
     evaluate,
     generating_queries,
     instance,
@@ -26,6 +30,7 @@ from viewflux import (
     with_default_labels,
     zero_object,
 )
+from viewflux.closure import _saturate, certify_closed
 
 ABC1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
 ABC2 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=2)
@@ -35,33 +40,44 @@ CHAIN = with_default_labels(instance(make_relation(2, {("a", "b"), ("b", "c")}))
 
 
 def _closed_one_round(relations, cfg):
-    """Independent closedness check: one application of every operator."""
+    """Independent closedness check: one application of every operator.
+
+    Results keep their operand's coproduct tag; a pair with two different
+    tags is not combined, since no query reaches across components.  An
+    empty result is the bottom, which is always present.
+    """
     rels = set(relations) | {BOTTOM}
+    present = {(r.arity, r.tuples, r.tag) for r in rels}
+
+    def has(arity, rows, tag):
+        return not rows or (arity, rows, tag) in present
+
     for r in rels:
         if r.is_bottom:
             continue
         for i in range(1, r.arity + 1):
             for c in sorted(cfg.domain):
                 kept = frozenset(t for t in r.tuples if t[i - 1] == c)
-                if make_relation(r.arity, kept) not in rels:
+                if not has(r.arity, kept, r.tag):
                     return False
             for j in range(i + 1, r.arity + 1):
                 kept = frozenset(t for t in r.tuples if t[i - 1] == t[j - 1])
-                if make_relation(r.arity, kept) not in rels:
+                if not has(r.arity, kept, r.tag):
                     return False
         for m in range(1, cfg.k_max + 1):
             for cols in itertools.product(range(1, r.arity + 1), repeat=m):
                 rows = frozenset(tuple(t[c - 1] for c in cols) for t in r.tuples)
-                if make_relation(m, rows) not in rels:
+                if not has(m, rows, r.tag):
                     return False
     for r, s in itertools.product(rels, repeat=2):
-        if r.is_bottom or s.is_bottom:
+        if r.is_bottom or s.is_bottom or (r.tag and s.tag and r.tag != s.tag):
             continue
-        if r.arity == s.arity and make_relation(r.arity, r.tuples | s.tuples) not in rels:
+        tag = r.tag or s.tag
+        if r.arity == s.arity and not has(r.arity, r.tuples | s.tuples, tag):
             return False
         if r.arity + s.arity <= cfg.k_max:
             rows = frozenset(x + y for x in r.tuples for y in s.tuples)
-            if make_relation(r.arity + s.arity, rows) not in rels:
+            if not has(r.arity + s.arity, rows, tag):
                 return False
     return True
 
@@ -82,23 +98,44 @@ def _assert_closure_of(inst, views, witness, cfg):
         assert evaluate(query, labeled) == rel, (rel, query)
 
 
+def _coproduct_inputs(cfg, step):
+    """Coproducts of every ordered pair drawn from a spread of small
+    instances (one or two relations, every ``step``-th in canonical order)."""
+    small = list(subset_instances(cfg, 2))[2::step]
+    return [coproduct(x, y) for x, y in itertools.product(small, repeat=2)]
+
+
 @pytest.fixture(scope="module")
 def differential_closures(cfg2):
     """(instance, cfg, views, witnesses) for every input the closure is
     checked on: all instances at {a,b} k=2 with up to two relations, all
-    instances at {a,b,c} k=1, and the binary chain at {a,b,c} k=2."""
+    instances at {a,b,c} k=1, the binary chain at {a,b,c} k=2, and tagged
+    coproducts of pairs of small instances at {a,b} k=2 and {a,b,c} k=1."""
     inputs = [(inst, cfg2) for inst in subset_instances(cfg2, 2)]
     inputs += [(inst, ABC1) for inst in subset_instances(ABC1, 8)]
     inputs.append((CHAIN, ABC2))
+    inputs += [(inst, cfg2) for inst in _coproduct_inputs(cfg2, 24)]
+    inputs += [(inst, ABC1) for inst in _coproduct_inputs(ABC1, 4)]
     return [
         (inst, cfg, power_view(inst, cfg).relations, generating_queries(inst, cfg))
         for inst, cfg in inputs
     ]
 
 
+def _derivations(record):
+    """A saturation record as a list: each view in insertion order with its
+    operands and the term its builder makes from placeholder operands."""
+    return [
+        (rel, how[1:], how[0](*(Base("x") for _ in how[1:])) if how else None)
+        for rel, how in record.items()
+    ]
+
+
 def test_differential_inputs(differential_closures):
-    assert len(differential_closures) == 191 + 256 + 1
-    assert len(differential_closures[-1][2]) == 519
+    assert len(differential_closures) == 191 + 256 + 1 + 8 * 8 + 9 * 9
+    assert len(differential_closures[191 + 256][2]) == 519
+    tagged = [views for _, _, views, _ in differential_closures[191 + 256 + 1:]]
+    assert sum(any(r.tag for r in views) for views in tagged) == 8 * 8 + 9 * 9
 
 
 def test_saturation_matches_frozen_reference(differential_closures):
@@ -107,9 +144,35 @@ def test_saturation_matches_frozen_reference(differential_closures):
         assert witness == frozen_closure.generating_queries(inst, cfg), inst
 
 
+def test_saturation_matches_frozen_record(differential_closures):
+    for inst, cfg, _, witness in differential_closures:
+        got = _derivations(_saturate(inst.relations, cfg))
+        assert got == _derivations(frozen_closure._saturate_record(inst.relations, cfg)), inst
+        expected = frozen_closure.generating_queries_record(inst, cfg)
+        assert list(witness.items()) == list(expected.items()), inst
+
+
 def test_closure_passes_independent_oracle(differential_closures):
     for inst, cfg, views, witness in differential_closures:
         _assert_closure_of(inst, views, witness, cfg)
+
+
+_RELATIONS_ABC2 = st.integers(1, 2).flatmap(
+    lambda n: st.frozensets(st.tuples(*[st.sampled_from("abc")] * n), min_size=1).map(
+        lambda rows: make_relation(n, rows)
+    )
+)
+
+
+@settings(max_examples=5, derandomize=True, deadline=None)
+@given(st.lists(_RELATIONS_ABC2, min_size=1, max_size=2, unique=True))
+def test_generated_k2_instances(relations):
+    inst = with_default_labels(instance(*relations))
+    record = _saturate(inst.relations, ABC2)
+    assert _derivations(record) == _derivations(
+        frozen_closure._saturate_record(inst.relations, ABC2)
+    )
+    _assert_closure_of(inst, record.keys(), generating_queries(inst, ABC2), ABC2)
 
 
 def test_max_universe_bound(pab):
@@ -121,6 +184,17 @@ def test_max_universe_bound(pab):
     for closure in (power_view, generating_queries):
         with pytest.raises(UniverseTooLarge, match="more than 3 views"):
             closure(pab, tight)
+
+
+def test_max_universe_bound_on_chain():
+    # the chain closes to the whole 519-view universe
+    exact = UniverseConfig(domain=ABC2.domain, k_max=2, max_universe=519)
+    assert len(power_view(CHAIN, exact)) == 519
+    assert len(generating_queries(CHAIN, exact)) == 519
+    tight = UniverseConfig(domain=ABC2.domain, k_max=2, max_universe=518)
+    for closure in (power_view, generating_queries):
+        with pytest.raises(UniverseTooLarge, match="more than 518 views"):
+            closure(CHAIN, tight)
 
 
 def _oracle_closure(inst, cfg):
@@ -253,8 +327,14 @@ def test_closed_subsets_k2_lattice(cfg2):
 
 
 def test_closed_subsets_requires_closed_input(cfg0, pab):
-    with pytest.raises(EnumerationTooLarge):
+    with pytest.raises(NotClosedDomain):
         closed_subsets(pab, cfg0)
+
+
+def test_certify_closed_rejects_open_input(cfg0, pab):
+    with pytest.raises(NotClosedDomain, match="is not closed"):
+        certify_closed(pab, cfg0)
+    assert certify_closed(power_view(pab, cfg0), cfg0) == power_view(pab, cfg0)
 
 
 def test_closed_subsets_ground_bound(cfg0):

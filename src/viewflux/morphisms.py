@@ -16,6 +16,7 @@ from typing import Iterable
 
 from .closure import (
     ClosedInstance,
+    closed_subsets,
     generating_queries,
     is_closed,
     meet_closed,
@@ -310,8 +311,6 @@ def semantic_homset(
     Each closed set between the zero object and the matching of the
     endpoints is the flux of exactly one equivalence class of arrows.
     """
-    from .closure import closed_subsets
-
     meet = meet_closed(power_view(a, cfg), power_view(b, cfg))
     return closed_subsets(meet, cfg)
 

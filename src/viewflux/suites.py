@@ -87,13 +87,14 @@ from .queries import (
 from .topos import (
     classifier,
     closure_classes,
-    coproduct_pullback_check,
+    combined_pullback_check,
     equalizer_check,
     factorization_minimal,
     is_pullback_square,
     metric_suite,
     negative_probes,
     pullback,
+    square_mediators,
     true_arrow,
 )
 
@@ -174,7 +175,11 @@ class SuiteContext:
 
 
 def _law(law: str, statement: str) -> Callable:
-    """Wrap a generator of (ok, witness) pairs into a law function."""
+    """Wrap a generator of (ok, witness) pairs into a law function.
+
+    A witness is a string or a ``_fmt`` thunk; a thunk is rendered only for
+    the first five failures or flagged items, which are all the report keeps.
+    """
 
     def decorate(fn):
         def run(ctx: SuiteContext) -> LawResult:
@@ -185,9 +190,9 @@ def _law(law: str, statement: str) -> Callable:
                 result.checked += 1
                 if flag:
                     if len(result.flagged) < 5:
-                        result.flagged.append(witness)
+                        result.flagged.append(_render(witness))
                 elif not ok and len(result.failures) < 5:
-                    result.failures.append(witness)
+                    result.failures.append(_render(witness))
             return result
 
         run.law = law
@@ -196,8 +201,13 @@ def _law(law: str, statement: str) -> Callable:
     return decorate
 
 
-def _fmt(*parts) -> str:
-    return "; ".join(repr(p) for p in parts)
+def _fmt(*parts) -> Callable[[], str]:
+    """A witness naming ``parts``, rendered only when called."""
+    return lambda: "; ".join(repr(p) for p in parts)
+
+
+def _render(witness: str | Callable[[], str]) -> str:
+    return witness if isinstance(witness, str) else witness()
 
 
 # --- closure laws ---------------------------------------------------------
@@ -802,9 +812,9 @@ def law_classifier_audit(ctx):
             continue
         mono = semantic_arrow(a, b, power_view(a, ctx.cfg), ctx.cfg)
         _, report = classifier(mono, ctx.cfg, ctx.classes)
-        witness = (
-            f"{_fmt(a, b)}: closure of generators meets the subobject in "
-            f"{sorted_relations(report.audit_intersection)!r}"
+        witness = lambda a=a, b=b, audit=report.audit_intersection: (
+            f"{_fmt(a, b)()}: closure of generators meets the subobject in "
+            f"{sorted_relations(audit)!r}"
         )
         yield True, witness, report.flagged
 
@@ -844,9 +854,10 @@ def law_coproduct_pullback(ctx):
                 for b in ctx.classes:
                     for h_flux in ctx.homset(b, e):
                         squares.append(pullback(k, semantic_arrow(b, e, h_flux, ctx.cfg)))
-                for sq1, sq2 in itertools.product(squares, repeat=2):
+                tables = [(sq, square_mediators(sq, ctx.cfg, small)) for sq in squares]
+                for (sq1, m1), (sq2, m2) in itertools.product(tables, repeat=2):
                     yield (
-                        coproduct_pullback_check(sq1, sq2, ctx.cfg, small),
+                        combined_pullback_check(sq1, m1, sq2, m2, ctx.cfg),
                         _fmt(k_flux, sq1.g.flux, sq2.g.flux),
                     )
 

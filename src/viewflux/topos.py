@@ -119,38 +119,41 @@ def metric_suite(cfg: UniverseConfig, max_relations: int = 4) -> MetricReport:
     insts = list(subset_instances(cfg, max_relations))
     total = total_object(cfg)
     report = MetricReport(instances=len(insts))
+    # One distance per ordered pair (equal values shared) and one
+    # isomorphism test per ordered pair; every law below reads these tables.
+    canon: dict[frozenset[Relation], frozenset[Relation]] = {}
+    d = [[canon.setdefault(r, r) for r in (distance(a, b, cfg).relations for b in insts)]
+         for a in insts]
+    iso = [[isomorphic(a, b, cfg) for b in insts] for a in insts]
+    idx = range(len(insts))
 
-    def d(a, b):
-        return distance(a, b, cfg).relations
-
-    for a in insts:
-        if d(a, a) != total.relations:
+    for i, a in enumerate(insts):
+        if d[i][i] != total.relations:
             report.self_distance_failures.append(repr(a))
-        if not isomorphic(a, zero_object(), cfg) and d(a, zero_object()) != frozenset({BOTTOM}):
+        if not isomorphic(a, zero_object(), cfg) and (
+            distance(a, zero_object(), cfg).relations != frozenset({BOTTOM})
+        ):
             report.infinite_distance_failures.append(repr(a))
         own = semantic_homset(a, a, cfg)
         own_fluxes = {h.relations for h in own}
-        others = {frozenset(d(a, b)) for b in insts if not isomorphic(a, b, cfg)}
+        others = {d[i][j] for j in idx if not iso[i][j]}
         if len(others) > len(own_fluxes) or not others <= own_fluxes:
             report.locally_closed_failures.append(repr(a))
-    for a, b in itertools.product(insts, repeat=2):
-        if d(a, b) != d(b, a):
+    for i, j in itertools.product(idx, repeat=2):
+        a, b = insts[i], insts[j]
+        if d[i][j] != d[j][i]:
             report.symmetry_failures.append(f"{a!r},{b!r}")
-        if BOTTOM not in d(a, b):
+        if BOTTOM not in d[i][j]:
             report.infinite_distance_failures.append(f"{a!r},{b!r}")
-        if d(a, b) == total.relations and not isomorphic(a, b, cfg):
+        if d[i][j] == total.relations and not iso[i][j]:
             report.indiscernible_failures.append(f"{a!r},{b!r}")
-        expected = all(
-            d(a, c) <= d(b, c)
-            for c in insts
-            if not isomorphic(c, a, cfg)
-        )
+        expected = all(d[i][k] <= d[j][k] for k in idx if not iso[k][i])
         if po_leq(a, b, cfg) != expected:
             report.order_failures.append(f"{a!r},{b!r}")
-    for a, b, c in itertools.product(insts, repeat=3):
+    for i, j, k in itertools.product(idx, repeat=3):
         report.triples_checked += 1
-        if not d(a, b) & d(b, c) <= d(a, c):
-            report.triangle_failures.append(f"{a!r},{b!r},{c!r}")
+        if not d[i][j] & d[j][k] <= d[i][k]:
+            report.triangle_failures.append(f"{insts[i]!r},{insts[j]!r},{insts[k]!r}")
     return report
 
 
@@ -418,11 +421,43 @@ def coproduct_pullback_check(
     The combined corner is the coproduct of the corners, the legs are the
     copairing and the arrow coproduct, and all flux algebra is componentwise
     in the tagged space (a plain flux crossing into the tagged space acts on
-    both components).
+    both components).  A caller pairing many squares can run the two steps
+    itself, ``square_mediators`` once per square and ``combined_pullback_check``
+    per pair.
     """
-    if not is_pullback_square(sq1, cfg, vertices):
+    return combined_pullback_check(
+        sq1, square_mediators(sq1, cfg, vertices),
+        sq2, square_mediators(sq2, cfg, vertices),
+        cfg,
+    )
+
+
+Mediators = tuple[frozenset[Relation] | None, ...] | None
+
+
+def square_mediators(
+    square: PullbackSquare, cfg: UniverseConfig, vertices: list[Instance]
+) -> Mediators:
+    """Verify ``square`` once: None when it is not a pullback, else the unique
+    mediator (None where not unique) of every cone from every vertex."""
+    if not is_pullback_square(square, cfg, vertices):
+        return None
+    cones = ((v, c) for v in vertices for c in _cones(square, v, cfg))
+    return tuple(_unique_mediator(square, v, c, cfg) for v, c in cones)
+
+
+def combined_pullback_check(
+    sq1: PullbackSquare,
+    mediators1: Mediators,
+    sq2: PullbackSquare,
+    mediators2: Mediators,
+    cfg: UniverseConfig,
+) -> bool:
+    """The pair step of ``coproduct_pullback_check``, given each square's
+    ``square_mediators`` over the same vertices."""
+    if mediators1 is None:
         raise NotAPullback("first square fails pullback verification")
-    if not is_pullback_square(sq2, cfg, vertices):
+    if mediators2 is None:
         raise NotAPullback("second square fails pullback verification")
     if sq1.f.source != sq2.f.source or sq1.f.target != sq2.f.target:
         raise NotAPullback("squares do not share the cospan leg")
@@ -463,24 +498,18 @@ def coproduct_pullback_check(
 
     # Universal property: component mediators reassemble into the unique
     # tagged mediator for every pair of component cones.
-    for v1, v2 in itertools.product(vertices, repeat=2):
-        for s1 in _cones(sq1, v1, cfg):
-            for s2 in _cones(sq2, v2, cfg):
-                u1 = _unique_mediator(sq1, v1, s1, cfg)
-                u2 = _unique_mediator(sq2, v2, s2, cfg)
-                if u1 is None or u2 is None:
-                    return False
-                combined = tagged_flux(
-                    frozenset(u1), frozenset(u2), cfg
-                ).relations
-                p1 = left_pair.flux.relations & combined
-                expected = tagged_flux(
-                    frozenset(sq1.left.flux.relations & u1),
-                    frozenset(sq2.left.flux.relations & u2),
-                    cfg,
-                ).relations
-                if p1 != expected:
-                    return False
+    for u1, u2 in itertools.product(mediators1, mediators2):
+        if u1 is None or u2 is None:
+            return False
+        combined = tagged_flux(frozenset(u1), frozenset(u2), cfg).relations
+        p1 = left_pair.flux.relations & combined
+        expected = tagged_flux(
+            frozenset(sq1.left.flux.relations & u1),
+            frozenset(sq2.left.flux.relations & u2),
+            cfg,
+        ).relations
+        if p1 != expected:
+            return False
     return True
 
 

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import pytest
 
 from viewflux import (
@@ -8,7 +10,9 @@ from viewflux import (
     run_suite,
     subset_instances,
 )
-from viewflux.suites import SUITE_NAMES, SUITES
+from viewflux.suites import SUITE_NAMES, SUITES, _fmt, _law
+
+GOLDEN_DEFAULT = Path(__file__).parent / "golden" / "check-all-default.txt"
 
 
 def test_enumeration_counts(cfg0, cfg_single):
@@ -87,3 +91,68 @@ def test_suite_instance_cap(cfg0):
 
 def test_suite_names_cover_registry():
     assert set(SUITE_NAMES) == set(SUITES) | {"all"}
+
+
+def test_default_report_matches_golden(cfg0):
+    # The golden file is the output of `viewflux check all` at the default
+    # configuration ({a,b}, k=1, max-relations 4).
+    assert render_report(run_suite("all", cfg0, 4)) == GOLDEN_DEFAULT.read_text()
+
+
+class ReprProbe:
+    """A witness part that counts how often it is rendered."""
+
+    def __init__(self, name):
+        self.name = name
+        self.calls = 0
+
+    def __repr__(self):
+        self.calls += 1
+        return self.name
+
+
+def test_law_keeps_first_five_failures():
+    @_law("probe.fail", "fails seven times")
+    def law(ctx):
+        for i in range(7):
+            yield False, _fmt(i, "x")
+
+    result = law(None)
+    assert result.checked == 7
+    assert result.status == "FAIL"
+    assert result.failures == ["0; 'x'", "1; 'x'", "2; 'x'", "3; 'x'", "4; 'x'"]
+
+
+def test_law_renders_flagged_witness():
+    probe = ReprProbe("{(a)}")
+
+    @_law("probe.flag", "flags one item")
+    def law(ctx):
+        yield True, _fmt(probe, 1), True
+        yield True, "plain witness", True
+
+    result = law(None)
+    assert result.status == "FLAGGED"
+    assert result.flagged == ["{(a)}; 1", "plain witness"]
+    assert not result.failures
+
+
+def test_passing_items_render_no_witness():
+    probe = ReprProbe("p")
+
+    @_law("probe.pass", "passes every item")
+    def law(ctx):
+        for _ in range(10):
+            yield True, _fmt(probe, probe)
+
+    result = law(None)
+    assert result.status == "PASS" and result.checked == 10
+    assert probe.calls == 0
+
+    @_law("probe.fail", "fails every item")
+    def failing(ctx):
+        for _ in range(10):
+            yield False, _fmt(probe)
+
+    assert len(failing(None).failures) == 5
+    assert probe.calls == 5

@@ -26,10 +26,18 @@ from viewflux import (
     pullback,
     semantic_arrow,
     semantic_arrows,
+    subset_instances,
     total_object,
     true_arrow,
 )
-from viewflux.topos import closure_classes, factorization_minimal
+from viewflux import suites, topos
+from viewflux.closure import zero_object
+from viewflux.topos import (
+    closure_classes,
+    combined_pullback_check,
+    factorization_minimal,
+    square_mediators,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +64,54 @@ def test_metric_suite_passes(cfg0):
     assert report.ok
     assert report.instances == 16
     assert report.triples_checked == 16 ** 3
+
+
+def _pairs_and_triples(cfg, variant):
+    """Brute-force symmetry and triangle failures of a distance variant."""
+    insts = list(subset_instances(cfg, 4))
+
+    def d(a, b):
+        return variant(a, b, cfg).relations
+
+    asymmetric = [
+        f"{a!r},{b!r}" for a, b in itertools.product(insts, repeat=2) if d(a, b) != d(b, a)
+    ]
+    triangle = [
+        f"{a!r},{b!r},{c!r}"
+        for a, b, c in itertools.product(insts, repeat=3)
+        if not d(a, b) & d(b, c) <= d(a, c)
+    ]
+    return asymmetric, triangle
+
+
+def test_metric_suite_catches_asymmetric_distance(cfg0, monkeypatch):
+    real = topos.distance
+
+    def asymmetric(a, b, cfg):
+        return total_object(cfg) if a.relations < b.relations else real(a, b, cfg)
+
+    expected_symmetry, _ = _pairs_and_triples(cfg0, asymmetric)
+    monkeypatch.setattr(topos, "distance", asymmetric)
+    report = metric_suite(cfg0, 4)
+    assert report.symmetry_failures
+    assert report.symmetry_failures == expected_symmetry
+
+
+def test_metric_suite_catches_broken_triangle(cfg0, monkeypatch, pa, pab):
+    # Symmetric, but {(a)} and {(a),(b)} are put infinitely far apart while
+    # instances equivalent to {(a)} still share the view (a) with both.
+    real = topos.distance
+    cut = {pa.relations, pab.relations}
+
+    def broken(a, b, cfg):
+        return zero_object() if {a.relations, b.relations} == cut else real(a, b, cfg)
+
+    _, expected_triangle = _pairs_and_triples(cfg0, broken)
+    monkeypatch.setattr(topos, "distance", broken)
+    report = metric_suite(cfg0, 4)
+    assert not report.symmetry_failures
+    assert report.triangle_failures
+    assert report.triangle_failures == expected_triangle
 
 
 def test_metric_isomorphic_branch(cfg0, pa):
@@ -257,7 +313,9 @@ def test_coproduct_pullback_trivial_squares(cfg0, pa, classes):
     assert coproduct_pullback_check(sq, sq, cfg0, classes)
 
 
-def test_coproduct_pullback_rejects_bad_square(cfg0, pa, pb, pab, classes):
+def _good_and_bad_squares(cfg0, pa, pb, pab):
+    """A pullback square and a square over the same cospan whose corner is
+    too big to be a pullback."""
     f = semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0)
     g = semantic_arrow(pb, pa, [BOTTOM], cfg0)
     good = pullback(f, g)
@@ -269,8 +327,56 @@ def test_coproduct_pullback_rejects_bad_square(cfg0, pa, pb, pab, classes):
         f,
         g,
     )
+    return good, bad
+
+
+def test_coproduct_pullback_rejects_bad_square(cfg0, pa, pb, pab, classes):
+    good, bad = _good_and_bad_squares(cfg0, pa, pb, pab)
     with pytest.raises(NotAPullback):
         coproduct_pullback_check(good, bad, cfg0, classes)
+
+
+def test_coproduct_pullback_tables_match_pairwise_check(cfg0, monkeypatch):
+    # Record every pair the law checks against its squares' mediator tables,
+    # then check each pair again through the one-pair entry point.
+    seen = []
+    real = suites.combined_pullback_check
+
+    def recording(sq1, m1, sq2, m2, cfg):
+        result = real(sq1, m1, sq2, m2, cfg)
+        seen.append((sq1, m1, sq2, m2, result))
+        return result
+
+    monkeypatch.setattr(suites, "combined_pullback_check", recording)
+    ctx = suites.SuiteContext(cfg0, 4)
+    result = suites.law_coproduct_pullback(ctx)
+    assert result.checked == len(seen) == 1225
+    small = [ctx.zero, ctx.classes[-1]]
+    for sq1, m1, sq2, m2, outcome in seen:
+        assert m1 == square_mediators(sq1, cfg0, small)
+        assert m2 == square_mediators(sq2, cfg0, small)
+        assert outcome == coproduct_pullback_check(sq1, sq2, cfg0, small)
+
+
+def test_coproduct_pullback_tables_reject_bad_square(cfg0, pa, pb, pab, classes):
+    good, bad = _good_and_bad_squares(cfg0, pa, pb, pab)
+    tables = [(sq, square_mediators(sq, cfg0, classes)) for sq in (good, bad)]
+    assert tables[0][1] is not None and tables[1][1] is None
+    for (sq1, m1), (sq2, m2) in itertools.product(tables, repeat=2):
+        if bad in (sq1, sq2):
+            with pytest.raises(NotAPullback):
+                combined_pullback_check(sq1, m1, sq2, m2, cfg0)
+        else:
+            assert combined_pullback_check(sq1, m1, sq2, m2, cfg0)
+
+
+def test_coproduct_pullback_rejects_cone_without_unique_mediator(cfg0, pa, pab, classes):
+    k = semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0)
+    sq = pullback(k, semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0))
+    mediators = square_mediators(sq, cfg0, classes)
+    assert mediators and None not in mediators
+    assert combined_pullback_check(sq, mediators, sq, mediators, cfg0)
+    assert not combined_pullback_check(sq, mediators + (None,), sq, mediators, cfg0)
 
 
 def test_coproduct_pullback_rejects_different_shared_leg(cfg0, pa, pb, pab, classes):

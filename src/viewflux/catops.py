@@ -11,6 +11,7 @@ structure closed: currying is a flux-preserving bijection of hom-sets.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .closure import (
     ClosedInstance,
@@ -127,9 +128,20 @@ def tagged_flux(
     right: Instance | frozenset[Relation],
     cfg: UniverseConfig,
 ) -> ClosedInstance:
-    """The closed set holding the left flux tagged left and the right tagged right."""
-    lrels = left.relations if isinstance(left, Instance) else left
-    rrels = right.relations if isinstance(right, Instance) else right
+    """The closed set holding the left flux tagged left and the right tagged right.
+
+    Results are memoized on the two relation sets; an open input raises
+    ``NotClosedDomain`` on every call.
+    """
+    lrels = left.relations if isinstance(left, Instance) else frozenset(left)
+    rrels = right.relations if isinstance(right, Instance) else frozenset(right)
+    return _tagged_flux_cached(lrels, rrels, cfg)
+
+
+@lru_cache(maxsize=None)
+def _tagged_flux_cached(
+    lrels: frozenset[Relation], rrels: frozenset[Relation], cfg: UniverseConfig
+) -> ClosedInstance:
     rels = {tag_left(r) for r in lrels} | {tag_right(r) for r in rrels} | {BOTTOM}
     return certify_closed(Instance(frozenset(rels), {}), cfg)
 
@@ -185,13 +197,9 @@ def copair(f: Morphism, g: Morphism) -> Morphism:
     )
 
 
-def hom_object(b: Instance, c: Instance, cfg: UniverseConfig) -> ClosedInstance:
-    """The internal hom of two instances; equal to their matching.
-
-    Equivalently the merging of all arrow fluxes from b to c, of which the
-    matching is the largest.
-    """
-    return matching(b, c, cfg)
+#: The internal hom of two instances is their matching (equivalently the
+#: merging of all arrow fluxes from b to c, of which the matching is the largest).
+hom_object = matching
 
 
 def transpose(

@@ -20,6 +20,7 @@ from typing import Iterable
 
 from .core import (
     BOTTOM,
+    Constant,
     Instance,
     Relation,
     UniverseConfig,
@@ -55,22 +56,38 @@ def _closed(relations: Iterable[Relation]) -> ClosedInstance:
     return ClosedInstance(frozenset(relations) | {BOTTOM}, {})
 
 
+def _select_const(i: int, c: Constant):
+    return lambda q: Select(ColEqConst(i, c), q)
+
+
+def _select_cols(i: int, j: int):
+    return lambda q: Select(ColEqCol(i, j), q)
+
+
+def _project(cols: tuple[int, ...]):
+    return lambda q: Project(cols, q)
+
+
 def _apply_unary(rel: Relation, cfg: UniverseConfig):
-    """Yield (arity, tuples, query-builder) for every select/project applicable to rel."""
+    """Yield (arity, tuples, make, args) for every select/project applicable to rel.
+
+    ``make(*args)`` is the candidate's query builder; it is made only for a
+    candidate that turns out to be a new view.
+    """
     if rel.is_bottom:
         return
     n = rel.arity
     for i in range(1, n + 1):
         for c in cfg.constants():
             kept = frozenset(t for t in rel.tuples if t[i - 1] == c)
-            yield n, kept, lambda q, i=i, c=c: Select(ColEqConst(i, c), q)
+            yield n, kept, _select_const, (i, c)
         for j in range(i + 1, n + 1):
             kept = frozenset(t for t in rel.tuples if t[i - 1] == t[j - 1])
-            yield n, kept, lambda q, i=i, j=j: Select(ColEqCol(i, j), q)
+            yield n, kept, _select_cols, (i, j)
     for m in range(1, cfg.k_max + 1):
         for cols in itertools.product(range(1, n + 1), repeat=m):
             rows = frozenset(tuple(t[c - 1] for c in cols) for t in rel.tuples)
-            yield m, rows, lambda q, cols=cols: Project(cols, q)
+            yield m, rows, _project, (cols,)
 
 
 def _compatible(a: Relation, b: Relation) -> bool:
@@ -113,10 +130,10 @@ def _saturate(relations: frozenset[Relation], cfg: UniverseConfig) -> dict[Relat
     while frontier:
         known = len(views)
         for rel in frontier:
-            for arity, rows, build in _apply_unary(rel, cfg):
+            for arity, rows, make, args in _apply_unary(rel, cfg):
                 key = (arity, rows, rel.tag)
                 if rows and key not in keys:
-                    _record(views, keys, Relation(*key), (build, rel), cfg)
+                    _record(views, keys, Relation(*key), (make(*args), rel), cfg)
         # The bottom drops out: a union or join of non-empty relations is non-empty.
         current = list(enumerate(sorted_relations(r for r in views if not r.is_bottom)))
         fresh = [(j, b) for j, b in current if b not in old]

@@ -116,6 +116,9 @@ class LawResult:
     checked: int
     failures: list[str] = field(default_factory=list)
     flagged: list[str] = field(default_factory=list)
+    #: Seconds spent checking the law.  Laws checked together in one pass
+    #: (``metric.*``, ``negative.*``) put the pass's time on the first law.
+    elapsed: float = 0.0
 
     @property
     def status(self) -> str:
@@ -161,6 +164,7 @@ class SuiteContext:
             Instance(c.relations, {}) for c in closed_subsets(total_object(cfg), cfg)
         ]
         self._homsets: dict = {}
+        self._arrows: dict = {}
 
     def homset(self, a: Instance, b: Instance) -> tuple[frozenset[Relation], ...]:
         key = (a.relations, b.relations)
@@ -170,8 +174,14 @@ class SuiteContext:
             )
         return self._homsets[key]
 
-    def arrows(self, a: Instance, b: Instance) -> list[Morphism]:
-        return [semantic_arrow(a, b, flux, self.cfg) for flux in self.homset(a, b)]
+    def arrows(self, a: Instance, b: Instance) -> tuple[Morphism, ...]:
+        """One semantic arrow per flux of ``homset(a, b)``, built on first use."""
+        key = (a.relations, b.relations)
+        if key not in self._arrows:
+            self._arrows[key] = tuple(
+                semantic_arrow(a, b, flux, self.cfg) for flux in self.homset(a, b)
+            )
+        return self._arrows[key]
 
 
 def _law(law: str, statement: str) -> Callable:
@@ -183,6 +193,7 @@ def _law(law: str, statement: str) -> Callable:
 
     def decorate(fn):
         def run(ctx: SuiteContext) -> LawResult:
+            started = time.perf_counter()
             result = LawResult(law, statement, 0)
             for item in fn(ctx):
                 ok, witness = item[0], item[1]
@@ -193,12 +204,19 @@ def _law(law: str, statement: str) -> Callable:
                         result.flagged.append(_render(witness))
                 elif not ok and len(result.failures) < 5:
                     result.failures.append(_render(witness))
+            result.elapsed = time.perf_counter() - started
             return result
 
         run.law = law
         return run
 
     return decorate
+
+
+def _timed_from(started: float, results: list[LawResult]) -> list[LawResult]:
+    """Put the time since ``started`` on the first of laws checked in one pass."""
+    results[0].elapsed = time.perf_counter() - started
+    return results
 
 
 def _fmt(*parts) -> Callable[[], str]:
@@ -292,13 +310,11 @@ def law_flux_composition(ctx):
 @_law("category.associativity", "composition is associative up to equivalence")
 def law_associativity(ctx):
     for a, b, c, d in itertools.product(ctx.classes, repeat=4):
-        for s1 in ctx.homset(a, b):
-            f = semantic_arrow(a, b, s1, ctx.cfg)
-            for s2 in ctx.homset(b, c):
-                g = semantic_arrow(b, c, s2, ctx.cfg)
-                for s3 in ctx.homset(c, d):
-                    h = semantic_arrow(c, d, s3, ctx.cfg)
-                    ok = equiv(compose(h, compose(g, f)), compose(compose(h, g), f))
+        for s1, f in zip(ctx.homset(a, b), ctx.arrows(a, b)):
+            for s2, g in zip(ctx.homset(b, c), ctx.arrows(b, c)):
+                gf = compose(g, f)
+                for s3, h in zip(ctx.homset(c, d), ctx.arrows(c, d)):
+                    ok = equiv(compose(h, gf), compose(compose(h, g), f))
                     yield ok, _fmt(s1, s2, s3)
 
 
@@ -686,12 +702,17 @@ def law_merge_functor(ctx):
         lifted = merge_arrow(a, identity(b, ctx.cfg))
         ok = lifted.flux.relations == merging(a, b, ctx.cfg).relations
         yield ok, _fmt(a, b)
-    for a, b, c, d in itertools.product(ctx.classes, repeat=4):
-        for f in ctx.arrows(b, c):
-            for g in ctx.arrows(c, d):
-                lhs = merge_arrow(a, compose(g, f))
-                rhs = compose(merge_arrow(a, g), merge_arrow(a, f))
-                yield equiv(lhs, rhs), _fmt(a, f.flux, g.flux)
+    pairs = list(itertools.product(ctx.classes, repeat=2))
+    for a in ctx.classes:
+        # merge_arrow(a, f) depends on a and f alone: build each once per a.
+        merged = {
+            (b, c): tuple(merge_arrow(a, f) for f in ctx.arrows(b, c)) for b, c in pairs
+        }
+        for b, c, d in itertools.product(ctx.classes, repeat=3):
+            for f, af in zip(ctx.arrows(b, c), merged[b, c]):
+                for g, ag in zip(ctx.arrows(c, d), merged[c, d]):
+                    lhs = merge_arrow(a, compose(g, f))
+                    yield equiv(lhs, compose(ag, af)), _fmt(a, f.flux, g.flux)
 
 
 @_law("lattice.omega-chain", "iterated merging reaches the closure at the first step")
@@ -727,13 +748,14 @@ def law_coproduct_count(ctx):
 
 
 def law_metric(ctx: SuiteContext) -> list[LawResult]:
+    started = time.perf_counter()
     report = metric_suite(ctx.cfg, ctx.max_relations)
     pairs = report.instances * report.instances
 
     def law(name, statement, checked, failures):
         return LawResult(f"metric.{name}", statement, checked, failures[:5])
 
-    return [
+    laws = [
         law("symmetry", "distance is symmetric", pairs, report.symmetry_failures),
         law(
             "self-distance",
@@ -772,6 +794,7 @@ def law_metric(ctx: SuiteContext) -> list[LawResult]:
             report.infinite_distance_failures,
         ),
     ]
+    return _timed_from(started, laws)
 
 
 # --- topos laws -----------------------------------------------------------
@@ -847,13 +870,10 @@ def law_factorization(ctx):
 def law_coproduct_pullback(ctx):
     small = [ctx.zero, ctx.classes[-1]]
     for e in ctx.classes:
+        legs = [h for b in ctx.classes for h in ctx.arrows(b, e)]
         for d in ctx.classes:
-            for k_flux in ctx.homset(d, e):
-                k = semantic_arrow(d, e, k_flux, ctx.cfg)
-                squares = []
-                for b in ctx.classes:
-                    for h_flux in ctx.homset(b, e):
-                        squares.append(pullback(k, semantic_arrow(b, e, h_flux, ctx.cfg)))
+            for k_flux, k in zip(ctx.homset(d, e), ctx.arrows(d, e)):
+                squares = [pullback(k, h) for h in legs]
                 tables = [(sq, square_mediators(sq, ctx.cfg, small)) for sq in squares]
                 for (sq1, m1), (sq2, m2) in itertools.product(tables, repeat=2):
                     yield (
@@ -866,8 +886,9 @@ def law_coproduct_pullback(ctx):
 
 
 def law_negative(ctx: SuiteContext) -> list[LawResult]:
+    started = time.perf_counter()
     report = negative_probes(ctx.cfg, ctx.max_relations)
-    out = [
+    laws = [
         LawResult(
             "negative.pullback-epi",
             "a pullback of an epimorphism with a non-epic leg exists",
@@ -887,7 +908,7 @@ def law_negative(ctx: SuiteContext) -> list[LawResult]:
             [] if report.well_pointed_witness else ["no witness pair found"],
         ),
     ]
-    return out
+    return _timed_from(started, laws)
 
 
 # --- suite registry and runner -------------------------------------------
@@ -1008,6 +1029,8 @@ def render_report(report: SuiteReport, timings: bool = False) -> str:
             line += f" first_failure={law.failures[0]}"
         if law.flagged:
             line += f" flagged={len(law.flagged)} first={law.flagged[0]}"
+        if timings:
+            line += f" elapsed={law.elapsed:.3f}s"
         lines.append(line)
     failed = sum(1 for law in report.laws if law.failures)
     flagged = sum(1 for law in report.laws if law.flagged and not law.failures)

@@ -6,6 +6,7 @@ from viewflux import (
     BOTTOM,
     DomainMismatch,
     Instance,
+    NotClosedDomain,
     NotMonic,
     ZERO,
     arrow_coproduct,
@@ -42,6 +43,7 @@ from viewflux import (
     total_object,
     transpose,
 )
+from viewflux.catops import tagged_flux
 from viewflux.topos import closure_classes
 
 
@@ -196,6 +198,20 @@ def test_copair_zero_component(cfg0, pa, pab):
     g = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
     assert copair(f, g) is g
     assert copair(g, f) is g
+
+
+def test_tagged_flux_takes_instances_or_relation_sets(cfg0, pa, pab):
+    left, right = power_view(pa, cfg0), power_view(pab, cfg0)
+    tagged = tagged_flux(left, right, cfg0)
+    assert tagged.relations == power_view(coproduct(left, right), cfg0).relations
+    assert tagged_flux(left.relations, right.relations, cfg0).relations == tagged.relations
+    assert tagged_flux(left, set(right.relations), cfg0).relations == tagged.relations
+
+
+def test_tagged_flux_rejects_open_input_every_call(cfg0, pa, pab):
+    for _ in range(2):
+        with pytest.raises(NotClosedDomain):
+            tagged_flux(pab.relations, power_view(pa, cfg0), cfg0)
 
 
 def test_fold_arrow(cfg0, pab):

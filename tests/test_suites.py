@@ -1,18 +1,31 @@
+import itertools
 from pathlib import Path
 
 import pytest
 
 from viewflux import (
     EnumerationTooLarge,
+    Instance,
     UniverseConfig,
     UnknownSuite,
+    compose,
+    equiv,
+    merging,
+    power_view,
+    principal_morphism,
     render_report,
     run_suite,
+    semantic_arrow,
+    semantic_arrows,
     subset_instances,
 )
-from viewflux.suites import SUITE_NAMES, SUITES, _fmt, _law
+from viewflux import suites
+from viewflux.closure import meet_closed
+from viewflux.suites import SUITE_NAMES, SUITES, SuiteContext, _fmt, _law
+from viewflux.topos import closure_classes
 
 GOLDEN_DEFAULT = Path(__file__).parent / "golden" / "check-all-default.txt"
+GOLDEN_K2 = Path(__file__).parent / "golden" / "check-all-k2.txt"
 
 
 def test_enumeration_counts(cfg0, cfg_single):
@@ -97,6 +110,92 @@ def test_default_report_matches_golden(cfg0):
     # The golden file is the output of `viewflux check all` at the default
     # configuration ({a,b}, k=1, max-relations 4).
     assert render_report(run_suite("all", cfg0, 4)) == GOLDEN_DEFAULT.read_text()
+
+
+def test_k2_report_matches_golden(cfg2):
+    # The golden file is the output of `viewflux check all --kmax 2
+    # --max-relations 1`: binary relations and tagged coproducts of them.
+    assert render_report(run_suite("all", cfg2, 1)) == GOLDEN_K2.read_text()
+
+
+def test_timings_add_elapsed_to_every_law_line(cfg0):
+    text = render_report(run_suite("all", cfg0, 4), timings=True)
+    law_lines = text.splitlines()[2:-2]
+    assert len(law_lines) == 60
+    assert all(" elapsed=" in line and line.endswith("s") for line in law_lines)
+    stripped = [line.rsplit(" elapsed=", 1)[0] for line in text.splitlines()[:-1]]
+    assert "\n".join(stripped) + "\n" == GOLDEN_DEFAULT.read_text()
+
+
+def _golden_checked(law: str) -> int:
+    """The ``checked=`` count of one law in the default golden report."""
+    for line in GOLDEN_DEFAULT.read_text().splitlines():
+        if line.split()[1:2] == [law]:
+            return int(line.split("checked=")[1].split()[0])
+    raise KeyError(law)
+
+
+def test_context_builds_arrows_lazily_once(cfg0, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return semantic_arrow(*args)
+
+    monkeypatch.setattr(suites, "semantic_arrow", counting)
+    ctx = SuiteContext(cfg0, 4)
+    assert calls == []
+    a = b = ctx.classes[-1]
+    arrows = ctx.arrows(a, b)
+    assert isinstance(arrows, tuple) and len(calls) == len(arrows) > 1
+    assert ctx.arrows(a, b) is arrows
+    assert len(calls) == len(arrows)
+    assert [f.flux.relations for f in arrows] == list(ctx.homset(a, b))
+
+
+def _views_of_source_compose(g, f):
+    """A mutant composition: g's flux cut down to the views of f's source."""
+    return semantic_arrow(
+        f.source, g.target, meet_closed(g.flux, power_view(f.source, f.cfg)), f.cfg
+    )
+
+
+def _principal_merge_arrow(a, f):
+    """A mutant merge: the largest arrow between the merged endpoints."""
+    src = Instance(merging(a, f.source, f.cfg).relations, {})
+    tgt = Instance(merging(a, f.target, f.cfg).relations, {})
+    return principal_morphism(src, tgt, f.cfg)
+
+
+def test_associativity_law_catches_non_associative_compose(cfg0, monkeypatch):
+    mutant = _views_of_source_compose
+    classes = closure_classes(cfg0, 4)
+    assert any(
+        not equiv(mutant(h, mutant(g, f)), mutant(mutant(h, g), f))
+        for a, b, c, d in itertools.product(classes, repeat=4)
+        for f in semantic_arrows(a, b, cfg0)
+        for g in semantic_arrows(b, c, cfg0)
+        for h in semantic_arrows(c, d, cfg0)
+    )
+    monkeypatch.setattr(suites, "compose", mutant)
+    result = suites.law_associativity(SuiteContext(cfg0, 4))
+    assert result.status == "FAIL"
+    assert result.checked == _golden_checked("category.associativity")
+
+
+def test_merge_functor_law_catches_non_functorial_merge(cfg0, monkeypatch):
+    mutant = _principal_merge_arrow
+    classes = closure_classes(cfg0, 4)
+    assert any(
+        not equiv(mutant(a, compose(g, f)), compose(mutant(a, g), mutant(a, f)))
+        for a, b, c, d in itertools.product(classes, repeat=4)
+        for f in semantic_arrows(b, c, cfg0)
+        for g in semantic_arrows(c, d, cfg0)
+    )
+    monkeypatch.setattr(suites, "merge_arrow", mutant)
+    result = suites.law_merge_functor(SuiteContext(cfg0, 4))
+    assert result.status == "FAIL"
+    assert result.checked == _golden_checked("lattice.merge-functor")
 
 
 class ReprProbe:

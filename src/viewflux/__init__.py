@@ -116,8 +116,6 @@ from .catops import (
 )
 from .topos import (
     ClassifierReport,
-    MetricReport,
-    NegativeReport,
     PullbackSquare,
     classifier,
     coproduct_pullback_check,

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
     ArityMismatch,
@@ -183,6 +183,11 @@ def instance_union(a: Instance, b: Instance) -> Instance:
     return Instance(a.relations | b.relations, labels)
 
 
+def witness(*parts) -> Callable[[], str]:
+    """A counterexample naming ``parts``, rendered only when called."""
+    return lambda: "; ".join(repr(p) for p in parts)
+
+
 IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
 
 
@@ -262,6 +267,8 @@ def subset_instances(
     the canonical relation order) and carry auto-labels ``r1..rn``.  The
     empty subset plays the role of the zero object.
     """
+    if max_relations < 1:
+        raise ViewfluxError(f"max_relations must be at least 1, got {max_relations}")
     universe = universe_relations(cfg)
     total = sum(_n_choose_k(len(universe), k) for k in range(0, max_relations + 1))
     if total > cfg.max_enumeration:

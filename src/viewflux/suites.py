@@ -54,6 +54,7 @@ from .core import (
     sorted_relations,
     subset_instances,
     with_default_labels,
+    witness,
 )
 from .errors import EnumerationTooLarge, UnknownSuite
 from .morphisms import (
@@ -90,7 +91,6 @@ from .topos import (
     combined_pullback_check,
     equalizer_check,
     factorization_minimal,
-    is_pullback_square,
     metric_suite,
     negative_probes,
     pullback,
@@ -149,7 +149,6 @@ class SuiteContext:
 
     def __init__(self, cfg: UniverseConfig, max_relations: int, max_instances: int = DEFAULT_MAX_INSTANCES):
         self.cfg = cfg
-        self.max_relations = max_relations
         self.instances = list(subset_instances(cfg, max_relations))
         if len(self.instances) > max_instances:
             raise EnumerationTooLarge(
@@ -184,48 +183,50 @@ class SuiteContext:
         return self._arrows[key]
 
 
-def _law(law: str, statement: str) -> Callable:
-    """Wrap a generator of (ok, witness) pairs into a law function.
+def _laws(*laws: tuple[str, str]) -> Callable:
+    """Wrap a generator of checks into a function checking ``laws``, given as
+    (name, statement) pairs, in one pass.
 
-    A witness is a string or a ``_fmt`` thunk; a thunk is rendered only for
-    the first five failures or flagged items, which are all the report keeps.
+    A check is ``(ok, witness)`` or ``(ok, witness, flagged)``; when several
+    laws share the pass, each check starts with the name of its law.  A
+    witness is a string or a ``witness`` thunk; a thunk is rendered only for
+    the first five failures or flagged items, which are all the report
+    keeps.  One law gives one ``LawResult``, several give a list in the order
+    of ``laws`` with the pass's time on the first.
     """
 
     def decorate(fn):
-        def run(ctx: SuiteContext) -> LawResult:
+        def run(ctx: SuiteContext) -> LawResult | list[LawResult]:
             started = time.perf_counter()
-            result = LawResult(law, statement, 0)
+            results = [LawResult(name, statement, 0) for name, statement in laws]
+            by_name = {result.law: result for result in results}
+            grouped = len(results) > 1
+            result = results[0]
             for item in fn(ctx):
-                ok, witness = item[0], item[1]
-                flag = len(item) > 2 and item[2]
+                if grouped:
+                    result, item = by_name[item[0]], item[1:]
+                ok, check = item[0], item[1]
                 result.checked += 1
-                if flag:
+                if len(item) > 2 and item[2]:
                     if len(result.flagged) < 5:
-                        result.flagged.append(_render(witness))
+                        result.flagged.append(_render(check))
                 elif not ok and len(result.failures) < 5:
-                    result.failures.append(_render(witness))
-            result.elapsed = time.perf_counter() - started
-            return result
+                    result.failures.append(_render(check))
+            results[0].elapsed = time.perf_counter() - started
+            return results if grouped else result
 
-        run.law = law
         return run
 
     return decorate
 
 
-def _timed_from(started: float, results: list[LawResult]) -> list[LawResult]:
-    """Put the time since ``started`` on the first of laws checked in one pass."""
-    results[0].elapsed = time.perf_counter() - started
-    return results
+def _law(law: str, statement: str) -> Callable:
+    """``_laws`` for a law checked on its own."""
+    return _laws((law, statement))
 
 
-def _fmt(*parts) -> Callable[[], str]:
-    """A witness naming ``parts``, rendered only when called."""
-    return lambda: "; ".join(repr(p) for p in parts)
-
-
-def _render(witness: str | Callable[[], str]) -> str:
-    return witness if isinstance(witness, str) else witness()
+def _render(check: str | Callable[[], str]) -> str:
+    return check if isinstance(check, str) else check()
 
 
 # --- closure laws ---------------------------------------------------------
@@ -234,7 +235,7 @@ def _render(witness: str | Callable[[], str]) -> str:
 @_law("closure.extensive", "every instance is contained in its view closure")
 def law_closure_extensive(ctx):
     for a in ctx.instances:
-        yield a.relations <= power_view(a, ctx.cfg).relations, _fmt(a)
+        yield a.relations <= power_view(a, ctx.cfg).relations, witness(a)
 
 
 @_law("closure.monotone", "instance inclusion is preserved by the closure")
@@ -244,25 +245,25 @@ def law_closure_monotone(ctx):
         if not small.relations <= big.relations:
             continue
         ok = power_view(small, ctx.cfg).relations <= power_view(big, ctx.cfg).relations
-        yield ok, _fmt(small, big)
+        yield ok, witness(small, big)
 
 
 @_law("closure.idempotent", "closing a closure changes nothing")
 def law_closure_idempotent(ctx):
     for a in ctx.instances:
         ta = power_view(a, ctx.cfg)
-        yield power_view(Instance(ta.relations, {}), ctx.cfg).relations == ta.relations, _fmt(a)
+        yield power_view(Instance(ta.relations, {}), ctx.cfg).relations == ta.relations, witness(a)
 
 
 @_law("closure.bottom", "the zero object is its own closure")
 def law_closure_bottom(ctx):
-    yield power_view(ctx.zero, ctx.cfg).relations == frozenset({BOTTOM}), _fmt(ctx.zero)
+    yield power_view(ctx.zero, ctx.cfg).relations == frozenset({BOTTOM}), witness(ctx.zero)
     yield power_view(Instance(frozenset(), {}), ctx.cfg).relations == frozenset({BOTTOM}), "empty instance"
 
 
 @_law("closure.total-fixpoint", "the total object is a fixed point of the closure")
 def law_closure_total(ctx):
-    yield power_view(ctx.total, ctx.cfg).relations == ctx.total.relations, _fmt(ctx.total)
+    yield power_view(ctx.total, ctx.cfg).relations == ctx.total.relations, witness(ctx.total)
 
 
 @_law("closure.algebraic", "a closure is the union of the closures of the finite subinstances")
@@ -273,14 +274,14 @@ def law_closure_algebraic(ctx):
         for k in range(len(rels) + 1):
             for combo in itertools.combinations(rels, k):
                 union |= power_view(Instance(frozenset(combo), {}), ctx.cfg).relations
-        yield union == power_view(a, ctx.cfg).relations, _fmt(a)
+        yield union == power_view(a, ctx.cfg).relations, witness(a)
 
 
 @_law("closure.intersections", "closed instances are closed under intersection")
 def law_closure_intersections(ctx):
     for x, y in itertools.product(ctx.closed_objects, repeat=2):
         meet = Instance(x.relations & y.relations, {})
-        yield is_closed(meet, ctx.cfg), _fmt(x, y)
+        yield is_closed(meet, ctx.cfg), witness(x, y)
 
 
 @_law("closure.order", "behavioral inclusion is closure inclusion; equivalence is equality")
@@ -291,7 +292,7 @@ def law_closure_order(ctx):
         ok = po_leq(a, b, ctx.cfg) == (ta <= tb)
         ok = ok and isomorphic(a, b, ctx.cfg) == (ta == tb)
         ok = ok and isomorphic(a, Instance(ta, {}), ctx.cfg)
-        yield ok, _fmt(a, b)
+        yield ok, witness(a, b)
 
 
 # --- category laws --------------------------------------------------------
@@ -304,30 +305,32 @@ def law_flux_composition(ctx):
             for g in ctx.arrows(b, c):
                 h = compose(g, f)
                 ok = h.flux.relations == g.flux.relations & f.flux.relations
-                yield ok, _fmt(f.flux, g.flux)
+                yield ok, witness(f.flux, g.flux)
 
 
 @_law("category.associativity", "composition is associative up to equivalence")
 def law_associativity(ctx):
-    for a, b, c, d in itertools.product(ctx.classes, repeat=4):
-        for s1, f in zip(ctx.homset(a, b), ctx.arrows(a, b)):
-            for s2, g in zip(ctx.homset(b, c), ctx.arrows(b, c)):
-                gf = compose(g, f)
-                for s3, h in zip(ctx.homset(c, d), ctx.arrows(c, d)):
-                    ok = equiv(compose(h, gf), compose(compose(h, g), f))
-                    yield ok, _fmt(s1, s2, s3)
+    for b, c, d in itertools.product(ctx.classes, repeat=3):
+        # compose(h, g) depends on g and h alone: form it once per pair.
+        hgs = [[compose(h, g) for h in ctx.arrows(c, d)] for g in ctx.arrows(b, c)]
+        for a in ctx.classes:
+            for s1, f in zip(ctx.homset(a, b), ctx.arrows(a, b)):
+                for s2, g, row in zip(ctx.homset(b, c), ctx.arrows(b, c), hgs):
+                    gf = compose(g, f)
+                    for s3, h, hg in zip(ctx.homset(c, d), ctx.arrows(c, d), row):
+                        yield equiv(compose(h, gf), compose(hg, f)), witness(s1, s2, s3)
 
 
 @_law("category.identity", "identities are neutral for composition")
 def law_identity(ctx):
     for a in ctx.instances:
         ida = identity(a, ctx.cfg)
-        yield is_iso(ida), _fmt(a)
+        yield is_iso(ida), witness(a)
     for a, b in itertools.product(ctx.classes, repeat=2):
         ida, idb = identity(a, ctx.cfg), identity(b, ctx.cfg)
         for f in ctx.arrows(a, b):
             ok = equiv(compose(idb, f), f) and equiv(compose(f, ida), f)
-            yield ok, _fmt(a, b, f.flux)
+            yield ok, witness(a, b, f.flux)
 
 
 @_law("category.mono-cancellation", "an arrow is monic exactly when it cancels on the left")
@@ -340,7 +343,7 @@ def law_mono_cancellation(ctx):
                     for h in ctx.homset(c, a):
                         if (f.flux.relations & g) == (f.flux.relations & h) and g != h:
                             cancels = False
-            yield is_mono(f) == cancels, _fmt(a, b, f.flux)
+            yield is_mono(f) == cancels, witness(a, b, f.flux)
 
 
 @_law("category.epi-cancellation", "an arrow is epic exactly when it cancels on the right")
@@ -353,7 +356,7 @@ def law_epi_cancellation(ctx):
                     for h in ctx.homset(b, c):
                         if (f.flux.relations & g) == (f.flux.relations & h) and g != h:
                             cancels = False
-            yield is_epi(f) == cancels, _fmt(a, b, f.flux)
+            yield is_epi(f) == cancels, witness(a, b, f.flux)
 
 
 @_law("category.mono-epi-iso", "isomorphisms are exactly the monic epic arrows")
@@ -363,7 +366,7 @@ def law_mono_epi_iso(ctx):
             ok = is_iso(f) == (is_mono(f) and is_epi(f))
             if is_iso(f):
                 ok = ok and isomorphic(a, b, ctx.cfg)
-            yield ok, _fmt(a, b, f.flux)
+            yield ok, witness(a, b, f.flux)
 
 
 @_law("category.two-cells", "flux inclusion orders parallel arrows; antisymmetry is equivalence")
@@ -376,7 +379,7 @@ def law_two_cells(ctx):
             for g in arrows:
                 if arrow_po_leq(f, g) and arrow_po_leq(g, f):
                     ok = ok and equiv(f, g)
-            yield ok, _fmt(a, b, f.flux)
+            yield ok, witness(a, b, f.flux)
 
 
 @_law("category.closure-functor", "lifting to closures preserves flux, mono, epi and iso")
@@ -388,7 +391,7 @@ def law_closure_functor(ctx):
             ok = ok and is_mono(lifted) == is_mono(f)
             ok = ok and is_epi(lifted) == is_epi(f)
             ok = ok and is_iso(lifted) == is_iso(f)
-            yield ok, _fmt(a, b, f.flux)
+            yield ok, witness(a, b, f.flux)
 
 
 @_law("category.duality", "reversal keeps the flux, is involutive and swaps monic with epic")
@@ -400,7 +403,7 @@ def law_duality(ctx):
             ok = ok and rev.source == f.target and rev.target == f.source
             ok = ok and equiv(invert(rev), f)
             ok = ok and is_mono(f) == is_epi(rev) and is_epi(f) == is_mono(rev)
-            yield ok, _fmt(a, b, f.flux)
+            yield ok, witness(a, b, f.flux)
 
 
 @_law("category.totalize", "arrows between closed instances are faithful total tables")
@@ -415,7 +418,7 @@ def law_totalize(ctx):
             )
             for j in range(len(arrows)):
                 ok = ok and (tables[i] == tables[j]) == equiv(f, arrows[j])
-            yield ok, _fmt(a, b, f.flux)
+            yield ok, witness(a, b, f.flux)
 
 
 @_law("category.retraction", "the reversal of a monomorphism retracts it")
@@ -424,14 +427,14 @@ def law_retraction(ctx):
         for f in ctx.arrows(a, b):
             if not is_mono(f):
                 continue
-            yield retraction_check(f), _fmt(a, b, f.flux)
+            yield retraction_check(f), witness(a, b, f.flux)
 
 
 @_law("category.idempotents", "arrows between endomorphism fluxes match fixed endomorphisms")
 def law_idempotents(ctx):
     for a in ctx.classes:
         report = ret_category_probe(a, ctx.cfg)
-        yield report.bijection_holds, _fmt(a)
+        yield report.bijection_holds, witness(a)
 
 
 @_law("category.principal", "the largest arrow between two instances factors every other")
@@ -442,7 +445,7 @@ def law_principal(ctx):
             ok = f.flux.relations <= h.flux.relations
             g = semantic_arrow(a, a, f.flux.relations, ctx.cfg)
             ok = ok and equiv(compose(h, g), f)
-            yield ok, _fmt(a, b, f.flux)
+            yield ok, witness(a, b, f.flux)
 
 
 @_law("category.monad", "the closure is a monad: unit is inclusion, multiplication collapses")
@@ -450,7 +453,7 @@ def law_monad(ctx):
     for a in ctx.instances:
         ta = power_view(a, ctx.cfg)
         tta = power_view(Instance(ta.relations, {}), ctx.cfg)
-        yield a.relations <= ta.relations and tta.relations == ta.relations, _fmt(a)
+        yield a.relations <= ta.relations and tta.relations == ta.relations, witness(a)
     contexts = [
         Slot(1, 1),
         Select(ColEqConst(1, min(ctx.cfg.constants())), Slot(1, 1)),
@@ -474,7 +477,7 @@ def law_monad(ctx):
                 staged = evaluate(
                     term, labeled, slots=[evaluate(s, labeled) for s in subs]
                 )
-                yield direct == staged, _fmt(a, term)
+                yield direct == staged, witness(a, term)
 
 
 # --- monoidal laws --------------------------------------------------------
@@ -484,7 +487,7 @@ def law_monad(ctx):
 def law_tensor_commutative(ctx):
     for a, b in itertools.product(ctx.instances, repeat=2):
         ok = matching(a, b, ctx.cfg).relations == matching(b, a, ctx.cfg).relations
-        yield ok, _fmt(a, b)
+        yield ok, witness(a, b)
 
 
 @_law("monoidal.associative", "matching is associative")
@@ -492,7 +495,7 @@ def law_tensor_associative(ctx):
     for a, b, c in itertools.product(ctx.classes, repeat=3):
         lhs = matching(Instance(matching(a, b, ctx.cfg).relations, {}), c, ctx.cfg)
         rhs = matching(a, Instance(matching(b, c, ctx.cfg).relations, {}), ctx.cfg)
-        yield lhs.relations == rhs.relations, _fmt(a, b, c)
+        yield lhs.relations == rhs.relations, witness(a, b, c)
 
 
 @_law("monoidal.idempotent-unit-zero", "self-matching is the closure; total and zero are unit and absorbing")
@@ -502,7 +505,7 @@ def law_tensor_units(ctx):
         ok = matching(a, a, ctx.cfg).relations == ta
         ok = ok and matching(a, ctx.total, ctx.cfg).relations == ta
         ok = ok and matching(a, ctx.zero, ctx.cfg).relations == frozenset({BOTTOM})
-        yield ok, _fmt(a)
+        yield ok, witness(a)
 
 
 @_law("monoidal.arrow-tensor", "the matching of two arrows transmits the common views")
@@ -514,7 +517,7 @@ def law_arrow_tensor(ctx):
                     t = tensor_arrow(f, g)
                     yield (
                         t.flux.relations == f.flux.relations & g.flux.relations,
-                        _fmt(f.flux, g.flux),
+                        witness(f.flux, g.flux),
                     )
 
 
@@ -524,7 +527,7 @@ def law_flux_range(ctx):
         bound = matching(a, b, ctx.cfg).relations
         for f in ctx.arrows(a, b):
             ok = BOTTOM in f.flux.relations and f.flux.relations <= bound
-            yield ok, _fmt(a, b, f.flux)
+            yield ok, witness(a, b, f.flux)
 
 
 @_law("monoidal.monoid", "every instance is a monoid: iso multiplication, epi unit")
@@ -539,7 +542,7 @@ def law_monoid(ctx):
         assoc_left = mu.flux.relations & (mu.flux.relations & ta)
         assoc_right = mu.flux.relations & (ta & mu.flux.relations)
         ok = ok and assoc_left == assoc_right
-        yield ok, _fmt(a)
+        yield ok, witness(a)
 
 
 @_law("monoidal.hom-object", "the internal hom equals the matching, merged from all fluxes")
@@ -552,10 +555,10 @@ def law_hom_object(ctx):
         for flux in ctx.homset(b, c):
             merged |= flux
         ok = ok and power_view(Instance(frozenset(merged), {}), ctx.cfg).relations == hom.relations
-        yield ok, _fmt(b, c)
+        yield ok, witness(b, c)
     for c in ctx.classes:
         hom = hom_object(c, ctx.total, ctx.cfg)
-        yield hom.relations == power_view(c, ctx.cfg).relations, _fmt(c)
+        yield hom.relations == power_view(c, ctx.cfg).relations, witness(c)
 
 
 @_law("monoidal.hom-counting", "currying is a bijection of hom-sets")
@@ -565,7 +568,7 @@ def law_hom_counting(ctx):
         hom_bc = Instance(hom_object(b, c, ctx.cfg).relations, {})
         yield (
             len(ctx.homset(tensor_ab, c)) == len(ctx.homset(a, hom_bc)),
-            _fmt(a, b, c),
+            witness(a, b, c),
         )
 
 
@@ -574,7 +577,7 @@ def law_exponent(ctx):
     for b, c in itertools.product(ctx.classes, repeat=2):
         ev = eval_arrow(b, c, ctx.cfg)
         ok = is_mono(ev) and ev.flux.relations == matching(b, c, ctx.cfg).relations
-        yield ok, _fmt(b, c)
+        yield ok, witness(b, c)
     for a, b, c in itertools.product(ctx.classes, repeat=3):
         tensor_ab = Instance(matching(a, b, ctx.cfg).relations, {})
         ev = eval_arrow(b, c, ctx.cfg)
@@ -584,7 +587,7 @@ def law_exponent(ctx):
             ok = lam.flux.relations == f.flux.relations
             paired = lam.flux.relations & idb.flux.relations
             ok = ok and (ev.flux.relations & paired) == f.flux.relations
-            yield ok, _fmt(a, b, c, f.flux)
+            yield ok, witness(a, b, c, f.flux)
 
 
 @_law("monoidal.internal-arrows", "internal composition is monic, the internal identity is epic")
@@ -596,10 +599,10 @@ def law_internal_arrows(ctx):
             & power_view(b, ctx.cfg).relations
             & power_view(c, ctx.cfg).relations
         )
-        yield is_mono(m) and m.flux.relations == expected, _fmt(a, b, c)
+        yield is_mono(m) and m.flux.relations == expected, witness(a, b, c)
     for a in ctx.classes:
         j = identity_element_arrow(a, ctx.cfg)
-        yield is_epi(j) and j.flux.relations == power_view(a, ctx.cfg).relations, _fmt(a)
+        yield is_epi(j) and j.flux.relations == power_view(a, ctx.cfg).relations, witness(a)
 
 
 # --- lattice laws ---------------------------------------------------------
@@ -609,13 +612,13 @@ def law_internal_arrows(ctx):
 def law_join_laws(ctx):
     for a, b in itertools.product(ctx.instances, repeat=2):
         ok = merging(a, b, ctx.cfg).relations == merging(b, a, ctx.cfg).relations
-        yield ok, _fmt(a, b)
+        yield ok, witness(a, b)
     for a in ctx.instances:
-        yield merging(a, a, ctx.cfg).relations == power_view(a, ctx.cfg).relations, _fmt(a)
+        yield merging(a, a, ctx.cfg).relations == power_view(a, ctx.cfg).relations, witness(a)
     for a, b, c in itertools.product(ctx.classes, repeat=3):
         lhs = merging(Instance(merging(a, b, ctx.cfg).relations, {}), c, ctx.cfg)
         rhs = merging(a, Instance(merging(b, c, ctx.cfg).relations, {}), ctx.cfg)
-        yield lhs.relations == rhs.relations, _fmt(a, b, c)
+        yield lhs.relations == rhs.relations, witness(a, b, c)
 
 
 @_law("lattice.absorption", "each operation absorbs the other")
@@ -624,7 +627,7 @@ def law_absorption(ctx):
         ta = power_view(a, ctx.cfg).relations
         ok = merging(a, Instance(matching(a, b, ctx.cfg).relations, {}), ctx.cfg).relations == ta
         ok = ok and matching(a, Instance(merging(a, b, ctx.cfg).relations, {}), ctx.cfg).relations == ta
-        yield ok, _fmt(a, b)
+        yield ok, witness(a, b)
 
 
 @_law("lattice.inf-sup", "matching is the meet and merging the join of the behavioral order")
@@ -639,7 +642,7 @@ def law_inf_sup(ctx):
                 ok = ok and po_leq(c, inf, ctx.cfg)
             if po_leq(a, c, ctx.cfg) and po_leq(b, c, ctx.cfg):
                 ok = ok and po_leq(sup, c, ctx.cfg)
-        yield ok, _fmt(a, b)
+        yield ok, witness(a, b)
 
 
 @_law("lattice.distributive", "matching distributes over merging on closed instances")
@@ -655,7 +658,7 @@ def law_distributive(ctx):
             ctx.cfg,
         )
         ok = lhs.relations == rhs.relations and plain_union <= lhs.relations
-        yield ok, _fmt(a, b, c)
+        yield ok, witness(a, b, c)
 
 
 @_law("lattice.bounds", "the zero object is the bottom and the total object the top")
@@ -666,7 +669,7 @@ def law_bounds(ctx):
         ok = ok and merging(a, ctx.zero, ctx.cfg).relations == ta
         ok = ok and merging(a, ctx.total, ctx.cfg).relations == ctx.total.relations
         ok = ok and merging(a, Instance(ta, {}), ctx.cfg).relations == ta
-        yield ok, _fmt(a)
+        yield ok, witness(a)
 
 
 @_law("lattice.closed-count", "the closed-subset enumeration matches brute force")
@@ -685,7 +688,7 @@ def law_sup_all(ctx):
     merged = ctx.zero
     for a in ctx.instances:
         merged = Instance(merging(merged, a, ctx.cfg).relations, {})
-    yield merged.relations == ctx.total.relations, _fmt(len(ctx.instances))
+    yield merged.relations == ctx.total.relations, witness(len(ctx.instances))
 
 
 @_law("lattice.federation", "the union of two instances is equivalent to their merging")
@@ -693,7 +696,7 @@ def law_federation(ctx):
     for a, b in itertools.product(ctx.classes, repeat=2):
         union = instance_union(a, b)
         ok = isomorphic(union, Instance(merging(a, b, ctx.cfg).relations, {}), ctx.cfg)
-        yield ok, _fmt(a, b)
+        yield ok, witness(a, b)
 
 
 @_law("lattice.merge-functor", "merging with a fixed instance is a functor")
@@ -701,7 +704,7 @@ def law_merge_functor(ctx):
     for a, b in itertools.product(ctx.classes, repeat=2):
         lifted = merge_arrow(a, identity(b, ctx.cfg))
         ok = lifted.flux.relations == merging(a, b, ctx.cfg).relations
-        yield ok, _fmt(a, b)
+        yield ok, witness(a, b)
     pairs = list(itertools.product(ctx.classes, repeat=2))
     for a in ctx.classes:
         # merge_arrow(a, f) depends on a and f alone: build each once per a.
@@ -712,7 +715,7 @@ def law_merge_functor(ctx):
             for f, af in zip(ctx.arrows(b, c), merged[b, c]):
                 for g, ag in zip(ctx.arrows(c, d), merged[c, d]):
                     lhs = merge_arrow(a, compose(g, f))
-                    yield equiv(lhs, compose(ag, af)), _fmt(a, f.flux, g.flux)
+                    yield equiv(lhs, compose(ag, af)), witness(a, f.flux, g.flux)
 
 
 @_law("lattice.omega-chain", "iterated merging reaches the closure at the first step")
@@ -722,7 +725,7 @@ def law_omega_chain(ctx):
         ta = power_view(a, ctx.cfg).relations
         ok = chain[0].relations == frozenset({BOTTOM})
         ok = ok and all(step.relations == ta for step in chain[1:])
-        yield ok, _fmt(a)
+        yield ok, witness(a)
 
 
 @_law("lattice.coproduct-count", "the doubled closure counts both components once, sharing the bottom")
@@ -734,67 +737,30 @@ def law_coproduct_count(ctx):
         na = len(power_view(a, ctx.cfg).relations)
         nb = len(power_view(b, ctx.cfg).relations)
         ok = len(power_view(both, ctx.cfg).relations) == na + nb - 1
-        yield ok, _fmt(a, b)
+        yield ok, witness(a, b)
     for a in ctx.classes:
         if all(r.is_bottom for r in a.relations):
             continue
         doubled = coproduct(a, a)
         na = len(power_view(a, ctx.cfg).relations)
-        yield len(power_view(doubled, ctx.cfg).relations) == 2 * na - 1, _fmt(a)
+        yield len(power_view(doubled, ctx.cfg).relations) == 2 * na - 1, witness(a)
     yield isomorphic(coproduct(ctx.zero, ctx.classes[-1]), ctx.classes[-1], ctx.cfg), "zero unit"
 
 
 # --- metric laws ----------------------------------------------------------
 
 
-def law_metric(ctx: SuiteContext) -> list[LawResult]:
-    started = time.perf_counter()
-    report = metric_suite(ctx.cfg, ctx.max_relations)
-    pairs = report.instances * report.instances
-
-    def law(name, statement, checked, failures):
-        return LawResult(f"metric.{name}", statement, checked, failures[:5])
-
-    laws = [
-        law("symmetry", "distance is symmetric", pairs, report.symmetry_failures),
-        law(
-            "self-distance",
-            "the distance of an instance to itself is the total object",
-            report.instances,
-            report.self_distance_failures,
-        ),
-        law(
-            "indiscernible",
-            "total distance implies behavioral equivalence",
-            pairs,
-            report.indiscernible_failures,
-        ),
-        law(
-            "triangle",
-            "matching two distances refines the direct distance",
-            report.triples_checked,
-            report.triangle_failures,
-        ),
-        law(
-            "order",
-            "behavioral inclusion matches pointwise distance refinement",
-            pairs,
-            report.order_failures,
-        ),
-        law(
-            "locally-closed",
-            "distances from an instance embed into its endomorphism fluxes",
-            report.instances,
-            report.locally_closed_failures,
-        ),
-        law(
-            "infinite-distance",
-            "every distance contains the bottom; the zero object is infinitely far",
-            pairs,
-            report.infinite_distance_failures,
-        ),
-    ]
-    return _timed_from(started, laws)
+@_laws(
+    ("metric.symmetry", "distance is symmetric"),
+    ("metric.self-distance", "the distance of an instance to itself is the total object"),
+    ("metric.indiscernible", "total distance implies behavioral equivalence"),
+    ("metric.triangle", "matching two distances refines the direct distance"),
+    ("metric.order", "behavioral inclusion matches distance refinement at the top and every inequivalent instance"),
+    ("metric.locally-closed", "distances from an instance embed into its endomorphism fluxes"),
+    ("metric.infinite-distance", "every distance contains the bottom; the zero object is infinitely far"),
+)
+def law_metric(ctx):
+    return metric_suite(ctx.cfg, ctx.instances)
 
 
 # --- topos laws -----------------------------------------------------------
@@ -810,8 +776,8 @@ def law_pullback(ctx):
                     ok = sq.corner.relations == f.flux.relations & g.flux.relations
                     ok = ok and is_closed(sq.corner, ctx.cfg)
                     ok = ok and is_mono(sq.left) and is_mono(sq.right)
-                    ok = ok and is_pullback_square(sq, ctx.cfg, ctx.classes)
-                    yield ok, _fmt(f.flux, g.flux)
+                    ok = ok and square_mediators(sq, ctx.classes, ctx.homset) is not None
+                    yield ok, witness(f.flux, g.flux)
 
 
 @_law("topos.classifier", "every monomorphism has a generator-level characteristic arrow")
@@ -825,7 +791,7 @@ def law_classifier(ctx):
         ok = ok and report.char_class_size == 1
         proper = report.generators - {BOTTOM}
         ok = ok and not (proper & power_view(a, ctx.cfg).relations)
-        yield ok, _fmt(a, b)
+        yield ok, witness(a, b)
 
 
 @_law("topos.classifier-audit", "closing the generator set may meet the subobject (documented divergence)")
@@ -835,11 +801,11 @@ def law_classifier_audit(ctx):
             continue
         mono = semantic_arrow(a, b, power_view(a, ctx.cfg), ctx.cfg)
         _, report = classifier(mono, ctx.cfg, ctx.classes)
-        witness = lambda a=a, b=b, audit=report.audit_intersection: (
-            f"{_fmt(a, b)()}: closure of generators meets the subobject in "
+        audited = lambda a=a, b=b, audit=report.audit_intersection: (
+            f"{witness(a, b)()}: closure of generators meets the subobject in "
             f"{sorted_relations(audit)!r}"
         )
-        yield True, witness, report.flagged
+        yield True, audited, report.flagged
 
 
 @_law("topos.equalizer", "every monomorphism equalizes its characteristic arrow and true")
@@ -848,7 +814,7 @@ def law_equalizer(ctx):
         if not po_leq(a, b, ctx.cfg):
             continue
         mono = semantic_arrow(a, b, power_view(a, ctx.cfg), ctx.cfg)
-        yield equalizer_check(mono, ctx.cfg, ctx.classes), _fmt(a, b)
+        yield equalizer_check(mono, ctx.cfg, ctx.classes), witness(a, b)
 
 
 @_law("topos.true-arrow", "the true arrow transmits nothing and targets the classifier")
@@ -863,7 +829,7 @@ def law_true_arrow(ctx):
 def law_factorization(ctx):
     for a, b in itertools.product(ctx.classes, repeat=2):
         for f in ctx.arrows(a, b):
-            yield factorization_minimal(f, ctx.cfg, ctx.classes), _fmt(a, b, f.flux)
+            yield factorization_minimal(f, ctx.cfg, ctx.classes), witness(a, b, f.flux)
 
 
 @_law("topos.coproduct-pullback", "combining two pullback squares over a shared leg is a pullback")
@@ -874,41 +840,24 @@ def law_coproduct_pullback(ctx):
         for d in ctx.classes:
             for k_flux, k in zip(ctx.homset(d, e), ctx.arrows(d, e)):
                 squares = [pullback(k, h) for h in legs]
-                tables = [(sq, square_mediators(sq, ctx.cfg, small)) for sq in squares]
+                tables = [(sq, square_mediators(sq, small, ctx.homset)) for sq in squares]
                 for (sq1, m1), (sq2, m2) in itertools.product(tables, repeat=2):
                     yield (
                         combined_pullback_check(sq1, m1, sq2, m2, ctx.cfg),
-                        _fmt(k_flux, sq1.g.flux, sq2.g.flux),
+                        witness(k_flux, sq1.g.flux, sq2.g.flux),
                     )
 
 
 # --- negative probes ------------------------------------------------------
 
 
-def law_negative(ctx: SuiteContext) -> list[LawResult]:
-    started = time.perf_counter()
-    report = negative_probes(ctx.cfg, ctx.max_relations)
-    laws = [
-        LawResult(
-            "negative.pullback-epi",
-            "a pullback of an epimorphism with a non-epic leg exists",
-            1,
-            [] if report.pullback_epi_witness else ["no counterexample found"],
-        ),
-        LawResult(
-            "negative.no-power-object",
-            "no candidate satisfies the power-object counting bijection",
-            report.power_object_candidates,
-            [] if report.power_object_confirmed else ["a candidate survived"],
-        ),
-        LawResult(
-            "negative.not-well-pointed",
-            "distinct parallel arrows agree on every point",
-            1,
-            [] if report.well_pointed_witness else ["no witness pair found"],
-        ),
-    ]
-    return _timed_from(started, laws)
+@_laws(
+    ("negative.pullback-epi", "a pullback of an epimorphism with a non-epic leg exists"),
+    ("negative.no-power-object", "no candidate satisfies the power-object counting bijection"),
+    ("negative.not-well-pointed", "distinct parallel arrows agree on every point"),
+)
+def law_negative(ctx):
+    return negative_probes(ctx.cfg, ctx.classes)
 
 
 # --- suite registry and runner -------------------------------------------

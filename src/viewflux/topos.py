@@ -23,7 +23,8 @@ those audits are reported as flagged, never as failures.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import Callable, Iterable
 
 from .catops import (
     arrow_coproduct,
@@ -45,11 +46,13 @@ from .closure import (
 )
 from .core import (
     BOTTOM,
+    ZERO,
     Instance,
     Relation,
     UniverseConfig,
     sorted_relations,
     subset_instances,
+    witness,
     with_default_labels,
 )
 from .errors import DomainMismatch, NotAPullback, NotMonic
@@ -87,74 +90,43 @@ def closure_classes(cfg: UniverseConfig, max_relations: int) -> list[Instance]:
         r.sort_key() for r in sorted_relations(rels)))]
 
 
-@dataclass
-class MetricReport:
-    """Exhaustive verification of the distance laws over an enumeration."""
+def metric_suite(cfg: UniverseConfig, instances: list[Instance]):
+    """Yield every check of the distance laws over ``instances``.
 
-    instances: int
-    symmetry_failures: list[str] = field(default_factory=list)
-    self_distance_failures: list[str] = field(default_factory=list)
-    indiscernible_failures: list[str] = field(default_factory=list)
-    triangle_failures: list[str] = field(default_factory=list)
-    order_failures: list[str] = field(default_factory=list)
-    locally_closed_failures: list[str] = field(default_factory=list)
-    infinite_distance_failures: list[str] = field(default_factory=list)
-    triples_checked: int = 0
-
-    @property
-    def ok(self) -> bool:
-        return not (
-            self.symmetry_failures
-            or self.self_distance_failures
-            or self.indiscernible_failures
-            or self.triangle_failures
-            or self.order_failures
-            or self.locally_closed_failures
-            or self.infinite_distance_failures
-        )
-
-
-def metric_suite(cfg: UniverseConfig, max_relations: int = 4) -> MetricReport:
-    """Check every distance law exhaustively over the bounded enumeration."""
-    insts = list(subset_instances(cfg, max_relations))
-    total = total_object(cfg)
-    report = MetricReport(instances=len(insts))
+    Each check is ``(law, ok, witness)`` with a lazy witness; within a law the
+    checks come in canonical order (instances, then pairs, then triples).
+    """
+    total = total_object(cfg).relations
     # One distance per ordered pair (equal values shared) and one
     # isomorphism test per ordered pair; every law below reads these tables.
     canon: dict[frozenset[Relation], frozenset[Relation]] = {}
-    d = [[canon.setdefault(r, r) for r in (distance(a, b, cfg).relations for b in insts)]
-         for a in insts]
-    iso = [[isomorphic(a, b, cfg) for b in insts] for a in insts]
-    idx = range(len(insts))
+    d = [[canon.setdefault(r, r) for r in (distance(a, b, cfg).relations for b in instances)]
+         for a in instances]
+    iso = [[isomorphic(a, b, cfg) for b in instances] for a in instances]
+    top = [power_view(a, cfg).relations == total for a in instances]
+    zero = [isomorphic(a, ZERO, cfg) for a in instances]
+    idx = range(len(instances))
+    # The top is at distance T(k) from every k, so it separates a from b
+    # whenever a is not below b, even with no other k inequivalent to a.
+    separating = [[k for k in idx if top[k] or not iso[k][i]] for i in idx]
 
-    for i, a in enumerate(insts):
-        if d[i][i] != total.relations:
-            report.self_distance_failures.append(repr(a))
-        if not isomorphic(a, zero_object(), cfg) and (
-            distance(a, zero_object(), cfg).relations != frozenset({BOTTOM})
-        ):
-            report.infinite_distance_failures.append(repr(a))
-        own = semantic_homset(a, a, cfg)
-        own_fluxes = {h.relations for h in own}
+    for i, a in enumerate(instances):
+        yield "metric.self-distance", d[i][i] == total, witness(a)
+        own = {h.relations for h in semantic_homset(a, a, cfg)}
         others = {d[i][j] for j in idx if not iso[i][j]}
-        if len(others) > len(own_fluxes) or not others <= own_fluxes:
-            report.locally_closed_failures.append(repr(a))
+        yield "metric.locally-closed", others <= own, witness(a)
     for i, j in itertools.product(idx, repeat=2):
-        a, b = insts[i], insts[j]
-        if d[i][j] != d[j][i]:
-            report.symmetry_failures.append(f"{a!r},{b!r}")
-        if BOTTOM not in d[i][j]:
-            report.infinite_distance_failures.append(f"{a!r},{b!r}")
-        if d[i][j] == total.relations and not iso[i][j]:
-            report.indiscernible_failures.append(f"{a!r},{b!r}")
-        expected = all(d[i][k] <= d[j][k] for k in idx if not iso[k][i])
-        if po_leq(a, b, cfg) != expected:
-            report.order_failures.append(f"{a!r},{b!r}")
+        a, b, dij = instances[i], instances[j], d[i][j]
+        yield "metric.symmetry", dij == d[j][i], witness(a, b)
+        yield "metric.indiscernible", dij != total or iso[i][j], witness(a, b)
+        refines = all(d[i][k] <= d[j][k] for k in separating[i])
+        yield "metric.order", po_leq(a, b, cfg) == refines, witness(a, b)
+        # d(a, b) is the bottom alone when b is the zero object and a is not.
+        far = iso[i][j] or not zero[j] or dij == ZERO.relations
+        yield "metric.infinite-distance", BOTTOM in dij and far, witness(a, b)
     for i, j, k in itertools.product(idx, repeat=3):
-        report.triples_checked += 1
-        if not d[i][j] & d[j][k] <= d[i][k]:
-            report.triangle_failures.append(f"{insts[i]!r},{insts[j]!r},{insts[k]!r}")
-    return report
+        ok = d[i][j] & d[j][k] <= d[i][k]
+        yield "metric.triangle", ok, witness(instances[i], instances[j], instances[k])
 
 
 @dataclass(frozen=True)
@@ -195,32 +167,7 @@ def is_pullback_square(
     composite through both legs, and that this arrow factors below the cone
     legs in the arrow order.
     """
-    fl_f = square.f.flux.relations
-    fl_g = square.g.flux.relations
-    fl_p1 = square.left.flux.relations
-    fl_p2 = square.right.flux.relations
-    if fl_f & fl_p1 != fl_g & fl_p2:
-        return False
-    a, b = square.f.source, square.g.source
-    for v in vertices:
-        homs_a = [h.relations for h in semantic_homset(v, a, cfg)]
-        homs_b = [h.relations for h in semantic_homset(v, b, cfg)]
-        homs_corner = [h.relations for h in semantic_homset(v, square.corner, cfg)]
-        for s1 in homs_a:
-            for s2 in homs_b:
-                w = fl_f & s1
-                if w != fl_g & s2:
-                    continue
-                mediators = [
-                    u for u in homs_corner
-                    if fl_f & fl_p1 & u == w and fl_g & fl_p2 & u == w
-                ]
-                if len(mediators) != 1:
-                    return False
-                u = mediators[0]
-                if not (fl_p1 & u <= s1 and fl_p2 & u <= s2):
-                    return False
-    return True
+    return square_mediators(square, vertices, _homsets(cfg)) is not None
 
 
 def true_arrow(cfg: UniverseConfig) -> Morphism:
@@ -425,25 +372,54 @@ def coproduct_pullback_check(
     itself, ``square_mediators`` once per square and ``combined_pullback_check``
     per pair.
     """
+    homset = _homsets(cfg)
     return combined_pullback_check(
-        sq1, square_mediators(sq1, cfg, vertices),
-        sq2, square_mediators(sq2, cfg, vertices),
+        sq1, square_mediators(sq1, vertices, homset),
+        sq2, square_mediators(sq2, vertices, homset),
         cfg,
     )
 
 
-Mediators = tuple[frozenset[Relation] | None, ...] | None
+Mediators = tuple[frozenset[Relation], ...] | None
+HomSets = Callable[[Instance, Instance], Iterable[frozenset[Relation]]]
+
+
+def _homsets(cfg: UniverseConfig) -> HomSets:
+    """Look up the fluxes of a semantic hom-set, uncached."""
+    return lambda a, b: [h.relations for h in semantic_homset(a, b, cfg)]
 
 
 def square_mediators(
-    square: PullbackSquare, cfg: UniverseConfig, vertices: list[Instance]
+    square: PullbackSquare, vertices: list[Instance], homset: HomSets
 ) -> Mediators:
-    """Verify ``square`` once: None when it is not a pullback, else the unique
-    mediator (None where not unique) of every cone from every vertex."""
-    if not is_pullback_square(square, cfg, vertices):
+    """Verify ``square`` in one pass over its cones: None when it is not a
+    pullback, else the unique mediator of every cone from every vertex.
+
+    ``homset(v, x)`` gives the fluxes of the arrows from ``v`` to ``x``.
+    """
+    fl_f = square.f.flux.relations
+    fl_g = square.g.flux.relations
+    fl_p1 = square.left.flux.relations
+    fl_p2 = square.right.flux.relations
+    if fl_f & fl_p1 != fl_g & fl_p2:
         return None
-    cones = ((v, c) for v in vertices for c in _cones(square, v, cfg))
-    return tuple(_unique_mediator(square, v, c, cfg) for v, c in cones)
+    mediators = []
+    for v in vertices:
+        homs_b = homset(v, square.g.source)
+        homs_corner = homset(v, square.corner)
+        for s1 in homset(v, square.f.source):
+            w = fl_f & s1
+            for s2 in homs_b:
+                if w != fl_g & s2:
+                    continue
+                found = [
+                    u for u in homs_corner
+                    if fl_f & fl_p1 & u == w and fl_g & fl_p2 & u == w
+                ]
+                if len(found) != 1 or not (fl_p1 & found[0] <= s1 and fl_p2 & found[0] <= s2):
+                    return None
+                mediators.append(found[0])
+    return tuple(mediators)
 
 
 def combined_pullback_check(
@@ -499,136 +475,63 @@ def combined_pullback_check(
     # Universal property: component mediators reassemble into the unique
     # tagged mediator for every pair of component cones.
     for u1, u2 in itertools.product(mediators1, mediators2):
-        if u1 is None or u2 is None:
-            return False
-        combined = tagged_flux(frozenset(u1), frozenset(u2), cfg).relations
+        combined = tagged_flux(u1, u2, cfg).relations
         p1 = left_pair.flux.relations & combined
         expected = tagged_flux(
-            frozenset(sq1.left.flux.relations & u1),
-            frozenset(sq2.left.flux.relations & u2),
-            cfg,
+            sq1.left.flux.relations & u1, sq2.left.flux.relations & u2, cfg
         ).relations
         if p1 != expected:
             return False
     return True
 
 
-def _cones(square: PullbackSquare, vertex: Instance, cfg: UniverseConfig):
-    fl_f = square.f.flux.relations
-    fl_g = square.g.flux.relations
-    homs_a = [h.relations for h in semantic_homset(vertex, square.f.source, cfg)]
-    homs_b = [h.relations for h in semantic_homset(vertex, square.g.source, cfg)]
-    for s1 in homs_a:
-        for s2 in homs_b:
-            if fl_f & s1 == fl_g & s2:
-                yield (s1, s2)
+def negative_probes(cfg: UniverseConfig, classes: list[Instance]):
+    """Yield the checks of the negative results over ``classes``: pullbacks do
+    not preserve epimorphisms, no instance has a power object, and the
+    category is not well-pointed.
 
-
-def _unique_mediator(square, vertex, cone, cfg):
-    s1, s2 = cone
-    fl_f = square.f.flux.relations
-    fl_g = square.g.flux.relations
-    fl_p1 = square.left.flux.relations
-    fl_p2 = square.right.flux.relations
-    w = fl_f & s1
-    mediators = [
-        u.relations for u in semantic_homset(vertex, square.corner, cfg)
-        if fl_f & fl_p1 & u.relations == w and fl_g & fl_p2 & u.relations == w
-    ]
-    return mediators[0] if len(mediators) == 1 else None
-
-
-@dataclass
-class NegativeReport:
-    """Witnesses for the properties this category fails to have."""
-
-    pullback_epi_witness: str | None
-    power_object_confirmed: bool
-    power_object_candidates: int
-    well_pointed_witness: str | None
-
-    @property
-    def all_confirmed(self) -> bool:
-        return (
-            self.pullback_epi_witness is not None
-            and self.power_object_confirmed
-            and self.well_pointed_witness is not None
-        )
-
-
-def negative_probes(cfg: UniverseConfig, max_relations: int = 4) -> NegativeReport:
-    """Exhibit the negative results: pullbacks do not preserve epimorphisms,
-    no instance has a power object, and the category is not well-pointed."""
-    reps = closure_classes(cfg, max_relations)
-
-    pullback_witness = None
-    for c in reps:
-        for a in reps:
-            epis = [
-                h for h in semantic_homset(a, c, cfg)
-                if h.relations == power_view(c, cfg).relations
-            ]
-            if not epis:
-                continue
-            f = semantic_arrow(a, c, epis[0], cfg)
-            for b in reps:
-                for g_flux in semantic_homset(b, c, cfg):
-                    g = semantic_arrow(b, c, g_flux, cfg)
-                    square = pullback(f, g)
-                    if not is_epi(square.right):
-                        pullback_witness = (
-                            f"epi flux {f.flux!r} against {g.flux!r}: corner "
-                            f"{square.corner!r} does not cover {b!r}"
-                        )
-                        break
-                if pullback_witness:
-                    break
-            if pullback_witness:
-                break
-        if pullback_witness:
-            break
+    Each check is ``(law, ok, witness)`` with a lazy witness.
+    """
+    epis = (
+        semantic_arrow(a, c, h, cfg)
+        for c in classes
+        for a in classes
+        for h in semantic_homset(a, c, cfg)
+        if h.relations == power_view(c, cfg).relations
+    )
+    non_epic_leg = any(
+        not is_epi(pullback(f, semantic_arrow(b, f.target, g, cfg)).right)
+        for f in epis
+        for b in classes
+        for g in semantic_homset(b, f.target, cfg)
+    )
+    yield "negative.pullback-epi", non_epic_leg, "no counterexample found"
 
     candidates = closed_subsets(total_object(cfg), cfg)
-    confirmed = True
-    tried = 0
-    for a in reps:
-        if isomorphic(a, zero_object(), cfg):
+    for a in classes:
+        if isomorphic(a, ZERO, cfg):
             continue
         for p in candidates:
-            tried += 1
             p_inst = Instance(p.relations, {})
-            refuted = False
-            for b in reps:
-                sub_count = len(closed_subsets(power_view(coproduct(b, a), cfg), cfg))
-                hom_count = len(semantic_homset(b, p_inst, cfg))
-                if hom_count != sub_count:
-                    refuted = True
-                    break
-            if not refuted:
-                confirmed = False
-
-    well_pointed_witness = None
-    for a in reps:
-        ta = power_view(a, cfg).relations
-        if ta == frozenset({BOTTOM}):
-            continue
-        f = identity(a, cfg)
-        g = empty_arrow(a, a, cfg)
-        # every point out of the zero object has the zero flux
-        points = semantic_homset(Instance(zero_object().relations, {}), a, cfg)
-        if all(
-            (f.flux.relations & pt.relations) == (g.flux.relations & pt.relations)
-            for pt in points
-        ) and not equiv(f, g):
-            well_pointed_witness = (
-                f"identity and empty arrow on {a!r} agree on all "
-                f"{len(points)} points"
+            refuted = any(
+                len(semantic_homset(b, p_inst, cfg))
+                != len(closed_subsets(power_view(coproduct(b, a), cfg), cfg))
+                for b in classes
             )
-            break
+            yield "negative.no-power-object", refuted, witness(a, p_inst)
 
-    return NegativeReport(
-        pullback_epi_witness=pullback_witness,
-        power_object_confirmed=confirmed,
-        power_object_candidates=tried,
-        well_pointed_witness=well_pointed_witness,
+    # Every point out of the zero object has the zero flux, so the identity
+    # and the empty arrow of any non-zero instance agree on all points.
+    pairs = (
+        (identity(a, cfg), empty_arrow(a, a, cfg))
+        for a in classes
+        if not isomorphic(a, ZERO, cfg)
     )
+    collapsed = any(
+        not equiv(f, g) and all(
+            f.flux.relations & pt.relations == g.flux.relations & pt.relations
+            for pt in semantic_homset(ZERO, f.source, cfg)
+        )
+        for f, g in pairs
+    )
+    yield "negative.not-well-pointed", collapsed, "no witness pair found"

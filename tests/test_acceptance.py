@@ -207,6 +207,7 @@ def test_criterion_08_metric_suite():
         "metric.order",
     )
     ok = report.ok and all(not law.failures for law in laws)
+    ok = ok and laws[0].checked == len(list(subset_instances(CFG, 4))) ** 3
     _verdict(8, "metric laws over all triples", ok,
              f"{_laws(report, 'metric.triangle')[0].checked} triples")
 
@@ -230,10 +231,15 @@ def test_criterion_09_topos_suite():
 
 
 def test_criterion_10_negative_probes():
-    from viewflux import negative_probes
-
-    report = negative_probes(CFG, 4)
-    ok = report.all_confirmed
+    report = run_suite("negative", CFG)
+    laws = _laws(
+        report,
+        "negative.pullback-epi",
+        "negative.no-power-object",
+        "negative.not-well-pointed",
+    )
+    ok = report.ok and all(law.status == "PASS" for law in laws)
+    ok = ok and laws[1].checked > 0
     _verdict(10, "negative probes: pullback-epi, power objects, well-pointedness", ok)
 
 

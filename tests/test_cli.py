@@ -137,3 +137,48 @@ def test_explicit_max_instances_beats_env(files, capsys, monkeypatch):
     argv = ["check", "closure", "--domain", "a,b,c", "--max-relations", "3"]
     assert main(argv + ["--max-instances", "64"]) == 2
     assert "93 instances enumerated" in capsys.readouterr().err
+
+
+def _error(capsys, *argv):
+    """Exit status and standard error of a call that must fail cleanly."""
+    code = main(list(argv))
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err, err
+    return code, err
+
+
+@pytest.mark.parametrize("value", ["0", "-3"])
+def test_check_rejects_max_relations_below_one(files, capsys, value):
+    code, err = _error(capsys, "check", "all", "--max-relations", value)
+    assert code == 2
+    assert "max_relations must be at least 1" in err
+
+
+def test_classify_subobject_rejects_max_relations_below_one(files, capsys):
+    a, c = str(files / "A.db"), str(files / "C.db")
+    code, err = _error(capsys, "classify-subobject", a, c, "--max-relations", "0")
+    assert code == 2
+    assert "max_relations must be at least 1" in err
+
+
+def test_missing_file_is_an_error(files, capsys):
+    code, err = _error(capsys, "closure", str(files / "missing.db"))
+    assert code == 2
+    assert "missing.db" in err
+
+
+def test_directory_is_an_error(files, capsys):
+    code, _ = _error(capsys, "closure", str(files))
+    assert code == 2
+
+
+def test_binary_file_is_an_error(files, capsys):
+    (files / "bin.db").write_bytes(b"\x89PNG\r\n\x1a\n\xff\x00")
+    code, _ = _error(capsys, "closure", str(files / "bin.db"))
+    assert code == 2
+
+
+def test_check_all_at_one_constant_passes(files, capsys):
+    code, out = run(capsys, "check", "all", "--domain", "a")
+    assert code == 0, out
+    assert "result: PASS (60 laws, 0 failed" in out

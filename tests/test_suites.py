@@ -21,7 +21,8 @@ from viewflux import (
 )
 from viewflux import suites
 from viewflux.closure import meet_closed
-from viewflux.suites import SUITE_NAMES, SUITES, SuiteContext, _fmt, _law
+from viewflux.core import witness
+from viewflux.suites import SUITE_NAMES, SUITES, SuiteContext, _law, _laws
 from viewflux.topos import closure_classes
 
 GOLDEN_DEFAULT = Path(__file__).parent / "golden" / "check-all-default.txt"
@@ -183,6 +184,27 @@ def test_associativity_law_catches_non_associative_compose(cfg0, monkeypatch):
     assert result.checked == _golden_checked("category.associativity")
 
 
+def test_associativity_law_composes_each_later_pair_once(cfg0, monkeypatch):
+    calls = []
+
+    def counting(g, f):
+        calls.append((g, f))
+        return compose(g, f)
+
+    monkeypatch.setattr(suites, "compose", counting)
+    ctx = SuiteContext(cfg0, 4)
+    result = suites.law_associativity(ctx)
+    # (f, g) and (g, h) pairs over three classes: the flux-composition count.
+    pairs = sum(
+        len(ctx.homset(a, b)) * len(ctx.homset(b, c))
+        for a, b, c in itertools.product(ctx.classes, repeat=3)
+    )
+    # Two composites per check, g.f once per (f, g) and fourth class, h.g
+    # once per (g, h).
+    assert result.checked == _golden_checked("category.associativity")
+    assert len(calls) == 2 * result.checked + len(ctx.classes) * pairs + pairs
+
+
 def test_merge_functor_law_catches_non_functorial_merge(cfg0, monkeypatch):
     mutant = _principal_merge_arrow
     classes = closure_classes(cfg0, 4)
@@ -214,7 +236,7 @@ def test_law_keeps_first_five_failures():
     @_law("probe.fail", "fails seven times")
     def law(ctx):
         for i in range(7):
-            yield False, _fmt(i, "x")
+            yield False, witness(i, "x")
 
     result = law(None)
     assert result.checked == 7
@@ -227,7 +249,7 @@ def test_law_renders_flagged_witness():
 
     @_law("probe.flag", "flags one item")
     def law(ctx):
-        yield True, _fmt(probe, 1), True
+        yield True, witness(probe, 1), True
         yield True, "plain witness", True
 
     result = law(None)
@@ -242,7 +264,7 @@ def test_passing_items_render_no_witness():
     @_law("probe.pass", "passes every item")
     def law(ctx):
         for _ in range(10):
-            yield True, _fmt(probe, probe)
+            yield True, witness(probe, probe)
 
     result = law(None)
     assert result.status == "PASS" and result.checked == 10
@@ -251,7 +273,23 @@ def test_passing_items_render_no_witness():
     @_law("probe.fail", "fails every item")
     def failing(ctx):
         for _ in range(10):
-            yield False, _fmt(probe)
+            yield False, witness(probe)
 
     assert len(failing(None).failures) == 5
     assert probe.calls == 5
+
+
+def test_grouped_laws_route_checks_and_time_the_first():
+    @_laws(("probe.one", "first law"), ("probe.two", "second law"))
+    def law(ctx):
+        yield "probe.two", True, "never rendered"
+        yield "probe.one", False, witness(1)
+        yield "probe.two", False, "plain", False
+        yield "probe.two", True, "flagged", True
+
+    one, two = law(None)
+    assert (one.law, one.checked, one.failures, one.flagged) == ("probe.one", 1, ["1"], [])
+    assert (two.law, two.checked, two.failures, two.flagged) == (
+        "probe.two", 3, ["plain"], ["flagged"]
+    )
+    assert one.elapsed > 0 and two.elapsed == 0.0

@@ -19,13 +19,16 @@ from viewflux import (
     equiv,
     is_epi,
     is_mono,
+    UniverseConfig,
     is_pullback_square,
-    metric_suite,
-    negative_probes,
+    isomorphic,
+    po_leq,
     power_view,
     pullback,
+    run_suite,
     semantic_arrow,
     semantic_arrows,
+    semantic_homset,
     subset_instances,
     total_object,
     true_arrow,
@@ -45,6 +48,15 @@ def classes(cfg0):
     return closure_classes(cfg0, 4)
 
 
+@pytest.fixture(scope="module")
+def homset(cfg0):
+    return lambda a, b: [h.relations for h in semantic_homset(a, b, cfg0)]
+
+
+def _metric_laws(cfg, max_relations=4):
+    return {law.law: law for law in run_suite("metric", cfg, max_relations).laws}
+
+
 def test_distance_cases(cfg0, pa, pb, pab):
     assert distance(pa, pa, cfg0).relations == total_object(cfg0).relations
     assert distance(pa, pb, cfg0).relations == frozenset({BOTTOM})
@@ -60,10 +72,14 @@ def test_distance_triangle_example(cfg0, pa, pb, pab):
 
 
 def test_metric_suite_passes(cfg0):
-    report = metric_suite(cfg0, 4)
-    assert report.ok
-    assert report.instances == 16
-    assert report.triples_checked == 16 ** 3
+    laws = _metric_laws(cfg0)
+    assert all(law.status == "PASS" for law in laws.values())
+    assert laws["metric.self-distance"].checked == 16
+    assert laws["metric.triangle"].checked == 16 ** 3
+
+
+def _render(*parts):
+    return "; ".join(repr(p) for p in parts)
 
 
 def _pairs_and_triples(cfg, variant):
@@ -74,14 +90,20 @@ def _pairs_and_triples(cfg, variant):
         return variant(a, b, cfg).relations
 
     asymmetric = [
-        f"{a!r},{b!r}" for a, b in itertools.product(insts, repeat=2) if d(a, b) != d(b, a)
+        _render(a, b) for a, b in itertools.product(insts, repeat=2) if d(a, b) != d(b, a)
     ]
     triangle = [
-        f"{a!r},{b!r},{c!r}"
+        _render(a, b, c)
         for a, b, c in itertools.product(insts, repeat=3)
         if not d(a, b) & d(b, c) <= d(a, c)
     ]
     return asymmetric, triangle
+
+
+def _assert_counts_unchanged(laws, cfg):
+    assert {name: law.checked for name, law in laws.items()} == {
+        name: law.checked for name, law in _metric_laws(cfg).items()
+    }
 
 
 def test_metric_suite_catches_asymmetric_distance(cfg0, monkeypatch):
@@ -91,10 +113,12 @@ def test_metric_suite_catches_asymmetric_distance(cfg0, monkeypatch):
         return total_object(cfg) if a.relations < b.relations else real(a, b, cfg)
 
     expected_symmetry, _ = _pairs_and_triples(cfg0, asymmetric)
-    monkeypatch.setattr(topos, "distance", asymmetric)
-    report = metric_suite(cfg0, 4)
-    assert report.symmetry_failures
-    assert report.symmetry_failures == expected_symmetry
+    with monkeypatch.context() as patch:
+        patch.setattr(topos, "distance", asymmetric)
+        laws = _metric_laws(cfg0)
+    assert laws["metric.symmetry"].status == "FAIL"
+    assert laws["metric.symmetry"].failures == expected_symmetry[:5]
+    _assert_counts_unchanged(laws, cfg0)
 
 
 def test_metric_suite_catches_broken_triangle(cfg0, monkeypatch, pa, pab):
@@ -107,11 +131,34 @@ def test_metric_suite_catches_broken_triangle(cfg0, monkeypatch, pa, pab):
         return zero_object() if {a.relations, b.relations} == cut else real(a, b, cfg)
 
     _, expected_triangle = _pairs_and_triples(cfg0, broken)
-    monkeypatch.setattr(topos, "distance", broken)
-    report = metric_suite(cfg0, 4)
-    assert not report.symmetry_failures
-    assert report.triangle_failures
-    assert report.triangle_failures == expected_triangle
+    with monkeypatch.context() as patch:
+        patch.setattr(topos, "distance", broken)
+        laws = _metric_laws(cfg0)
+    assert laws["metric.symmetry"].status == "PASS"
+    assert laws["metric.triangle"].status == "FAIL"
+    assert laws["metric.triangle"].failures == expected_triangle[:5]
+    _assert_counts_unchanged(laws, cfg0)
+
+
+@pytest.mark.parametrize("domain, max_relations", [("a", 4), ("ab", 4), ("abc", 2)])
+def test_metric_order_is_a_theorem_by_brute_force(domain, max_relations):
+    # a <= b exactly when d(a, k) is contained in d(b, k) for the top and
+    # for every k not equivalent to a.  Without the top the statement fails
+    # at one constant: the top and the zero object have no separating k.
+    cfg = UniverseConfig(domain=frozenset(domain), k_max=1)
+    insts = list(subset_instances(cfg, max_relations))
+    top = Instance(total_object(cfg).relations, {})
+    d = {(a, b): distance(a, b, cfg).relations for a in insts for b in insts}
+    holds = {True: True, False: True}
+    for a, b in itertools.product(insts, repeat=2):
+        for with_top in (True, False):
+            ks = [k for k in insts if (with_top and isomorphic(k, top, cfg))
+                  or not isomorphic(k, a, cfg)]
+            refines = all(d[a, k] <= d[b, k] for k in ks)
+            holds[with_top] = holds[with_top] and po_leq(a, b, cfg) == refines
+    assert holds == {True: True, False: domain != "a"}
+    order = _metric_laws(cfg, max_relations)["metric.order"]
+    assert order.status == "PASS" and order.checked == len(insts) ** 2
 
 
 def test_metric_isomorphic_branch(cfg0, pa):
@@ -336,7 +383,7 @@ def test_coproduct_pullback_rejects_bad_square(cfg0, pa, pb, pab, classes):
         coproduct_pullback_check(good, bad, cfg0, classes)
 
 
-def test_coproduct_pullback_tables_match_pairwise_check(cfg0, monkeypatch):
+def test_coproduct_pullback_tables_match_pairwise_check(cfg0, monkeypatch, homset):
     # Record every pair the law checks against its squares' mediator tables,
     # then check each pair again through the one-pair entry point.
     seen = []
@@ -353,14 +400,14 @@ def test_coproduct_pullback_tables_match_pairwise_check(cfg0, monkeypatch):
     assert result.checked == len(seen) == 1225
     small = [ctx.zero, ctx.classes[-1]]
     for sq1, m1, sq2, m2, outcome in seen:
-        assert m1 == square_mediators(sq1, cfg0, small)
-        assert m2 == square_mediators(sq2, cfg0, small)
+        assert m1 == square_mediators(sq1, small, homset)
+        assert m2 == square_mediators(sq2, small, homset)
         assert outcome == coproduct_pullback_check(sq1, sq2, cfg0, small)
 
 
-def test_coproduct_pullback_tables_reject_bad_square(cfg0, pa, pb, pab, classes):
+def test_coproduct_pullback_tables_reject_bad_square(cfg0, pa, pb, pab, classes, homset):
     good, bad = _good_and_bad_squares(cfg0, pa, pb, pab)
-    tables = [(sq, square_mediators(sq, cfg0, classes)) for sq in (good, bad)]
+    tables = [(sq, square_mediators(sq, classes, homset)) for sq in (good, bad)]
     assert tables[0][1] is not None and tables[1][1] is None
     for (sq1, m1), (sq2, m2) in itertools.product(tables, repeat=2):
         if bad in (sq1, sq2):
@@ -370,13 +417,31 @@ def test_coproduct_pullback_tables_reject_bad_square(cfg0, pa, pb, pab, classes)
             assert combined_pullback_check(sq1, m1, sq2, m2, cfg0)
 
 
-def test_coproduct_pullback_rejects_cone_without_unique_mediator(cfg0, pa, pab, classes):
+def test_coproduct_pullback_rejects_cone_without_unique_mediator(cfg0, pa, pab, classes, homset):
     k = semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0)
     sq = pullback(k, semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0))
-    mediators = square_mediators(sq, cfg0, classes)
-    assert mediators and None not in mediators
+    mediators = square_mediators(sq, classes, homset)
+    cones = sum(
+        1
+        for v in classes
+        for s1 in homset(v, pab)
+        for s2 in homset(v, pab)
+        if k.flux.relations & s1 == k.flux.relations & s2
+    )
+    assert len(mediators) == cones and all(isinstance(u, frozenset) for u in mediators)
     assert combined_pullback_check(sq, mediators, sq, mediators, cfg0)
-    assert not combined_pullback_check(sq, mediators + (None,), sq, mediators, cfg0)
+    # A zero corner over the same cospan commutes, but a cone whose legs both
+    # carry the views of {(a)} has no mediator through it.
+    zero_corner = PullbackSquare(
+        ZERO,
+        semantic_arrow(ZERO, pab, [BOTTOM], cfg0),
+        semantic_arrow(ZERO, pab, [BOTTOM], cfg0),
+        sq.f,
+        sq.g,
+    )
+    assert square_mediators(zero_corner, classes, homset) is None
+    with pytest.raises(NotAPullback):
+        combined_pullback_check(sq, mediators, zero_corner, None, cfg0)
 
 
 def test_coproduct_pullback_rejects_different_shared_leg(cfg0, pa, pb, pab, classes):
@@ -389,12 +454,21 @@ def test_coproduct_pullback_rejects_different_shared_leg(cfg0, pa, pb, pab, clas
 
 
 def test_negative_probes(cfg0):
-    report = negative_probes(cfg0, 4)
-    assert report.all_confirmed
-    assert report.pullback_epi_witness is not None
-    assert report.power_object_confirmed
-    assert report.power_object_candidates > 0
-    assert report.well_pointed_witness is not None
+    laws = run_suite("negative", cfg0).laws
+    assert [(law.law, law.status, law.checked) for law in laws] == [
+        ("negative.pullback-epi", "PASS", 1),
+        ("negative.no-power-object", "PASS", 12),
+        ("negative.not-well-pointed", "PASS", 1),
+    ]
+
+
+def test_negative_probes_catch_epi_preserving_pullbacks(cfg0, monkeypatch):
+    # With every arrow epic, no pullback has a non-epic leg.
+    monkeypatch.setattr(topos, "is_epi", lambda f: True)
+    laws = {law.law: law for law in run_suite("negative", cfg0).laws}
+    assert laws["negative.pullback-epi"].status == "FAIL"
+    assert laws["negative.pullback-epi"].checked == 1
+    assert laws["negative.not-well-pointed"].status == "PASS"
 
 
 def test_points_all_collapse(cfg0, pab, classes):

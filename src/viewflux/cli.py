@@ -260,7 +260,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (ViewfluxError, OSError, UnicodeDecodeError) as exc:
+    except (ViewfluxError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

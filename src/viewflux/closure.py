@@ -1,22 +1,25 @@
 """The power-view closure operator, closed instances and closed-subset lattices.
 
-``power_view`` saturates an instance under select, project, union and join
-(with results capped at the configured view arity), yielding the set of all
-views of the instance.  It is extensive, monotone and idempotent, so closed
-instances (fixed points) form a closure system; their sublattices drive the
-semantic hom-sets.  Saturation is one deterministic, semi-naive worklist
-(``_saturate``): each round combines only pairs of views with a member added
-since the last round, forms each union once per unordered pair, and looks a
-candidate up by its key before building a ``Relation``.  For each view it
-records the first derivation found (the operator and its operand views),
-from which ``generating_queries`` rebuilds a witness query per view.
+``power_view`` is the closure of an instance under select, project, union
+and join (results capped at the view arity ``k_max``): the set of all views.
+It is extensive, monotone and idempotent, so closed instances (fixed points)
+form a closure system; their sublattices drive the semantic hom-sets.
+Queries select on every constant of the domain, so the closure has a closed
+form (BP-completeness; Bancilhon 1978, Paredaens 1978), built per coproduct
+tag by ``_closed_form``: every non-empty relation over ``adom^n`` for each
+arity ``n <= k_max``, where ``adom`` is the component's set of constants,
+every non-empty set of its input tuples of each higher arity of its own
+relations, and the bottom.  Untagged relations belong to every component.
+Its reference is the operational definition: ``_saturate``, a semi-naive
+worklist that records each view's first derivation (the operator and its
+operands), from which ``generating_queries`` rebuilds a witness query.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Iterator
 
 from .core import (
     BOTTOM,
@@ -29,7 +32,7 @@ from .core import (
     universe_relations,
     with_default_labels,
 )
-from .errors import EnumerationTooLarge, NotClosedDomain, UniverseTooLarge
+from .errors import EnumerationTooLarge, NotClosedDomain, UniverseTooLarge, UnknownConstant
 from .queries import (
     Base,
     Bot,
@@ -156,14 +159,44 @@ def _saturate(relations: frozenset[Relation], cfg: UniverseConfig) -> dict[Relat
     return views
 
 
+def _closed_form(relations: Iterable[Relation], cfg: UniverseConfig) -> Iterator[Relation]:
+    """Yield ``_saturate``'s views but the bottom, by the closed form (module docstring)."""
+    parts: dict[tuple[str, ...], tuple[set, dict]] = {(): (set(), {})}
+    for rel in relations:  # the bottom adds no constant and no tuple
+        adom, high = parts.setdefault(rel.tag, (set(), {}))
+        adom.update(c for t in rel.tuples for c in t)
+        if rel.arity > cfg.k_max:
+            high.setdefault(rel.arity, set()).update(rel.tuples)
+    shared_adom, shared_high = parts[()]
+    shapes = []
+    for tag, (adom, high) in parts.items():
+        if not adom <= cfg.domain:
+            raise UnknownConstant(f"constant {min(adom - cfg.domain)!r} is not in the domain")
+        adom = sorted(adom | shared_adom)
+        shapes += [(tag, n, adom, len(adom) ** n) for n in range(1, cfg.k_max + 1)]
+        for n, rows in high.items():
+            rows = sorted(rows | shared_high.get(n, set()))
+            shapes.append((tag, n, rows, len(rows)))
+    cap = cfg.max_universe.bit_length() + 1  # count the views before building one
+    if 1 + sum((1 << min(size, cap)) - 1 for *_, size in shapes) > cfg.max_universe:
+        raise UniverseTooLarge(f"saturation produced more than {cfg.max_universe} views")
+    for tag, n, rows, size in shapes:
+        if n <= cfg.k_max:
+            rows = list(itertools.product(rows, repeat=n))
+        for k in range(1, size + 1):
+            yield from (Relation(n, frozenset(c), tag) for c in itertools.combinations(rows, k))
+
+
 @lru_cache(maxsize=None)
 def _power_view_cached(relations: frozenset[Relation], cfg: UniverseConfig) -> ClosedInstance:
-    return _closed(_saturate(relations, cfg))
+    inputs = {rel: rel for rel in relations}  # the cache keeps one object per input relation
+    return _closed(inputs.get(rel, rel) for rel in _closed_form(relations, cfg))
 
 
 def power_view(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
     """The set of all views of an instance: its closure under the operators.
 
+    Built from the closed form, so its constants must be in the domain.
     Extensive (A is contained in the result), monotone, and idempotent.
     Results are memoized; the cache is read-mostly and safe to share between
     threads because every value is immutable.
@@ -261,9 +294,7 @@ def _closed_subsets_cached(
     index = {rel: i for i, rel in enumerate(ground)}
 
     def close(subset: frozenset[Relation]) -> frozenset[Relation]:
-        return frozenset(
-            r for r in _saturate(subset, cfg) if not r.is_bottom
-        )
+        return frozenset(_closed_form(subset, cfg))
 
     results = []
     current = close(frozenset())

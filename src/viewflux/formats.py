@@ -37,7 +37,7 @@ from .core import (
     make_relation,
     sorted_relations,
 )
-from .errors import ArityMismatch, QuerySyntaxError, UnknownConstant
+from .errors import ArityMismatch, QuerySyntaxError, UnknownConstant, ViewfluxError
 from .morphisms import Morphism, atomic_morphism
 from .queries import format_query, parse_query
 
@@ -102,8 +102,15 @@ def parse_instance(text: str) -> tuple[Instance, frozenset[Constant]]:
     return Instance(relations, labels), domain
 
 
+def _read_text(path: Path) -> str:
+    try:
+        return path.read_text()
+    except UnicodeDecodeError as exc:
+        raise ViewfluxError(f"{path} is not UTF-8 text: {exc}") from None
+
+
 def load_instance(path: str | Path) -> tuple[Instance, frozenset[Constant]]:
-    return parse_instance(Path(path).read_text())
+    return parse_instance(_read_text(Path(path)))
 
 
 def render_instance(
@@ -145,7 +152,7 @@ def load_morphism(
 ) -> Morphism:
     """Load an atomic morphism; endpoint paths resolve relative to the file."""
     path = Path(path)
-    lines = [l for l in path.read_text().splitlines() if l.strip()]
+    lines = [l for l in _read_text(path).splitlines() if l.strip()]
     if not lines or not lines[0].strip().startswith("morphism"):
         raise QuerySyntaxError("morphism file must start with a morphism header", 0)
     m = re.match(r"morphism\s+(\S+)\s*->\s*(\S+)\s*$", lines[0].strip())

@@ -156,12 +156,13 @@ class SuiteContext:
                 f"triples, so at most {max_instances} are allowed. Lower "
                 f"max_relations (or raise max_instances)."
             )
-        self.classes = closure_classes(cfg, max_relations)
         self.total = Instance(total_object(cfg).relations, {})
         self.zero = Instance(zero_object().relations, {})
         self.closed_objects = [
             Instance(c.relations, {}) for c in closed_subsets(total_object(cfg), cfg)
         ]
+        # after the bounds above, so that a bound that fails stops before this pass
+        self.classes = closure_classes(cfg, max_relations, self.instances)
         self._homsets: dict = {}
         self._arrows: dict = {}
 

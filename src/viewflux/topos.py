@@ -79,10 +79,11 @@ def distance(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
     return matching(a, b, cfg)
 
 
-def closure_classes(cfg: UniverseConfig, max_relations: int) -> list[Instance]:
-    """One representative instance per behavioral class of the enumeration."""
+def closure_classes(cfg: UniverseConfig, max_relations: int, instances=None) -> list[Instance]:
+    """One representative instance per behavioral class of ``instances``
+    (by default the enumeration ``subset_instances(cfg, max_relations)``)."""
     seen: dict[frozenset[Relation], Instance] = {}
-    for inst in subset_instances(cfg, max_relations):
+    for inst in subset_instances(cfg, max_relations) if instances is None else instances:
         key = power_view(inst, cfg).relations
         if key not in seen:
             seen[key] = inst

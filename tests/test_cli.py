@@ -182,3 +182,34 @@ def test_check_all_at_one_constant_passes(files, capsys):
     code, out = run(capsys, "check", "all", "--domain", "a")
     assert code == 0, out
     assert "result: PASS (60 laws, 0 failed" in out
+
+
+def test_non_utf8_file_error_names_the_file(files, capsys):
+    (files / "bin.db").write_bytes(b"\x89PNG\r\n\x1a\n\xff\x00")
+    (files / "bin.morph").write_bytes(b"\x89PNG\r\n\x1a\n\xff\x00")
+    (files / "h.morph").write_text("morphism bin.db -> A.db\nr1\n")
+    for argv, name in [
+        (("closure", str(files / "bin.db")), "bin.db"),
+        (("match", str(files / "A.db"), str(files / "bin.db")), "bin.db"),
+        (("flux", str(files / "bin.morph")), "bin.morph"),
+        (("flux", str(files / "h.morph")), "bin.db"),
+    ]:
+        code, err = _error(capsys, *argv)
+        assert code == 2
+        assert f"{name} is not UTF-8 text" in err, err
+
+
+def test_closure_of_binary_chain_exceeds_view_bound(files, capsys):
+    (files / "chain.db").write_text(
+        "domain: a b c d\n\nrelation r1/2:\na b\nb c\nc d\n"
+    )
+    code, err = _error(capsys, "closure", str(files / "chain.db"), "--kmax", "2")
+    assert code == 2
+    assert err == "error: saturation produced more than 20000 views\n"
+
+
+def test_check_fails_early_on_the_closed_subset_bound(files, capsys):
+    argv = ["check", "all", "--domain", "a,b,c", "--kmax", "2", "--max-relations", "1"]
+    code, err = _error(capsys, *argv, "--max-instances", "600")
+    assert code == 2
+    assert "518 relations exceed the closed-subset bound 64" in err

@@ -1,17 +1,23 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import adom_oracle
 import frozen_closure
 from viewflux import (
     BOTTOM,
     Base,
     EnumerationTooLarge,
     Instance,
+    Join,
     NotClosedDomain,
+    Relation,
     UniverseConfig,
+    UnionTerm,
     UniverseTooLarge,
+    UnknownConstant,
     ZERO,
     closed_subsets,
     coproduct,
@@ -30,6 +36,7 @@ from viewflux import (
     with_default_labels,
     zero_object,
 )
+from viewflux import closure as closure_module
 from viewflux.closure import _saturate, certify_closed
 
 ABC1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
@@ -195,6 +202,34 @@ def test_max_universe_bound_on_chain():
     for closure in (power_view, generating_queries):
         with pytest.raises(UniverseTooLarge, match="more than 518 views"):
             closure(CHAIN, tight)
+
+
+def test_closed_form_rejects_constants_outside_the_domain():
+    # saturation would give 3 views here ({a} is selectable, {b} is not),
+    # while the closed form, which assumes every constant selectable, gives 4
+    only_a = UniverseConfig(domain=frozenset({"a"}), k_max=1)
+    for rel in (make_relation(1, {("a",), ("b",)}), Relation(1, frozenset({("b",)}), ("l",))):
+        with pytest.raises(UnknownConstant, match="'b' is not in the domain"):
+            power_view(instance(rel), only_a)
+
+
+def test_closed_form_checks_the_view_bound_before_building_a_view(monkeypatch):
+    built = []
+
+    def counting_relation(*args):
+        built.append(args)
+        return Relation(*args)
+
+    monkeypatch.setattr(closure_module, "Relation", counting_relation)
+    tight = UniverseConfig(domain=ABC2.domain, k_max=2, max_universe=518)
+    with pytest.raises(UniverseTooLarge, match="more than 518 views"):
+        power_view(CHAIN, tight)
+    # 2**(100**5) views: the count is bounded without forming the power
+    wide = UniverseConfig(domain=frozenset(f"c{i}" for i in range(100)), k_max=5)
+    every = make_relation(1, {(c,) for c in wide.domain})
+    with pytest.raises(UniverseTooLarge, match="more than 20000 views"):
+        power_view(instance(every), wide)
+    assert built == []
 
 
 def _oracle_closure(inst, cfg):
@@ -368,3 +403,109 @@ def test_saturation_is_deterministic(cfg0, pab):
 
 def test_power_view_ignores_labels(cfg0, pab):
     assert power_view(pab, cfg0) == power_view(Instance(pab.relations, {}), cfg0)
+
+
+# The closed-form oracle (tests/adom_oracle.py) against the kernel and
+# against the reference saturation.
+
+
+def _triples(relations):
+    """Relations in the oracle's form: ``(arity, tuples, tag)`` triples."""
+    return {(r.arity, r.tuples, r.tag) for r in relations}
+
+
+def test_closure_matches_closed_form_oracle(differential_closures):
+    # every instance at {a,b} k=2 with up to two relations and at {a,b,c}
+    # k=1, the binary chain and the tagged coproducts
+    for inst, cfg, views, _ in differential_closures:
+        assert _triples(views) == adom_oracle.oracle(inst.relations, cfg), inst
+
+
+@pytest.mark.parametrize(
+    "cfg, count",
+    [(UniverseConfig(domain=frozenset({"a", "b"}), k_max=1), 16), (ABC2, 520)],
+    ids=["ab-k1", "abc-k2"],
+)
+def test_power_view_matches_closed_form_oracle(cfg, count):
+    # every instance of the universe (k=1), every one-relation instance (k=2)
+    instances = list(subset_instances(cfg, 4 if cfg.k_max == 1 else 1))
+    assert len(instances) == count
+    for inst in instances:
+        assert _triples(power_view(inst, cfg).relations) == adom_oracle.oracle(inst.relations, cfg), inst
+
+
+def _tagged(rel, *tag):
+    return Relation(rel.arity, rel.tuples, tag)
+
+
+#: Relations above the arity cap and inputs mixing tagged and untagged
+#: relations, with the configuration each is closed at.
+_R3 = make_relation(3, {("a", "b", "a"), ("b", "b", "a")})
+_S3 = make_relation(3, {("b", "b", "b")})
+_P2 = make_relation(2, {("a", "b")})
+_Q1 = make_relation(1, {("c",)})
+AB2 = UniverseConfig(domain=frozenset({"a", "b"}), k_max=2)
+MIXED_INPUTS = [
+    ((_R3,), AB2),
+    ((_R3, _S3), AB2),
+    ((_R3, make_relation(1, {("b",)})), AB2),
+    ((_P2,), ABC1),
+    ((_P2, _R3, _Q1), ABC1),
+    ((_tagged(_R3, "l"), _S3), AB2),
+    ((_tagged(_R3, "l"), _tagged(_S3, "r"), _P2), AB2),
+    ((_tagged(_P2, "l"), _tagged(_Q1, "r"), _S3), ABC1),
+    ((_tagged(_Q1, "l"), _P2, _R3), ABC1),
+    ((_tagged(_Q1, "l"), _tagged(_P2, "l", "r"), make_relation(1, {("a",)})), ABC2),
+]
+
+
+@pytest.mark.parametrize("relations, cfg", MIXED_INPUTS)
+def test_closed_form_oracle_above_cap_and_mixed(relations, cfg):
+    inst = with_default_labels(instance(*relations))
+    expected = adom_oracle.oracle(inst.relations, cfg)
+    assert _triples(_saturate(inst.relations, cfg)) == expected
+    views = power_view(inst, cfg).relations
+    assert _triples(views) == expected
+    _assert_closure_of(inst, views, generating_queries(inst, cfg), cfg)
+
+
+def test_reference_saturation_matches_closed_form_oracle():
+    # a seeded sample of the {a,b,c} k=2 instances, plus the binary chain
+    sample = random.Random(7).sample(list(subset_instances(ABC2, 1)), 3) + [CHAIN]
+    for inst in sample:
+        expected = adom_oracle.oracle(inst.relations, ABC2)
+        assert _triples(_saturate(inst.relations, ABC2)) == expected, inst
+
+
+def _drop_candidates(make, apply_unary=closure_module._apply_unary):
+    def mutant(rel, cfg):
+        return (c for c in apply_unary(rel, cfg) if c[2] is not make)
+
+    return mutant
+
+
+def _drop_records(build, record=closure_module._record):
+    def mutant(views, keys, rel, how, cfg):
+        if not how or how[0] is not build:
+            record(views, keys, rel, how, cfg)
+
+    return mutant
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [
+        ("_apply_unary", _drop_candidates(closure_module._select_const)),
+        ("_apply_unary", _drop_candidates(closure_module._project)),
+        ("_record", _drop_records(UnionTerm)),
+        ("_record", _drop_records(Join)),
+    ],
+    ids=["select", "project", "union", "join"],
+)
+def test_closed_form_oracle_catches_saturation_mutants(cfg2, monkeypatch, name, mutant):
+    instances = list(subset_instances(cfg2, 1))
+    monkeypatch.setattr(closure_module, name, mutant)
+    assert any(
+        _triples(_saturate(inst.relations, cfg2)) != adom_oracle.oracle(inst.relations, cfg2)
+        for inst in instances
+    )

@@ -13,6 +13,11 @@ relations, and the bottom.  Untagged relations belong to every component.
 Its reference is the operational definition: ``_saturate``, a semi-naive
 worklist that records each view's first derivation (the operator and its
 operands), from which ``generating_queries`` rebuilds a witness query.
+
+An atom of a closed instance is a view of it with exactly one tuple whose
+arity is 1 or above ``k_max``; a tagged atom and its untagged twin are two
+atoms.  By the closed form, a closed set is the closure of the atoms it
+holds, so ``closed_subsets`` enumerates the closures of sets of atoms.
 """
 
 from __future__ import annotations
@@ -270,10 +275,10 @@ def zero_object() -> ClosedInstance:
 def closed_subsets(x: Instance, cfg: UniverseConfig) -> tuple[ClosedInstance, ...]:
     """All bottom-containing subsets of a closed instance that are themselves closed.
 
-    Enumerates the fixed-point lattice directly (one saturation per closed
-    subset) rather than testing all subsets; the count grows with the number
-    of closed sets, not with 2**|x|.  Results are in canonical order and
-    memoized.
+    Each one is the closure of the atoms it holds (module docstring), so the
+    lattice is enumerated as the closures of the sets of atoms of ``x``, one
+    closed form per set, with repeats dropped.  Results are in canonical
+    order and memoized.
     """
     return _closed_subsets_cached(frozenset(x.relations), cfg)
 
@@ -282,54 +287,18 @@ def closed_subsets(x: Instance, cfg: UniverseConfig) -> tuple[ClosedInstance, ..
 def _closed_subsets_cached(
     relations: frozenset[Relation], cfg: UniverseConfig
 ) -> tuple[ClosedInstance, ...]:
-    x = Instance(relations, {})
-    if not is_closed(x, cfg):
+    if not is_closed(Instance(relations, {}), cfg):
         raise NotClosedDomain("closed_subsets needs a closed instance")
-    ground = [r for r in sorted_relations(x.relations) if not r.is_bottom]
+    ground = [r for r in relations if not r.is_bottom]
     if len(ground) > cfg.max_homset_ground:
         raise EnumerationTooLarge(
             f"{len(ground)} relations exceed the closed-subset bound "
             f"{cfg.max_homset_ground}"
         )
-    index = {rel: i for i, rel in enumerate(ground)}
-
-    def close(subset: frozenset[Relation]) -> frozenset[Relation]:
-        return frozenset(_closed_form(subset, cfg))
-
-    results = []
-    current = close(frozenset())
-    results.append(current)
-    n = len(ground)
-    while True:
-        for i in reversed(range(n)):
-            if ground[i] in current:
-                continue
-            seed = frozenset(r for r in current if index[r] < i) | {ground[i]}
-            candidate = close(seed)
-            if all(index[r] >= i for r in candidate - current):
-                current = candidate
-                results.append(current)
-                break
-        else:
-            break
-    closed_list = [_closed(rels) for rels in results]
-    return tuple(sorted(closed_list, key=lambda c: tuple(r.sort_key() for r in c)))
-
-
-def brute_force_closed_subsets(
-    x: Instance, cfg: UniverseConfig, limit: int = 1 << 20
-) -> tuple[ClosedInstance, ...]:
-    """Reference enumeration: test every bottom-containing subset for closure.
-
-    Exponential in |x|; kept as the independent check for closed_subsets.
-    """
-    ground = [r for r in sorted_relations(x.relations) if not r.is_bottom]
-    if 1 << len(ground) > limit:
-        raise EnumerationTooLarge(f"2**{len(ground)} subsets exceed the limit {limit}")
-    out = []
-    for k in range(0, len(ground) + 1):
-        for combo in itertools.combinations(ground, k):
-            subset = frozenset(combo) | {BOTTOM}
-            if _saturate(subset, cfg).keys() == subset:
-                out.append(_closed(subset))
-    return tuple(sorted(out, key=lambda c: tuple(r.sort_key() for r in c)))
+    atoms = [r for r in ground if len(r.tuples) == 1 and (r.arity == 1 or r.arity > cfg.k_max)]
+    closures = {
+        frozenset(_closed_form(subset, cfg))
+        for k in range(len(atoms) + 1)
+        for subset in itertools.combinations(atoms, k)
+    }
+    return tuple(sorted(map(_closed, closures), key=lambda c: tuple(r.sort_key() for r in c)))

@@ -36,7 +36,6 @@ from .catops import (
     transpose,
 )
 from .closure import (
-    brute_force_closed_subsets,
     closed_subsets,
     is_closed,
     isomorphic,
@@ -673,15 +672,12 @@ def law_bounds(ctx):
         yield ok, witness(a)
 
 
-@_law("lattice.closed-count", "the closed-subset enumeration matches brute force")
+@_law("lattice.closed-count", "the total object has 2**|domain| closed subsets, distinct fixed points")
 def law_closed_count(ctx):
-    computed = closed_subsets(total_object(ctx.cfg), ctx.cfg)
-    if len(ctx.total.relations) <= 13:
-        brute = brute_force_closed_subsets(total_object(ctx.cfg), ctx.cfg)
-        ok = tuple(c.relations for c in computed) == tuple(c.relations for c in brute)
-        yield ok, f"{len(computed)} closed subsets"
-    else:
-        yield True, f"{len(computed)} closed subsets (brute force skipped)"
+    computed = closed_subsets(ctx.total, ctx.cfg)
+    ok = len(computed) == len({c.relations for c in computed}) == 2 ** len(ctx.cfg.domain)
+    ok = ok and all(c.relations <= ctx.total.relations and is_closed(c, ctx.cfg) for c in computed)
+    yield ok, f"{len(computed)} closed subsets"
 
 
 @_law("lattice.sup-all", "merging every instance yields the total object")

@@ -12,12 +12,18 @@ too, as ``_saturate_record`` and ``generating_queries_record`` (renamed only
 to sit beside the first pair).  A later kernel must reproduce its record
 exactly: the same views in the same insertion order with the same operands.
 
+The NextClosure enumeration of closed subsets (Ganter, 1984) that the
+closed-form enumeration replaced is kept verbatim too, as
+``closed_subsets_next_closure`` (renamed only).  Its ``close`` step is the
+library's ``_closed_form``, which ``adom_oracle`` checks on its own.
+
 Do not edit: a change here hides a change in the library.
 """
 
 from __future__ import annotations
 
 import itertools
+from functools import lru_cache
 
 from viewflux.core import (
     BOTTOM,
@@ -27,7 +33,8 @@ from viewflux.core import (
     sorted_relations,
     with_default_labels,
 )
-from viewflux.errors import UniverseTooLarge
+from viewflux.closure import ClosedInstance, _closed, _closed_form, is_closed
+from viewflux.errors import EnumerationTooLarge, NotClosedDomain, UniverseTooLarge
 from viewflux.queries import (
     Base,
     Bot,
@@ -225,3 +232,52 @@ def generating_queries_record(inst: Instance, cfg: UniverseConfig) -> dict[Relat
             build, *operands = how
             witness[rel] = build(*(witness[op] for op in operands))
     return witness
+
+
+def closed_subsets_next_closure(x: Instance, cfg: UniverseConfig) -> tuple[ClosedInstance, ...]:
+    """All bottom-containing subsets of a closed instance that are themselves closed.
+
+    Enumerates the fixed-point lattice directly (one saturation per closed
+    subset) rather than testing all subsets; the count grows with the number
+    of closed sets, not with 2**|x|.  Results are in canonical order and
+    memoized.
+    """
+    return _closed_subsets_next_closure_cached(frozenset(x.relations), cfg)
+
+
+@lru_cache(maxsize=None)
+def _closed_subsets_next_closure_cached(
+    relations: frozenset[Relation], cfg: UniverseConfig
+) -> tuple[ClosedInstance, ...]:
+    x = Instance(relations, {})
+    if not is_closed(x, cfg):
+        raise NotClosedDomain("closed_subsets needs a closed instance")
+    ground = [r for r in sorted_relations(x.relations) if not r.is_bottom]
+    if len(ground) > cfg.max_homset_ground:
+        raise EnumerationTooLarge(
+            f"{len(ground)} relations exceed the closed-subset bound "
+            f"{cfg.max_homset_ground}"
+        )
+    index = {rel: i for i, rel in enumerate(ground)}
+
+    def close(subset: frozenset[Relation]) -> frozenset[Relation]:
+        return frozenset(_closed_form(subset, cfg))
+
+    results = []
+    current = close(frozenset())
+    results.append(current)
+    n = len(ground)
+    while True:
+        for i in reversed(range(n)):
+            if ground[i] in current:
+                continue
+            seed = frozenset(r for r in current if index[r] < i) | {ground[i]}
+            candidate = close(seed)
+            if all(index[r] >= i for r in candidate - current):
+                current = candidate
+                results.append(current)
+                break
+        else:
+            break
+    closed_list = [_closed(rels) for rels in results]
+    return tuple(sorted(closed_list, key=lambda c: tuple(r.sort_key() for r in c)))

@@ -29,6 +29,7 @@ from viewflux import (
     make_relation,
     po_leq,
     power_view,
+    semantic_homset,
     sorted_relations,
     subset_instances,
     total_object,
@@ -38,9 +39,11 @@ from viewflux import (
 )
 from viewflux import closure as closure_module
 from viewflux.closure import _saturate, certify_closed
+from viewflux.topos import closure_classes
 
 ABC1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
 ABC2 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=2)
+ABCD1 = UniverseConfig(domain=frozenset({"a", "b", "c", "d"}), k_max=1)
 #: The binary chain {(a,b),(b,c)}: its closure at {a,b,c}, k=2 is the whole
 #: 519-view universe, reached in five rounds.
 CHAIN = with_default_labels(instance(make_relation(2, {("a", "b"), ("b", "c")})))
@@ -331,29 +334,128 @@ def test_closed_subsets_of_pair(cfg0, pa, ra):
     }
 
 
+def _closure(cfg, *relations):
+    return power_view(Instance(frozenset(relations), {}), cfg)
+
+
+def _brute_force_inputs(cfg0, cfg2):
+    """Closed instances with at most 12 relations besides the bottom:
+    untagged, tagged coproducts, mixed tagged and untagged, and relations
+    above the arity cap, untagged and tagged."""
+    a, b = make_relation(1, {("a",)}), make_relation(1, {("b",)})
+    p2, s3 = make_relation(2, {("a", "b")}), make_relation(3, {("b", "b", "b")})
+    r3 = make_relation(3, {("a", "b", "a"), ("b", "b", "a")})
+    total, closed_a = total_object(cfg0), _closure(cfg0, a)
+    nested = coproduct(coproduct(closed_a, total), _closure(cfg0, b))
+    return [
+        (total, cfg0),
+        (_closure(cfg2, a), cfg2),
+        (_closure(cfg0, *coproduct(total, total).relations), cfg0),
+        (_closure(cfg0, *coproduct(closed_a, total).relations), cfg0),
+        (_closure(cfg0, *nested.relations), cfg0),
+        (_closure(cfg0, a, _tagged(b, "l")), cfg0),
+        (_closure(ABC1, a, _tagged(b, "l"), _tagged(make_relation(1, {("c",)}), "r")), ABC1),
+        (_closure(cfg0, p2), cfg0),
+        (_closure(cfg0, r3), cfg0),
+        (_closure(cfg0, r3, s3), cfg0),
+        (_closure(cfg0, a, _tagged(r3, "l")), cfg0),
+        (_closure(cfg0, s3, _tagged(r3, "l")), cfg0),
+        (_closure(cfg0, _tagged(p2, "l"), _tagged(b, "r"), a), cfg0),
+    ]
+
+
 def test_closed_subsets_against_brute_force(cfg0, cfg2):
     # independent oracle: test every bottom-containing subset for closure
-    for cfg in (cfg0, cfg2):
-        ambient = total_object(cfg)
+    for ambient, cfg in _brute_force_inputs(cfg0, cfg2):
         ground = sorted_relations(ambient.relations - {BOTTOM})
-        if len(ground) > 10:
-            ground = ground[:10]
-            ambient_rels = power_view(
-                Instance(frozenset(ground), {}), cfg
-            ).relations
-            ground = sorted_relations(ambient_rels - {BOTTOM})
-            if len(ground) > 12:
-                continue
-        else:
-            ambient_rels = ambient.relations
+        assert len(ground) <= 12, ambient
         oracle = set()
         for k in range(len(ground) + 1):
             for combo in itertools.combinations(ground, k):
                 candidate = frozenset(combo) | {BOTTOM}
                 if _closed_one_round(candidate, cfg):
                     oracle.add(candidate)
-        got = {c.relations for c in closed_subsets(Instance(frozenset(ambient_rels), {}), cfg)}
-        assert got == oracle
+        got = [c.relations for c in closed_subsets(ambient, cfg)]
+        assert len(got) == len(oracle) and set(got) == oracle, ambient
+        assert len(got) == adom_oracle.closed_subset_count(ambient.relations, cfg), ambient
+
+
+def _distinct_closures(cfg):
+    """The closures of every instance with at most two relations, once each."""
+    closures = {power_view(inst, cfg).relations for inst in subset_instances(cfg, 2)}
+    ordered = sorted(closures, key=lambda rels: (len(rels), repr(Instance(rels))))
+    return [Instance(rels, {}) for rels in ordered]
+
+
+@pytest.fixture(scope="module")
+def closed_subset_inputs(cfg0, cfg2):
+    """(closed instance, cfg) for every input the closed-subset enumeration
+    is compared on: the distinct closures at {a,b} k=1 and k=2, {a,b,c} k=1
+    and {a,b,c,d} k=1; the coproducts of every ordered pair of them at the
+    first three; closures mixing an untagged closure at {a,b,c} k=1 with a
+    coproduct; every binary relation over {a,b} at k=1, alone and in
+    coproducts; and the mixed and above-cap inputs of ``MIXED_INPUTS``."""
+    inputs = []
+    for cfg in (cfg0, cfg2, ABC1, ABCD1):
+        inputs += [(x, cfg) for x in _distinct_closures(cfg)]
+    for cfg in (cfg0, cfg2, ABC1):
+        closures = _distinct_closures(cfg)
+        inputs += [(_closure(cfg, *coproduct(x, y).relations), cfg)
+                   for x, y in itertools.product(closures, repeat=2)]
+    closures = _distinct_closures(ABC1)
+    inputs += [(_closure(ABC1, *x.relations, *coproduct(y, z).relations), ABC1)
+               for x in closures for y, z in itertools.product(closures[::3], repeat=2)]
+    binary = [_closure(cfg0, r) for r in universe_relations(cfg2) if r.arity == 2]
+    inputs += [(x, cfg0) for x in binary]
+    inputs += [(_closure(cfg0, *coproduct(x, y).relations), cfg0)
+               for x, y in itertools.product(binary[::4], repeat=2)]
+    inputs += [(_closure(cfg, *relations), cfg) for relations, cfg in MIXED_INPUTS]
+    return inputs
+
+
+def test_closed_subset_inputs(closed_subset_inputs):
+    assert len(closed_subset_inputs) == 32 + 96 + 72 + 15 + 16 + 10
+    relations = [x.relations for x, _ in closed_subset_inputs]
+    # A coproduct with the zero object is the other operand, untagged.
+    assert sum(any(r.tag for r in x) for x in relations) == 3 * 3 + 3 * 3 + 7 * 7 + 8 * 4 + 16 + 5
+    assert sum(any(r.tag for r in x) and any(not r.tag and not r.is_bottom for r in x)
+               for x in relations) == 7 * 4 + 5
+    assert sum(any(r.arity > cfg.k_max for r in x.relations)
+               for x, cfg in closed_subset_inputs) == 15 + 16 + 9
+
+
+def test_closed_subsets_match_frozen_next_closure(closed_subset_inputs):
+    for x, cfg in closed_subset_inputs:
+        got = [c.relations for c in closed_subsets(x, cfg)]
+        expected = [c.relations for c in frozen_closure.closed_subsets_next_closure(x, cfg)]
+        assert got == expected, x
+
+
+def test_closed_subsets_match_closed_form_count(closed_subset_inputs):
+    # Distinct closed subsets of x, as many as the closed form counts: all of them.
+    for x, cfg in closed_subset_inputs:
+        got = closed_subsets(x, cfg)
+        assert len({c.relations for c in got}) == len(got), x
+        assert len(got) == adom_oracle.closed_subset_count(x.relations, cfg), x
+        for c in got:
+            assert c.relations <= x.relations, x
+            assert _triples(c.relations) == adom_oracle.oracle(c.relations, cfg), (x, c)
+    untagged = [(x, cfg) for x, cfg in closed_subset_inputs
+                if not any(r.tag or r.arity > cfg.k_max for r in x.relations)]
+    for x, cfg in untagged:
+        adom = {c for r in x.relations for t in r.tuples for c in t}
+        assert len(closed_subsets(x, cfg)) == 2 ** len(adom)
+
+
+def test_semantic_homsets_are_closed_subsets_of_the_matching():
+    classes = closure_classes(ABC1, 2)
+    assert len(classes) == 8
+    for a, b in itertools.product(classes, repeat=2):
+        matching = adom_oracle.oracle(a.relations, ABC1) & adom_oracle.oracle(b.relations, ABC1)
+        fluxes = [_triples(flux.relations) for flux in semantic_homset(a, b, ABC1)]
+        assert len({frozenset(f) for f in fluxes}) == len(fluxes)
+        assert all(f <= matching and adom_oracle.oracle(_relations(f), ABC1) == f for f in fluxes)
+        assert len(fluxes) == adom_oracle.closed_subset_count(_relations(matching), ABC1)
 
 
 def test_closed_subsets_k2_lattice(cfg2):
@@ -412,6 +514,11 @@ def test_power_view_ignores_labels(cfg0, pab):
 def _triples(relations):
     """Relations in the oracle's form: ``(arity, tuples, tag)`` triples."""
     return {(r.arity, r.tuples, r.tag) for r in relations}
+
+
+def _relations(triples):
+    """The oracle's ``(arity, tuples, tag)`` triples as relations."""
+    return [Relation(*t) for t in triples if t[1]]
 
 
 def test_closure_matches_closed_form_oracle(differential_closures):

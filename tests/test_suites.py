@@ -8,6 +8,7 @@ from viewflux import (
     Instance,
     UniverseConfig,
     UnknownSuite,
+    closed_subsets,
     compose,
     equiv,
     merging,
@@ -218,6 +219,28 @@ def test_merge_functor_law_catches_non_functorial_merge(cfg0, monkeypatch):
     result = suites.law_merge_functor(SuiteContext(cfg0, 4))
     assert result.status == "FAIL"
     assert result.checked == _golden_checked("lattice.merge-functor")
+
+
+@pytest.mark.parametrize(
+    "mutant",
+    [lambda subsets: subsets[1:], lambda subsets: subsets + subsets[-1:]],
+    ids=["drop-one", "repeat-one"],
+)
+@pytest.mark.parametrize(
+    "cfg, max_relations",
+    [(UniverseConfig(domain=frozenset("ab"), k_max=1), 4),
+     (UniverseConfig(domain=frozenset("abcd"), k_max=1), 1)],
+    ids=["default", "abcd"],
+)
+def test_closed_count_law_catches_a_lost_or_repeated_closed_subset(
+    cfg, max_relations, mutant, monkeypatch
+):
+    ctx = SuiteContext(cfg, max_relations)
+    assert suites.law_closed_count(ctx).status == "PASS"
+    monkeypatch.setattr(suites, "closed_subsets", lambda x, cfg: mutant(closed_subsets(x, cfg)))
+    result = suites.law_closed_count(ctx)
+    assert result.status == "FAIL"
+    assert result.checked == _golden_checked("lattice.closed-count") == 1
 
 
 class ReprProbe:

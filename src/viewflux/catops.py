@@ -26,7 +26,6 @@ from .core import (
     Instance,
     Relation,
     UniverseConfig,
-    instance_union,
 )
 from .errors import DomainMismatch, NotMonic
 from .morphisms import (
@@ -52,8 +51,18 @@ def matching(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
 
 
 def merging(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
-    """The federation of two instances: the closure of their union."""
-    return power_view(instance_union(a, b), cfg)
+    """The federation of two instances: the closure of their union.
+
+    Memoized on the two relation sets and the configuration.
+    """
+    return _merging_cached(a.relations, b.relations, cfg)
+
+
+@lru_cache(maxsize=None)
+def _merging_cached(
+    a: frozenset[Relation], b: frozenset[Relation], cfg: UniverseConfig
+) -> ClosedInstance:
+    return power_view(Instance(a | b, {}), cfg)
 
 
 #: The lattice meet and join of closed instances.
@@ -66,8 +75,8 @@ def tensor_arrow(f: Morphism, g: Morphism) -> Morphism:
     if f.cfg != g.cfg:
         raise DomainMismatch("arrows built over different configurations")
     cfg = f.cfg
-    src = Instance(matching(f.source, g.source, cfg).relations, {})
-    tgt = Instance(matching(f.target, g.target, cfg).relations, {})
+    src = matching(f.source, g.source, cfg)
+    tgt = matching(f.target, g.target, cfg)
     return semantic_arrow(src, tgt, meet_closed(f.flux, g.flux), cfg)
 
 
@@ -78,12 +87,12 @@ def merge_arrow(a: Instance, f: Morphism) -> Morphism:
     merging of a with the flux of f; preserves identities and composition.
     """
     cfg = f.cfg
-    src = Instance(merging(a, f.source, cfg).relations, {})
-    tgt = Instance(merging(a, f.target, cfg).relations, {})
-    flux = power_view(instance_union(a, Instance(f.flux.relations, {})), cfg)
-    return semantic_arrow(src, tgt, flux, cfg)
+    src = merging(a, f.source, cfg)
+    tgt = merging(a, f.target, cfg)
+    return semantic_arrow(src, tgt, merging(a, f.flux, cfg), cfg)
 
 
+@lru_cache(maxsize=None)
 def _retag(rel: Relation, side: str) -> Relation:
     if rel.is_bottom:
         return rel
@@ -206,17 +215,16 @@ def transpose(
     f: Morphism, a: Instance, b: Instance, cfg: UniverseConfig
 ) -> Morphism:
     """Curry an arrow out of a matching: same flux, target the hom-object."""
-    if f.source != Instance(matching(a, b, cfg).relations, {}):
+    if f.source != matching(a, b, cfg):
         raise DomainMismatch("transpose needs an arrow out of the matching of a and b")
-    hom = Instance(hom_object(b, f.target, cfg).relations, {})
+    hom = hom_object(b, f.target, cfg)
     return semantic_arrow(a, hom, f.flux, cfg)
 
 
 def eval_arrow(b: Instance, c: Instance, cfg: UniverseConfig) -> Morphism:
     """The evaluation arrow of the closed structure; monic with flux the matching."""
-    hom = Instance(hom_object(b, c, cfg).relations, {})
-    src = Instance(matching(hom, b, cfg).relations, {})
-    return semantic_arrow(src, c, matching(b, c, cfg), cfg)
+    hom = hom_object(b, c, cfg)
+    return semantic_arrow(matching(hom, b, cfg), c, matching(b, c, cfg), cfg)
 
 
 def monoid_structure(a: Instance, cfg: UniverseConfig) -> tuple[Morphism, Morphism]:
@@ -227,8 +235,8 @@ def monoid_structure(a: Instance, cfg: UniverseConfig) -> tuple[Morphism, Morphi
     Both carry the instance's closure as flux.
     """
     ta = power_view(a, cfg)
-    mu = semantic_arrow(Instance(ta.relations, {}), a, ta, cfg)
-    eta = semantic_arrow(Instance(total_object(cfg).relations, {}), a, ta, cfg)
+    mu = semantic_arrow(ta, a, ta, cfg)
+    eta = semantic_arrow(total_object(cfg), a, ta, cfg)
     return mu, eta
 
 
@@ -239,18 +247,16 @@ def composition_arrow(
 
     Flux is the three-way matching of the instances.
     """
-    hom_bc = Instance(hom_object(b, c, cfg).relations, {})
-    hom_ab = Instance(hom_object(a, b, cfg).relations, {})
-    src = Instance(matching(hom_bc, hom_ab, cfg).relations, {})
-    tgt = Instance(hom_object(a, c, cfg).relations, {})
+    src = matching(hom_object(b, c, cfg), hom_object(a, b, cfg), cfg)
+    tgt = hom_object(a, c, cfg)
     flux = meet_closed(meet_closed(power_view(a, cfg), power_view(b, cfg)), power_view(c, cfg))
     return semantic_arrow(src, tgt, flux, cfg)
 
 
 def identity_element_arrow(a: Instance, cfg: UniverseConfig) -> Morphism:
     """The internal identity element: epic from the total object onto the self-hom."""
-    tgt = Instance(hom_object(a, a, cfg).relations, {})
-    return semantic_arrow(Instance(total_object(cfg).relations, {}), tgt, power_view(a, cfg), cfg)
+    tgt = hom_object(a, a, cfg)
+    return semantic_arrow(total_object(cfg), tgt, power_view(a, cfg), cfg)
 
 
 def principal_morphism(a: Instance, b: Instance, cfg: UniverseConfig) -> Morphism:
@@ -289,9 +295,7 @@ def ret_category_probe(a: Instance, cfg: UniverseConfig) -> RetCategoryReport:
     for f_flux in endos:
         for g_flux in endos:
             pairs += 1
-            outer = semantic_homset(
-                Instance(f_flux.relations, {}), Instance(g_flux.relations, {}), cfg
-            )
+            outer = semantic_homset(f_flux, g_flux, cfg)
             fixed = [
                 k for k in endos
                 if k.relations == (k.relations & f_flux.relations & g_flux.relations)
@@ -308,5 +312,5 @@ def omega_chain(a: Instance, cfg: UniverseConfig, steps: int) -> list[ClosedInst
     """
     chain = [zero_object()]
     for _ in range(steps):
-        chain.append(merging(a, Instance(chain[-1].relations, {}), cfg))
+        chain.append(merging(a, chain[-1], cfg))
     return chain

@@ -18,6 +18,11 @@ An atom of a closed instance is a view of it with exactly one tuple whose
 arity is 1 or above ``k_max``; a tagged atom and its untagged twin are two
 atoms.  By the closed form, a closed set is the closure of the atoms it
 holds, so ``closed_subsets`` enumerates the closures of sets of atoms.
+
+Closed sets are interned (hash-consed): ``_closed`` keeps one
+``ClosedInstance`` per relation set, so every operation that yields a closed
+set hands back that one object, and ``meet_closed`` is memoized on the pair
+of relation sets.  Their labels stay empty and shared.
 """
 
 from __future__ import annotations
@@ -56,12 +61,19 @@ class ClosedInstance(Instance):
 
     Instances of this type are only built by operations that establish the
     closure property (saturation, verified fixed points, intersections of
-    closed sets), so holding one is the certificate.
+    closed sets), so holding one is the certificate.  There is one object per
+    relation set (``_closed`` interns them); its labels are empty and shared,
+    and it does not record the configuration it was closed under.
     """
 
 
 def _closed(relations: Iterable[Relation]) -> ClosedInstance:
-    return ClosedInstance(frozenset(relations) | {BOTTOM}, {})
+    return _interned(frozenset(relations) | {BOTTOM})
+
+
+@lru_cache(maxsize=None)
+def _interned(relations: frozenset[Relation]) -> ClosedInstance:
+    return ClosedInstance(relations, {})
 
 
 def _select_const(i: int, c: Constant):
@@ -222,8 +234,13 @@ def certify_closed(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
 
 def meet_closed(a: Instance, b: Instance) -> ClosedInstance:
     """Intersection of two closed instances; closed because the system is
-    closed under arbitrary intersections."""
-    return _closed(a.relations & b.relations)
+    closed under arbitrary intersections.  Memoized on the two relation sets."""
+    return _meet_cached(a.relations, b.relations)
+
+
+@lru_cache(maxsize=None)
+def _meet_cached(a: frozenset[Relation], b: frozenset[Relation]) -> ClosedInstance:
+    return _closed(a & b)
 
 
 def generating_queries(inst: Instance, cfg: UniverseConfig) -> dict[Relation, QueryTerm]:
@@ -255,7 +272,7 @@ def total_object(cfg: UniverseConfig) -> ClosedInstance:
     result = power_view(candidate, cfg)
     if result.relations != candidate.relations:
         raise UniverseTooLarge("universe enumeration is not closed; cap too small")
-    return _closed(candidate.relations)
+    return result
 
 
 def po_leq(a: Instance, b: Instance, cfg: UniverseConfig) -> bool:
@@ -296,8 +313,9 @@ def _closed_subsets_cached(
             f"{cfg.max_homset_ground}"
         )
     atoms = [r for r in ground if len(r.tuples) == 1 and (r.arity == 1 or r.arity > cfg.k_max)]
+    inputs = {rel: rel for rel in relations}  # the cache keeps one object per input relation
     closures = {
-        frozenset(_closed_form(subset, cfg))
+        frozenset(inputs[rel] for rel in _closed_form(subset, cfg))
         for k in range(len(atoms) + 1)
         for subset in itertools.combinations(atoms, k)
     }

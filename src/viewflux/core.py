@@ -222,6 +222,13 @@ class UniverseConfig:
             _check_identifier(c)
             if c == "bot":
                 raise UnknownConstant("'bot' is reserved and cannot be a constant")
+        # Every cache lookup hashes the configuration, so hash the fields once.
+        fields = (self.domain, self.k_max, self.max_universe, self.max_homset_ground,
+                  self.max_enumeration)
+        object.__setattr__(self, "_hash", hash(fields))
+
+    def __hash__(self):
+        return self._hash
 
     def constants(self) -> list[Constant]:
         return sorted(self.domain)

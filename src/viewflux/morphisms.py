@@ -126,7 +126,7 @@ def _morphism(
     check_range: bool = True,
 ) -> Morphism:
     if check_range:
-        bound = power_view(source, cfg).relations & power_view(target, cfg).relations
+        bound = meet_closed(power_view(source, cfg), power_view(target, cfg)).relations
         if not flux.relations <= bound:
             raise FluxOutOfRange(
                 f"flux {flux!r} escapes the matching of the endpoints"
@@ -174,11 +174,13 @@ def semantic_arrow(
     Every equivalence class of arrows contains such a representative, so the
     exhaustive suites quantify over these.
     """
-    rels = frozenset(flux.relations if isinstance(flux, Instance) else flux) | {BOTTOM}
-    closed = power_view(Instance(rels, {}), cfg)
-    if closed.relations != rels:
+    if not isinstance(flux, Instance):
+        flux = Instance(frozenset(flux), {})
+    closed = power_view(flux, cfg)
+    # A closed set is interned, so a flux closed under cfg is its own closure.
+    if closed is not flux and closed.relations != flux.relations | {BOTTOM}:
         raise FluxOutOfRange(
-            f"prescribed flux {sorted_relations(rels)!r} is not closed"
+            f"prescribed flux {sorted_relations(flux.relations | {BOTTOM})!r} is not closed"
         )
     return _morphism(source, target, (), closed, cfg)
 
@@ -267,8 +269,8 @@ def lift_arrow(f: Morphism) -> Morphism:
     The lifted arrow has one identity view-map per transmitted view and
     preserves the mono/epi/iso properties of the original.
     """
-    src = with_default_labels(Instance(power_view(f.source, f.cfg).relations, {}), "v")
-    tgt = Instance(power_view(f.target, f.cfg).relations, {})
+    src = with_default_labels(power_view(f.source, f.cfg), "v")
+    tgt = power_view(f.target, f.cfg)
     name_of = {rel: name for name, rel in src.labels.items()}
     trees = [
         ViewTree(ViewMap(Bot() if v.is_bottom else Base(name_of[v]), src, v))

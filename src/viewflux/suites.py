@@ -155,11 +155,9 @@ class SuiteContext:
                 f"triples, so at most {max_instances} are allowed. Lower "
                 f"max_relations (or raise max_instances)."
             )
-        self.total = Instance(total_object(cfg).relations, {})
-        self.zero = Instance(zero_object().relations, {})
-        self.closed_objects = [
-            Instance(c.relations, {}) for c in closed_subsets(total_object(cfg), cfg)
-        ]
+        self.total = total_object(cfg)
+        self.zero = zero_object()
+        self.closed_objects = list(closed_subsets(self.total, cfg))
         # after the bounds above, so that a bound that fails stops before this pass
         self.classes = closure_classes(cfg, max_relations, self.instances)
         self._homsets: dict = {}
@@ -252,7 +250,7 @@ def law_closure_monotone(ctx):
 def law_closure_idempotent(ctx):
     for a in ctx.instances:
         ta = power_view(a, ctx.cfg)
-        yield power_view(Instance(ta.relations, {}), ctx.cfg).relations == ta.relations, witness(a)
+        yield power_view(ta, ctx.cfg).relations == ta.relations, witness(a)
 
 
 @_law("closure.bottom", "the zero object is its own closure")
@@ -452,7 +450,7 @@ def law_principal(ctx):
 def law_monad(ctx):
     for a in ctx.instances:
         ta = power_view(a, ctx.cfg)
-        tta = power_view(Instance(ta.relations, {}), ctx.cfg)
+        tta = power_view(ta, ctx.cfg)
         yield a.relations <= ta.relations and tta.relations == ta.relations, witness(a)
     contexts = [
         Slot(1, 1),
@@ -493,8 +491,8 @@ def law_tensor_commutative(ctx):
 @_law("monoidal.associative", "matching is associative")
 def law_tensor_associative(ctx):
     for a, b, c in itertools.product(ctx.classes, repeat=3):
-        lhs = matching(Instance(matching(a, b, ctx.cfg).relations, {}), c, ctx.cfg)
-        rhs = matching(a, Instance(matching(b, c, ctx.cfg).relations, {}), ctx.cfg)
+        lhs = matching(matching(a, b, ctx.cfg), c, ctx.cfg)
+        rhs = matching(a, matching(b, c, ctx.cfg), ctx.cfg)
         yield lhs.relations == rhs.relations, witness(a, b, c)
 
 
@@ -564,8 +562,8 @@ def law_hom_object(ctx):
 @_law("monoidal.hom-counting", "currying is a bijection of hom-sets")
 def law_hom_counting(ctx):
     for a, b, c in itertools.product(ctx.classes, repeat=3):
-        tensor_ab = Instance(matching(a, b, ctx.cfg).relations, {})
-        hom_bc = Instance(hom_object(b, c, ctx.cfg).relations, {})
+        tensor_ab = matching(a, b, ctx.cfg)
+        hom_bc = hom_object(b, c, ctx.cfg)
         yield (
             len(ctx.homset(tensor_ab, c)) == len(ctx.homset(a, hom_bc)),
             witness(a, b, c),
@@ -579,7 +577,7 @@ def law_exponent(ctx):
         ok = is_mono(ev) and ev.flux.relations == matching(b, c, ctx.cfg).relations
         yield ok, witness(b, c)
     for a, b, c in itertools.product(ctx.classes, repeat=3):
-        tensor_ab = Instance(matching(a, b, ctx.cfg).relations, {})
+        tensor_ab = matching(a, b, ctx.cfg)
         ev = eval_arrow(b, c, ctx.cfg)
         idb = identity(b, ctx.cfg)
         for f in ctx.arrows(tensor_ab, c):
@@ -616,8 +614,8 @@ def law_join_laws(ctx):
     for a in ctx.instances:
         yield merging(a, a, ctx.cfg).relations == power_view(a, ctx.cfg).relations, witness(a)
     for a, b, c in itertools.product(ctx.classes, repeat=3):
-        lhs = merging(Instance(merging(a, b, ctx.cfg).relations, {}), c, ctx.cfg)
-        rhs = merging(a, Instance(merging(b, c, ctx.cfg).relations, {}), ctx.cfg)
+        lhs = merging(merging(a, b, ctx.cfg), c, ctx.cfg)
+        rhs = merging(a, merging(b, c, ctx.cfg), ctx.cfg)
         yield lhs.relations == rhs.relations, witness(a, b, c)
 
 
@@ -625,16 +623,16 @@ def law_join_laws(ctx):
 def law_absorption(ctx):
     for a, b in itertools.product(ctx.instances, repeat=2):
         ta = power_view(a, ctx.cfg).relations
-        ok = merging(a, Instance(matching(a, b, ctx.cfg).relations, {}), ctx.cfg).relations == ta
-        ok = ok and matching(a, Instance(merging(a, b, ctx.cfg).relations, {}), ctx.cfg).relations == ta
+        ok = merging(a, matching(a, b, ctx.cfg), ctx.cfg).relations == ta
+        ok = ok and matching(a, merging(a, b, ctx.cfg), ctx.cfg).relations == ta
         yield ok, witness(a, b)
 
 
 @_law("lattice.inf-sup", "matching is the meet and merging the join of the behavioral order")
 def law_inf_sup(ctx):
     for a, b in itertools.product(ctx.classes, repeat=2):
-        inf = Instance(lattice_inf(a, b, ctx.cfg).relations, {})
-        sup = Instance(lattice_sup(a, b, ctx.cfg).relations, {})
+        inf = lattice_inf(a, b, ctx.cfg)
+        sup = lattice_sup(a, b, ctx.cfg)
         ok = po_leq(inf, a, ctx.cfg) and po_leq(inf, b, ctx.cfg)
         ok = ok and po_leq(a, sup, ctx.cfg) and po_leq(b, sup, ctx.cfg)
         for c in ctx.classes:
@@ -648,15 +646,11 @@ def law_inf_sup(ctx):
 @_law("lattice.distributive", "matching distributes over merging on closed instances")
 def law_distributive(ctx):
     for a, b, c in itertools.product(ctx.classes, repeat=3):
-        lhs = matching(Instance(merging(a, b, ctx.cfg).relations, {}), c, ctx.cfg)
+        lhs = matching(merging(a, b, ctx.cfg), c, ctx.cfg)
         plain_union = (
             matching(a, c, ctx.cfg).relations | matching(b, c, ctx.cfg).relations
         )
-        rhs = merging(
-            Instance(matching(a, c, ctx.cfg).relations, {}),
-            Instance(matching(b, c, ctx.cfg).relations, {}),
-            ctx.cfg,
-        )
+        rhs = merging(matching(a, c, ctx.cfg), matching(b, c, ctx.cfg), ctx.cfg)
         ok = lhs.relations == rhs.relations and plain_union <= lhs.relations
         yield ok, witness(a, b, c)
 
@@ -684,7 +678,7 @@ def law_closed_count(ctx):
 def law_sup_all(ctx):
     merged = ctx.zero
     for a in ctx.instances:
-        merged = Instance(merging(merged, a, ctx.cfg).relations, {})
+        merged = merging(merged, a, ctx.cfg)
     yield merged.relations == ctx.total.relations, witness(len(ctx.instances))
 
 
@@ -692,7 +686,7 @@ def law_sup_all(ctx):
 def law_federation(ctx):
     for a, b in itertools.product(ctx.classes, repeat=2):
         union = instance_union(a, b)
-        ok = isomorphic(union, Instance(merging(a, b, ctx.cfg).relations, {}), ctx.cfg)
+        ok = isomorphic(union, merging(a, b, ctx.cfg), ctx.cfg)
         yield ok, witness(a, b)
 
 

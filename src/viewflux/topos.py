@@ -149,10 +149,9 @@ def pullback(f: Morphism, g: Morphism) -> PullbackSquare:
     """
     if f.target != g.target:
         raise DomainMismatch("pullback needs a cospan with a common target")
-    corner_flux = meet_closed(f.flux, g.flux)
-    corner = Instance(corner_flux.relations, {})
-    left = semantic_arrow(corner, f.source, corner_flux, f.cfg)
-    right = semantic_arrow(corner, g.source, corner_flux, f.cfg)
+    corner = meet_closed(f.flux, g.flux)
+    left = semantic_arrow(corner, f.source, corner, f.cfg)
+    right = semantic_arrow(corner, g.source, corner, f.cfg)
     return PullbackSquare(corner, left, right, f, g)
 
 
@@ -173,9 +172,7 @@ def is_pullback_square(
 
 def true_arrow(cfg: UniverseConfig) -> Morphism:
     """The arrow from the zero object into the classifier; transmits nothing."""
-    omega = Instance(total_object(cfg).relations, {})
-    zero = Instance(zero_object().relations, {})
-    return empty_arrow(zero, omega, cfg)
+    return empty_arrow(zero_object(), total_object(cfg), cfg)
 
 
 @dataclass
@@ -221,15 +218,14 @@ def classifier(
         ViewTree(ViewMap(witness[v], labeled, v))
         for v in sorted_relations(generators)
     ]
-    omega = Instance(total_object(cfg).relations, {})
     char = _morphism(
-        in_a.target, omega, trees,
+        in_a.target, total_object(cfg), trees,
         power_view(Instance(generators, {}), cfg), cfg,
     )
 
     proper_gens = generators - {BOTTOM}
     gen_commutes = not (proper_gens & ta)
-    t_a = empty_arrow(in_a.source, Instance(zero_object().relations, {}), cfg)
+    t_a = empty_arrow(in_a.source, zero_object(), cfg)
     true_composite = compose(true_arrow(cfg), t_a)
     gen_commutes = gen_commutes and true_composite.flux.relations == frozenset({BOTTOM})
 
@@ -321,9 +317,8 @@ def equalizer_check(
 def epi_mono_factorize(f: Morphism) -> tuple[Morphism, Morphism]:
     """Factor an arrow through its flux: an epimorphism onto the flux object
     followed by a monomorphism into the target."""
-    mid = Instance(f.flux.relations, {})
-    tau = semantic_arrow(f.source, mid, f.flux, f.cfg)
-    tau_inv = semantic_arrow(mid, f.target, f.flux, f.cfg)
+    tau = semantic_arrow(f.source, f.flux, f.flux, f.cfg)
+    tau_inv = semantic_arrow(f.flux, f.target, f.flux, f.cfg)
     return tau, tau_inv
 
 
@@ -345,7 +340,7 @@ def factorization_minimal(
         if not f.flux.relations <= tc:
             continue  # the arrow does not factor through this subobject
         mediators = [
-            k for k in semantic_homset(Instance(f.flux.relations, {}), c, cfg)
+            k for k in semantic_homset(f.flux, c, cfg)
             if tc & k.relations == f.flux.relations
         ]
         if len(mediators) != 1:
@@ -513,13 +508,12 @@ def negative_probes(cfg: UniverseConfig, classes: list[Instance]):
         if isomorphic(a, ZERO, cfg):
             continue
         for p in candidates:
-            p_inst = Instance(p.relations, {})
             refuted = any(
-                len(semantic_homset(b, p_inst, cfg))
+                len(semantic_homset(b, p, cfg))
                 != len(closed_subsets(power_view(coproduct(b, a), cfg), cfg))
                 for b in classes
             )
-            yield "negative.no-power-object", refuted, witness(a, p_inst)
+            yield "negative.no-power-object", refuted, witness(a, p)
 
     # Every point out of the zero object has the zero flux, so the identity
     # and the empty arrow of any non-zero instance agree on all points.

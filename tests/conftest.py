@@ -1,11 +1,16 @@
+import itertools
+
 import pytest
 
 from viewflux import (
     UniverseConfig,
+    coproduct,
     instance,
     make_relation,
+    subset_instances,
     with_default_labels,
 )
+from viewflux import catops, closure
 
 
 @pytest.fixture(scope="session")
@@ -58,3 +63,49 @@ def all_instances(cfg0):
     from viewflux import subset_instances
 
     return list(subset_instances(cfg0, 4))
+
+
+@pytest.fixture(scope="session")
+def coproduct_inputs(cfg2):
+    """(instance, cfg) for the tagged coproducts of every ordered pair drawn
+    from a spread of small instances (one or two relations, every 24th in
+    canonical order at {a,b} k=2, every 4th at {a,b,c} k=1)."""
+    abc1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
+    inputs = []
+    for cfg, step in ((cfg2, 24), (abc1, 4)):
+        small = list(subset_instances(cfg, 2))[2::step]
+        inputs += [(coproduct(x, y), cfg) for x, y in itertools.product(small, repeat=2)]
+    return inputs
+
+
+@pytest.fixture(scope="session")
+def flux_pairs(coproduct_inputs):
+    """(x, y, cfg) for every ordered pair of closed sets at one configuration:
+    the closed subsets of the total object at {a,b,c} k=1, and the distinct
+    closures of ``coproduct_inputs`` (tagged fluxes) at each configuration."""
+    abc1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
+    groups = [(abc1, closure.closed_subsets(closure.total_object(abc1), abc1))]
+    for cfg in dict.fromkeys(cfg for _, cfg in coproduct_inputs):
+        tagged = {closure.power_view(inst, cfg) for inst, c in coproduct_inputs if c == cfg}
+        groups.append((cfg, sorted(tagged, key=repr)))
+    return [(x, y, cfg) for cfg, closed in groups for x, y in itertools.product(closed, repeat=2)]
+
+
+@pytest.fixture
+def clear_caches():
+    """A function that empties every cache holding closed sets, all at once,
+    so that closed sets are built (and interned) again; called once on entry."""
+
+    def clear():
+        for cache in (
+            closure._interned,
+            closure._power_view_cached,
+            closure._meet_cached,
+            closure._closed_subsets_cached,
+            catops._merging_cached,
+            catops._tagged_flux_cached,
+        ):
+            cache.cache_clear()
+
+    clear()
+    return clear

@@ -21,6 +21,7 @@ from viewflux import (
     hom_object,
     identity,
     identity_element_arrow,
+    instance_union,
     is_epi,
     is_iso,
     is_mono,
@@ -106,6 +107,18 @@ def test_sup_of_everything_is_total(cfg0, all_instances):
     for a in all_instances:
         acc = Instance(merging(acc, a, cfg0).relations, {})
     assert acc.relations == total_object(cfg0).relations
+
+
+def test_merging_is_the_interned_closure_of_the_union(flux_pairs):
+    merges = {}
+    for x, y, cfg in flux_pairs:
+        merged = merging(x, y, cfg)
+        closure = power_view(instance_union(x, y), cfg)
+        assert merged.relations == closure.relations, (x, y)
+        # One object per closed set, whichever operation built it.
+        assert merged is closure, (x, y)
+        assert merges.setdefault(merged.relations, merged) is merged, (x, y)
+    assert len(merges) > 8
 
 
 def test_tensor_arrow(cfg0, classes):

@@ -38,7 +38,7 @@ from viewflux import (
     zero_object,
 )
 from viewflux import closure as closure_module
-from viewflux.closure import _saturate, certify_closed
+from viewflux.closure import _saturate, certify_closed, meet_closed
 from viewflux.topos import closure_classes
 
 ABC1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
@@ -108,15 +108,8 @@ def _assert_closure_of(inst, views, witness, cfg):
         assert evaluate(query, labeled) == rel, (rel, query)
 
 
-def _coproduct_inputs(cfg, step):
-    """Coproducts of every ordered pair drawn from a spread of small
-    instances (one or two relations, every ``step``-th in canonical order)."""
-    small = list(subset_instances(cfg, 2))[2::step]
-    return [coproduct(x, y) for x, y in itertools.product(small, repeat=2)]
-
-
 @pytest.fixture(scope="module")
-def differential_closures(cfg2):
+def differential_closures(cfg2, coproduct_inputs):
     """(instance, cfg, views, witnesses) for every input the closure is
     checked on: all instances at {a,b} k=2 with up to two relations, all
     instances at {a,b,c} k=1, the binary chain at {a,b,c} k=2, and tagged
@@ -124,8 +117,7 @@ def differential_closures(cfg2):
     inputs = [(inst, cfg2) for inst in subset_instances(cfg2, 2)]
     inputs += [(inst, ABC1) for inst in subset_instances(ABC1, 8)]
     inputs.append((CHAIN, ABC2))
-    inputs += [(inst, cfg2) for inst in _coproduct_inputs(cfg2, 24)]
-    inputs += [(inst, ABC1) for inst in _coproduct_inputs(ABC1, 4)]
+    inputs += coproduct_inputs
     return [
         (inst, cfg, power_view(inst, cfg).relations, generating_queries(inst, cfg))
         for inst, cfg in inputs
@@ -486,6 +478,27 @@ def test_intersection_of_closed_is_closed(cfg0):
     closed = closed_subsets(total_object(cfg0), cfg0)
     for x, y in itertools.product(closed, repeat=2):
         assert is_closed(Instance(x.relations & y.relations, {}), cfg0)
+
+
+def test_meet_closed_is_the_interned_intersection(flux_pairs):
+    meets = {}
+    for x, y, cfg in flux_pairs:
+        meet = meet_closed(x, y)
+        assert meet.relations == x.relations & y.relations, (x, y)
+        # One object per closed set: equal meets, and the closure of the
+        # meet's relations, are that object.
+        assert meets.setdefault(meet.relations, meet) is meet, (x, y)
+        assert power_view(Instance(meet.relations, {}), cfg) is meet, (x, y)
+    assert len(meets) > 8
+
+
+def test_closed_subsets_hold_the_inputs_relations(closed_subset_inputs, clear_caches):
+    # Cold, the enumeration keeps the input's own relation objects, one per relation.
+    for x, cfg in closed_subset_inputs:
+        clear_caches()
+        own = {id(r) for r in x.relations}
+        for c in closed_subsets(x, cfg):
+            assert all(id(r) in own for r in c.relations), (x, c)
 
 
 def test_generating_queries_cover_closure(cfg0, cfg2, pab, pa):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import pytest
@@ -175,6 +176,19 @@ def test_config_validation():
         UniverseConfig(domain=frozenset({"not an identifier"}), k_max=1)
     with pytest.raises(ArityMismatch):
         UniverseConfig(domain=frozenset({"a"}), k_max=0)
+
+
+def test_equal_configs_hash_equal():
+    cfg = UniverseConfig(domain=frozenset({"a", "b"}), k_max=2)
+    equal = [
+        UniverseConfig(domain={"b", "a"}, k_max=2),
+        dataclasses.replace(UniverseConfig(domain=frozenset({"a"})), domain=frozenset("ab"), k_max=2),
+    ]
+    for other in equal:
+        assert other == cfg and hash(other) == hash(cfg)
+        assert repr(other) == repr(cfg)
+    assert hash(cfg) == hash(dataclasses.astuple(cfg))
+    assert UniverseConfig(domain=frozenset({"a", "b"}), k_max=1) != cfg
 
 
 def test_labels_must_reference_members(ra, rb):

@@ -147,6 +147,13 @@ def test_semantic_arrow_validation(cfg0, pa, pb, rab):
         semantic_arrow(pa, pa, [BOTTOM, rab], cfg0)  # not closed inside it either
 
 
+def test_semantic_arrow_rechecks_a_flux_closed_under_another_configuration(cfg0, cfg2, pa):
+    flux = power_view(pa, cfg0)  # closed at k=1; at k=2 it lacks {(a,a)}
+    assert power_view(flux, cfg2) != flux
+    with pytest.raises(FluxOutOfRange, match="is not closed"):
+        semantic_arrow(pa, pa, flux, cfg2)
+
+
 def test_mono_epi_iso(cfg0, pa, pab):
     f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
     assert is_mono(f) and not is_epi(f) and not is_iso(f)

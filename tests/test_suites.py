@@ -20,8 +20,8 @@ from viewflux import (
     semantic_arrows,
     subset_instances,
 )
-from viewflux import suites
-from viewflux.closure import meet_closed
+from viewflux import catops, morphisms, suites
+from viewflux.closure import ClosedInstance, meet_closed, zero_object
 from viewflux.core import witness
 from viewflux.suites import SUITE_NAMES, SUITES, SuiteContext, _law, _laws
 from viewflux.topos import closure_classes
@@ -219,6 +219,66 @@ def test_merge_functor_law_catches_non_functorial_merge(cfg0, monkeypatch):
     result = suites.law_merge_functor(SuiteContext(cfg0, 4))
     assert result.status == "FAIL"
     assert result.checked == _golden_checked("lattice.merge-functor")
+
+
+def _meet_losing_a_lone_view(a, b):
+    """A mutant meet: a meet with one view besides the bottom loses it.
+
+    The zero object it returns instead is closed, so arrows built from it
+    are still accepted.
+    """
+    meet = meet_closed(a, b)
+    return zero_object() if len(meet.relations) == 2 else meet
+
+
+def _merging_of_the_second(a, b, cfg):
+    """A mutant merging: the closure of the second operand alone."""
+    return power_view(b, cfg)
+
+
+@pytest.mark.parametrize(
+    "law, check",
+    [("category.flux-composition", suites.law_flux_composition),
+     ("monoidal.arrow-tensor", suites.law_arrow_tensor)],
+)
+def test_flux_laws_catch_a_meet_that_drops_a_view(cfg0, law, check, monkeypatch):
+    ctx = SuiteContext(cfg0, 4)
+    # Warm every memo and hom-set with the real meet; the mutant replaces
+    # the names compose and tensor_arrow call, so no memo stands in front.
+    assert check(ctx).status == "PASS"
+    for module in (morphisms, catops):
+        monkeypatch.setattr(module, "meet_closed", _meet_losing_a_lone_view)
+    result = check(ctx)
+    assert result.status == "FAIL"
+    assert result.checked == _golden_checked(law)
+
+
+@pytest.mark.parametrize(
+    "law, check",
+    [("lattice.join-laws", suites.law_join_laws), ("lattice.absorption", suites.law_absorption)],
+)
+def test_lattice_laws_catch_a_merging_that_keeps_one_operand(cfg0, law, check, monkeypatch):
+    ctx = SuiteContext(cfg0, 4)
+    assert check(ctx).status == "PASS"  # warms the merging memo
+    monkeypatch.setattr(suites, "merging", _merging_of_the_second)
+    result = check(ctx)
+    assert result.status == "FAIL"
+    assert result.checked == _golden_checked(law)
+
+
+def test_check_all_builds_one_closed_instance_per_closed_set(clear_caches, monkeypatch):
+    built = []
+    post_init = ClosedInstance.__post_init__
+
+    def recording(self):
+        post_init(self)
+        built.append(self)
+
+    monkeypatch.setattr(ClosedInstance, "__post_init__", recording)
+    report = run_suite("all", UniverseConfig(domain=frozenset({"a", "b"}), k_max=1))
+    assert report.ok
+    # Every construction is kept alive in ``built``, and none repeats a set.
+    assert len(built) == len({c.relations for c in built}) > 8
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from functools import lru_cache
 from .closure import (
     ClosedInstance,
     certify_closed,
+    matching,
     meet_closed,
     power_view,
     total_object,
@@ -23,6 +24,7 @@ from .closure import (
 )
 from .core import (
     BOTTOM,
+    ZERO,
     Instance,
     Relation,
     UniverseConfig,
@@ -39,15 +41,6 @@ from .morphisms import (
     semantic_homset,
     _morphism,
 )
-
-
-def matching(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
-    """The overlap of two instances: the intersection of their view closures.
-
-    Commutative; matching with the total object gives the closure, matching
-    with the zero object gives the zero object.
-    """
-    return meet_closed(power_view(a, cfg), power_view(b, cfg))
 
 
 def merging(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
@@ -72,7 +65,7 @@ lattice_sup = merging
 
 def tensor_arrow(f: Morphism, g: Morphism) -> Morphism:
     """The matching of two arrows: transmits the views both transmit."""
-    if f.cfg != g.cfg:
+    if f.cfg is not g.cfg and f.cfg != g.cfg:
         raise DomainMismatch("arrows built over different configurations")
     cfg = f.cfg
     src = matching(f.source, g.source, cfg)
@@ -107,6 +100,11 @@ def tag_right(rel: Relation) -> Relation:
     return _retag(rel, "R")
 
 
+@lru_cache(maxsize=None)
+def _tagged_union(lrels: frozenset[Relation], rrels: frozenset[Relation]) -> frozenset[Relation]:
+    return frozenset(map(tag_left, lrels)) | frozenset(map(tag_right, rrels))
+
+
 def coproduct(a: Instance, b: Instance) -> Instance:
     """The tagged disjoint union of two instances.
 
@@ -114,22 +112,22 @@ def coproduct(a: Instance, b: Instance) -> Instance:
     and subobject counting work componentwise while the two copies stay
     distinct; the bottom relation is shared untagged.  The zero object is
     the unit: coproducts with it return the other operand unchanged.
+    Otherwise there is one result per pair of relation sets and labels.
     """
-    if all(r.is_bottom for r in a.relations):
+    if a.relations <= ZERO.relations:
         return b
-    if all(r.is_bottom for r in b.relations):
+    if b.relations <= ZERO.relations:
         return a
-    rels: set[Relation] = set()
-    labels: dict[str, Relation] = {}
-    for side, inst, tagger in (("l", a, tag_left), ("r", b, tag_right)):
-        for rel in inst.relations:
-            if rel.is_bottom:
-                rels.add(BOTTOM)
-            else:
-                rels.add(tagger(rel))
-        for name, rel in inst.labels.items():
-            labels[f"{side}_{name}"] = rel if rel.is_bottom else tagger(rel)
-    return Instance(frozenset(rels), labels)
+    return _coproduct_cached((a.relations, *a.labels.items()), (b.relations, *b.labels.items()))
+
+
+@lru_cache(maxsize=None)
+def _coproduct_cached(a: tuple, b: tuple) -> Instance:
+    """The coproduct of two operands, each given as its relations then its label items."""
+    (arels, *alabels), (brels, *blabels) = a, b
+    labels = {f"l_{name}": tag_left(rel) for name, rel in alabels}
+    labels.update((f"r_{name}", tag_right(rel)) for name, rel in blabels)
+    return Instance(_tagged_union(arels, brels), labels)
 
 
 def tagged_flux(
@@ -151,13 +149,12 @@ def tagged_flux(
 def _tagged_flux_cached(
     lrels: frozenset[Relation], rrels: frozenset[Relation], cfg: UniverseConfig
 ) -> ClosedInstance:
-    rels = {tag_left(r) for r in lrels} | {tag_right(r) for r in rrels} | {BOTTOM}
-    return certify_closed(Instance(frozenset(rels), {}), cfg)
+    return certify_closed(Instance(_tagged_union(lrels, rrels) | {BOTTOM}, {}), cfg)
 
 
 def arrow_coproduct(f: Morphism, g: Morphism) -> Morphism:
     """The coproduct of two arrows, acting componentwise on the tagged sum."""
-    if f.cfg != g.cfg:
+    if f.cfg is not g.cfg and f.cfg != g.cfg:
         raise DomainMismatch("arrows built over different configurations")
     cfg = f.cfg
     return _morphism(
@@ -194,9 +191,9 @@ def copair(f: Morphism, g: Morphism) -> Morphism:
     cfg = f.cfg
     # The zero object is the coproduct unit, so copairing with an arrow out
     # of it is the other arrow.
-    if all(r.is_bottom for r in f.source.relations):
+    if f.source.relations <= ZERO.relations:
         return g
-    if all(r.is_bottom for r in g.source.relations):
+    if g.source.relations <= ZERO.relations:
         return f
     summed = arrow_coproduct(f, g)
     fold = fold_arrow(f.target, cfg)
@@ -249,7 +246,7 @@ def composition_arrow(
     """
     src = matching(hom_object(b, c, cfg), hom_object(a, b, cfg), cfg)
     tgt = hom_object(a, c, cfg)
-    flux = meet_closed(meet_closed(power_view(a, cfg), power_view(b, cfg)), power_view(c, cfg))
+    flux = meet_closed(matching(a, b, cfg), power_view(c, cfg))
     return semantic_arrow(src, tgt, flux, cfg)
 
 

@@ -21,8 +21,8 @@ holds, so ``closed_subsets`` enumerates the closures of sets of atoms.
 
 Closed sets are interned (hash-consed): ``_closed`` keeps one
 ``ClosedInstance`` per relation set, so every operation that yields a closed
-set hands back that one object, and ``meet_closed`` is memoized on the pair
-of relation sets.  Their labels stay empty and shared.
+set hands back that one object, and ``meet_closed`` and ``matching`` are
+memoized on the relation sets.  Their labels stay empty and shared.
 """
 
 from __future__ import annotations
@@ -241,6 +241,22 @@ def meet_closed(a: Instance, b: Instance) -> ClosedInstance:
 @lru_cache(maxsize=None)
 def _meet_cached(a: frozenset[Relation], b: frozenset[Relation]) -> ClosedInstance:
     return _closed(a & b)
+
+
+def matching(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
+    """The overlap of two instances: the intersection of their view closures.
+
+    Commutative; matching with the total object gives the closure, matching
+    with the zero object gives the zero object.  Memoized on relation sets and ``cfg``.
+    """
+    return _matching_cached(a.relations, b.relations, cfg)
+
+
+@lru_cache(maxsize=None)
+def _matching_cached(
+    a: frozenset[Relation], b: frozenset[Relation], cfg: UniverseConfig
+) -> ClosedInstance:
+    return meet_closed(_power_view_cached(a, cfg), _power_view_cached(b, cfg))
 
 
 def generating_queries(inst: Instance, cfg: UniverseConfig) -> dict[Relation, QueryTerm]:

@@ -43,6 +43,11 @@ class Relation:
                 )
         if not self.tuples and (self.arity != 0 or self.tag):
             raise ArityMismatch("empty extensions must be built through make_relation")
+        # Relations key every set and cache, so hash the fields once.
+        object.__setattr__(self, "_hash", hash((self.arity, self.tuples, self.tag)))
+
+    def __hash__(self):
+        return self._hash
 
     @property
     def is_bottom(self) -> bool:
@@ -122,7 +127,7 @@ class Instance:
     def __eq__(self, other):
         if not isinstance(other, Instance):
             return NotImplemented
-        return self.relations == other.relations
+        return self.relations is other.relations or self.relations == other.relations
 
     def __hash__(self):
         return hash(self.relations)

@@ -19,6 +19,7 @@ from .closure import (
     closed_subsets,
     generating_queries,
     is_closed,
+    matching,
     meet_closed,
     power_view,
     zero_object,
@@ -126,8 +127,7 @@ def _morphism(
     check_range: bool = True,
 ) -> Morphism:
     if check_range:
-        bound = meet_closed(power_view(source, cfg), power_view(target, cfg)).relations
-        if not flux.relations <= bound:
+        if not flux.relations <= matching(source, target, cfg).relations:
             raise FluxOutOfRange(
                 f"flux {flux!r} escapes the matching of the endpoints"
             )
@@ -200,6 +200,15 @@ def identity(a: Instance, cfg: UniverseConfig) -> Morphism:
     return _morphism(a, a, trees, power_view(a, cfg), cfg)
 
 
+def _graft(tree: ViewTree, below: list[ViewTree]) -> tuple[ViewTree, bool]:
+    """Graft under each leaf of ``tree`` the trees ``below`` that feed it; tell if any did."""
+    if tree.children:
+        grafted = [_graft(child, below) for child in tree.children]
+        return ViewTree(tree.head, tuple(t for t, _ in grafted)), any(m for _, m in grafted)
+    matches = tuple(t for t in below if t.result in tree.head.inputs)
+    return ViewTree(tree.head, matches), bool(matches)
+
+
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """The composite g after f.
 
@@ -208,31 +217,16 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     leaves (the natural extension of single-stage grafting to nested trees).
     Flux: the intersection of the two fluxes.
     """
-    if f.cfg != g.cfg:
+    if f.cfg is not g.cfg and f.cfg != g.cfg:
         raise DomainMismatch("morphisms built over different configurations")
-    if f.target != g.source:
+    if f.target is not g.source and f.target != g.source:
         raise DomainMismatch(
             f"cannot compose: intermediate objects differ ({f.target!r} vs {g.source!r})"
         )
-
-    def graft(tree: ViewTree) -> tuple[ViewTree, bool]:
-        if tree.children:
-            grafted = []
-            matched_any = False
-            for child in tree.children:
-                new_child, matched = graft(child)
-                grafted.append(new_child)
-                matched_any = matched_any or matched
-            return ViewTree(tree.head, tuple(grafted)), matched_any
-        matches = tuple(
-            t for t in sorted(f.trees, key=lambda tr: tr.result.sort_key())
-            if t.result in tree.head.inputs
-        )
-        return ViewTree(tree.head, matches), bool(matches)
-
+    below = sorted(f.trees, key=lambda tr: tr.result.sort_key())
     trees = []
     for tree in g.trees:
-        grafted, matched = graft(tree)
+        grafted, matched = _graft(tree, below)
         if matched:
             trees.append(grafted)
     flux = meet_closed(g.flux, f.flux)
@@ -313,8 +307,7 @@ def semantic_homset(
     Each closed set between the zero object and the matching of the
     endpoints is the flux of exactly one equivalence class of arrows.
     """
-    meet = meet_closed(power_view(a, cfg), power_view(b, cfg))
-    return closed_subsets(meet, cfg)
+    return closed_subsets(matching(a, b, cfg), cfg)
 
 
 def semantic_arrows(a: Instance, b: Instance, cfg: UniverseConfig) -> tuple[Morphism, ...]:

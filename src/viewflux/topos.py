@@ -435,13 +435,9 @@ def combined_pullback_check(
         raise NotAPullback("squares do not share the cospan leg")
     if not equiv(sq1.f, sq2.f):
         raise NotAPullback("squares do not share the cospan leg")
-
-    def zeroish(inst: Instance) -> bool:
-        return all(r.is_bottom for r in inst.relations)
-
     # The zero object is the coproduct unit: combining with a zero corner
     # returns the other square, already verified above.
-    if zeroish(sq1.corner) or zeroish(sq2.corner):
+    if sq1.corner.relations <= ZERO.relations or sq2.corner.relations <= ZERO.relations:
         return True
 
     shared = sq1.f  # k : D -> E

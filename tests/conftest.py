@@ -101,6 +101,7 @@ def clear_caches():
             closure._interned,
             closure._power_view_cached,
             closure._meet_cached,
+            closure._matching_cached,
             closure._closed_subsets_cached,
             catops._merging_cached,
             catops._tagged_flux_cached,

@@ -8,6 +8,7 @@ from viewflux import (
     Instance,
     NotClosedDomain,
     NotMonic,
+    UniverseConfig,
     ZERO,
     arrow_coproduct,
     compose,
@@ -16,17 +17,20 @@ from viewflux import (
     coproduct,
     empty_arrow,
     equiv,
+    evaluate,
     eval_arrow,
     fold_arrow,
     hom_object,
     identity,
     identity_element_arrow,
+    instance,
     instance_union,
     is_epi,
     is_iso,
     is_mono,
     lattice_inf,
     lattice_sup,
+    make_relation,
     matching,
     merge_arrow,
     merging,
@@ -45,6 +49,8 @@ from viewflux import (
     transpose,
 )
 from viewflux.catops import tagged_flux
+from viewflux.closure import meet_closed
+from viewflux.queries import Base
 from viewflux.topos import closure_classes
 
 
@@ -177,6 +183,44 @@ def test_coproduct_counts(cfg0, classes):
 def test_coproduct_zero_unit(cfg0, pa):
     assert coproduct(ZERO, pa) == pa
     assert coproduct(pa, ZERO) == pa
+
+
+def test_coproduct_memo_keeps_each_operands_labels(ra, rb):
+    # Equal relation sets under other names: each coproduct names its own.
+    built = []
+    for _ in range(2):  # the second pass is served from the memo
+        for lname, rname in (("p", "s"), ("q", "t")):
+            both = coproduct(instance(ra, labels={lname: ra}), instance(rb, labels={rname: rb}))
+            assert sorted(both.labels) == [f"l_{lname}", f"r_{rname}"]
+            left, right = (evaluate(Base(name), both) for name in sorted(both.labels))
+            assert (left.tag, left.tuples) == (("L",), ra.tuples)
+            assert (right.tag, right.tuples) == (("R",), rb.tuples)
+            built.append(both)
+    # The tagged union is built once and shared by both namings.
+    assert built[0] is not built[1] and built[0].relations is built[1].relations
+
+
+def test_coproduct_memo_returns_the_identical_object(rb):
+    def build():
+        a = instance(make_relation(1, {("a",)}), labels={"p": make_relation(1, {("a",)})})
+        b = instance(make_relation(1, {("b",)}), rb)
+        return a, b
+
+    (a1, b1), (a2, b2) = build(), build()
+    assert a1 is not a2 and b1 is not b2
+    assert coproduct(a1, b1) is coproduct(a2, b2)
+    assert coproduct(a1, b1) is not coproduct(b1, a1)
+
+
+def test_memoized_matching_is_the_meet_of_the_closures(coproduct_inputs):
+    abc1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
+    groups = [(abc1, closure_classes(abc1, 2))]
+    for cfg in dict.fromkeys(cfg for _, cfg in coproduct_inputs):
+        groups.append((cfg, [inst for inst, c in coproduct_inputs if c == cfg]))
+    for cfg, instances in groups:
+        for a, b in itertools.product(instances, repeat=2):
+            meet = meet_closed(power_view(a, cfg), power_view(b, cfg))
+            assert matching(a, b, cfg) is meet, (a, b)
 
 
 def test_coproduct_queries_cannot_mix_components(cfg0, pa, pb):

@@ -7,6 +7,7 @@ from viewflux import (
     ArityMismatch,
     BOTTOM,
     Instance,
+    Relation,
     UniverseConfig,
     UniverseTooLarge,
     UnknownConstant,
@@ -46,6 +47,18 @@ def test_make_relation_errors():
         make_relation(2, {("a",)})
     with pytest.raises(UnknownConstant):
         make_relation(1, {("c",)}, domain=frozenset({"a", "b"}))
+
+
+def test_relations_built_apart_hash_equal_to_their_fields(cfg2):
+    rows = [("a", "b"), ("b", "a")]
+    for tag in ((), ("L",), ("R", "L")):
+        one, two = Relation(2, frozenset(rows), tag), Relation(2, frozenset(reversed(rows)), tag)
+        assert one is not two and one == two
+        assert hash(one) == hash(two) == hash((2, frozenset(rows), tag))
+    for rel in universe_relations(cfg2):
+        assert hash(rel) == hash((rel.arity, rel.tuples, rel.tag))
+        twin = make_relation(rel.arity, list(rel.tuples))
+        assert twin == rel and hash(twin) == hash(rel)
 
 
 def test_instance_equality_ignores_labels(ra):

@@ -39,6 +39,8 @@ from .morphisms import (
     is_mono,
     semantic_arrow,
     semantic_homset,
+    _arrow_coproducts,
+    _copairs,
     _morphism,
 )
 
@@ -157,13 +159,16 @@ def arrow_coproduct(f: Morphism, g: Morphism) -> Morphism:
     if f.cfg is not g.cfg and f.cfg != g.cfg:
         raise DomainMismatch("arrows built over different configurations")
     cfg = f.cfg
-    return _morphism(
-        coproduct(f.source, g.source),
-        coproduct(f.target, g.target),
-        (),
-        tagged_flux(f.flux, g.flux, cfg),
-        cfg,
-    )
+    summed = _arrow_coproducts.get((f, g))
+    if summed is None:
+        summed = _arrow_coproducts[f, g] = _morphism(
+            coproduct(f.source, g.source),
+            coproduct(f.target, g.target),
+            (),
+            tagged_flux(f.flux, g.flux, cfg),
+            cfg,
+        )
+    return summed
 
 
 def fold_arrow(d: Instance, cfg: UniverseConfig) -> Morphism:
@@ -186,7 +191,9 @@ def copair(f: Morphism, g: Morphism) -> Morphism:
     Built as the fold after the arrow coproduct; the flux is the tagged sum
     of the two fluxes (what each component transmits, with provenance).
     """
-    if f.target != g.target:
+    if f.cfg is not g.cfg and f.cfg != g.cfg:
+        raise DomainMismatch("arrows built over different configurations")
+    if f.target is not g.target and f.target != g.target:
         raise DomainMismatch("copairing needs a common target")
     cfg = f.cfg
     # The zero object is the coproduct unit, so copairing with an arrow out
@@ -195,12 +202,12 @@ def copair(f: Morphism, g: Morphism) -> Morphism:
         return g
     if g.source.relations <= ZERO.relations:
         return f
-    summed = arrow_coproduct(f, g)
-    fold = fold_arrow(f.target, cfg)
-    flux = meet_closed(fold.flux, summed.flux)
-    return _morphism(
-        summed.source, f.target, (), flux, cfg, check_range=False
-    )
+    paired = _copairs.get((f, g))
+    if paired is None:
+        summed = arrow_coproduct(f, g)
+        flux = meet_closed(fold_arrow(f.target, cfg).flux, summed.flux)
+        paired = _copairs[f, g] = _morphism(summed.source, f.target, (), flux, cfg, check_range=False)
+    return paired
 
 
 #: The internal hom of two instances is their matching (equivalently the

@@ -86,12 +86,13 @@ class ViewTree:
         return tuple(out)
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Morphism:
     """A mapping between instances: view-map trees plus cached flux.
 
     Equality of morphisms is deliberately not structural; use ``equiv`` for
-    the semantic equivalence (flux equality) the laws are stated in.
+    the semantic equivalence (flux equality) the laws are stated in.  A law
+    pass interns its witness-free arrows; beyond one pass identity means nothing.
     """
 
     source: Instance
@@ -118,6 +119,18 @@ class Morphism:
         return f"Morphism({self.source!r} -> {self.target!r}, flux={self.flux!r})"
 
 
+#: Tables of one law pass: witness-free arrows, keyed by the identity of their endpoint, flux and
+#: cfg objects (equal instances may differ in labels), and catops's arrow_coproduct, copair memos.
+_interned, _arrow_coproducts, _copairs = {}, {}, {}
+_NO_TREES = frozenset()  # shared by every witness-free arrow
+
+
+def clear_arrows() -> None:
+    """Empty the arrow tables; each law pass starts with them empty."""
+    for table in (_interned, _arrow_coproducts, _copairs):
+        table.clear()
+
+
 def _morphism(
     source: Instance,
     target: Instance,
@@ -125,13 +138,17 @@ def _morphism(
     flux: ClosedInstance,
     cfg: UniverseConfig,
     check_range: bool = True,
+    interned: bool = False,
 ) -> Morphism:
-    if check_range:
-        if not flux.relations <= matching(source, target, cfg).relations:
-            raise FluxOutOfRange(
-                f"flux {flux!r} escapes the matching of the endpoints"
-            )
-    return Morphism(source, target, frozenset(trees), flux, cfg)
+    if check_range and not flux.relations <= matching(source, target, cfg).relations:
+        raise FluxOutOfRange(f"flux {flux!r} escapes the matching of the endpoints")
+    if not interned:
+        return Morphism(source, target, frozenset(trees) or _NO_TREES, flux, cfg)
+    key = (id(source), id(target), id(flux), id(cfg))
+    arrow = _interned.get(key)
+    if arrow is None:
+        arrow = _interned[key] = Morphism(source, target, _NO_TREES, flux, cfg)
+    return arrow
 
 
 def atomic_morphism(
@@ -170,9 +187,9 @@ def semantic_arrow(
 ) -> Morphism:
     """A morphism with a prescribed flux and no syntactic witnesses.
 
-    The flux must be a closed set inside the matching of the endpoints.
-    Every equivalence class of arrows contains such a representative, so the
-    exhaustive suites quantify over these.
+    The flux must be a closed set inside the matching of the endpoints,
+    checked on every call.  Every equivalence class of arrows contains such
+    a representative, so the exhaustive suites quantify over these.
     """
     if not isinstance(flux, Instance):
         flux = Instance(frozenset(flux), {})
@@ -182,7 +199,7 @@ def semantic_arrow(
         raise FluxOutOfRange(
             f"prescribed flux {sorted_relations(flux.relations | {BOTTOM})!r} is not closed"
         )
-    return _morphism(source, target, (), closed, cfg)
+    return _morphism(source, target, (), closed, cfg, interned=True)
 
 
 def identity(a: Instance, cfg: UniverseConfig) -> Morphism:
@@ -223,14 +240,15 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
         raise DomainMismatch(
             f"cannot compose: intermediate objects differ ({f.target!r} vs {g.source!r})"
         )
-    below = sorted(f.trees, key=lambda tr: tr.result.sort_key())
     trees = []
-    for tree in g.trees:
-        grafted, matched = _graft(tree, below)
-        if matched:
-            trees.append(grafted)
+    if f.trees and g.trees:
+        below = sorted(f.trees, key=lambda tr: tr.result.sort_key())
+        for tree in g.trees:
+            grafted, matched = _graft(tree, below)
+            if matched:
+                trees.append(grafted)
     flux = meet_closed(g.flux, f.flux)
-    return _morphism(f.source, g.target, trees, flux, f.cfg, check_range=False)
+    return _morphism(f.source, g.target, trees, flux, f.cfg, check_range=False, interned=not trees)
 
 
 def equiv(f: Morphism, g: Morphism) -> bool:

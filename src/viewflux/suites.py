@@ -59,6 +59,7 @@ from .errors import EnumerationTooLarge, UnknownSuite
 from .morphisms import (
     Morphism,
     arrow_po_leq,
+    clear_arrows,
     compose,
     empty_arrow,
     equiv,
@@ -196,6 +197,7 @@ def _laws(*laws: tuple[str, str]) -> Callable:
     def decorate(fn):
         def run(ctx: SuiteContext) -> LawResult | list[LawResult]:
             started = time.perf_counter()
+            clear_arrows()
             results = [LawResult(name, statement, 0) for name, statement in laws]
             by_name = {result.law: result for result in results}
             grouped = len(results) > 1
@@ -829,6 +831,7 @@ def law_factorization(ctx):
 def law_coproduct_pullback(ctx):
     small = [ctx.zero, ctx.classes[-1]]
     for e in ctx.classes:
+        clear_arrows()  # squares share legs only within one e
         legs = [h for b in ctx.classes for h in ctx.arrows(b, e)]
         for d in ctx.classes:
             for k_flux, k in zip(ctx.homset(d, e), ctx.arrows(d, e)):

@@ -147,7 +147,9 @@ def pullback(f: Morphism, g: Morphism) -> PullbackSquare:
     Both legs are monomorphisms carrying the corner's closure as flux; read
     backwards the same data is the pushout of the reversed arrows.
     """
-    if f.target != g.target:
+    if f.cfg is not g.cfg and f.cfg != g.cfg:
+        raise DomainMismatch("arrows built over different configurations")
+    if f.target is not g.target and f.target != g.target:
         raise DomainMismatch("pullback needs a cospan with a common target")
     corner = meet_closed(f.flux, g.flux)
     left = semantic_arrow(corner, f.source, corner, f.cfg)
@@ -397,7 +399,8 @@ def square_mediators(
     fl_g = square.g.flux.relations
     fl_p1 = square.left.flux.relations
     fl_p2 = square.right.flux.relations
-    if fl_f & fl_p1 != fl_g & fl_p2:
+    composite = fl_f & fl_p1
+    if composite != fl_g & fl_p2:
         return None
     mediators = []
     for v in vertices:
@@ -408,10 +411,8 @@ def square_mediators(
             for s2 in homs_b:
                 if w != fl_g & s2:
                     continue
-                found = [
-                    u for u in homs_corner
-                    if fl_f & fl_p1 & u == w and fl_g & fl_p2 & u == w
-                ]
+                # Both legs' composites are ``composite`` (the square commutes).
+                found = [u for u in homs_corner if composite & u == w]
                 if len(found) != 1 or not (fl_p1 & found[0] <= s1 and fl_p2 & found[0] <= s2):
                     return None
                 mediators.append(found[0])

@@ -10,7 +10,7 @@ from viewflux import (
     subset_instances,
     with_default_labels,
 )
-from viewflux import catops, closure
+from viewflux import catops, closure, morphisms
 
 
 @pytest.fixture(scope="session")
@@ -93,10 +93,12 @@ def flux_pairs(coproduct_inputs):
 
 @pytest.fixture
 def clear_caches():
-    """A function that empties every cache holding closed sets, all at once,
-    so that closed sets are built (and interned) again; called once on entry."""
+    """A function that empties every cache holding closed sets, and the
+    arrow tables that hold them, all at once, so that closed sets are built
+    (and interned) again; called once on entry."""
 
     def clear():
+        morphisms.clear_arrows()
         for cache in (
             closure._interned,
             closure._power_view_cached,

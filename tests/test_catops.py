@@ -48,6 +48,7 @@ from viewflux import (
     total_object,
     transpose,
 )
+from viewflux import morphisms
 from viewflux.catops import tagged_flux
 from viewflux.closure import meet_closed
 from viewflux.queries import Base
@@ -255,6 +256,28 @@ def test_copair_zero_component(cfg0, pa, pab):
     g = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
     assert copair(f, g) is g
     assert copair(g, f) is g
+
+
+def test_copair_rejects_mixed_configurations_before_the_zero_shortcut(cfg0, cfg2, pa, pab):
+    f = empty_arrow(ZERO, pab, cfg0)
+    g = semantic_arrow(pa, pab, power_view(pa, cfg2), cfg2)
+    h = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    copair(h, h)  # warms the memo
+    for left, right in ((f, g), (g, f), (h, g)):
+        with pytest.raises(DomainMismatch):
+            copair(left, right)
+
+
+def test_copair_and_arrow_coproduct_are_memoized_per_law_pass(cfg0, pa, pb, pab):
+    f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pb, pab, power_view(pb, cfg0), cfg0)
+    morphisms.clear_arrows()
+    paired = copair(f, g)
+    summed = arrow_coproduct(f, g)
+    assert copair(f, g) is paired and arrow_coproduct(f, g) is summed
+    morphisms.clear_arrows()
+    assert copair(f, g) is not paired and equiv(copair(f, g), paired)
+    assert arrow_coproduct(f, g) is not summed and equiv(arrow_coproduct(f, g), summed)
 
 
 def test_tagged_flux_takes_instances_or_relation_sets(cfg0, pa, pab):

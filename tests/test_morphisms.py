@@ -32,6 +32,8 @@ from viewflux import (
     view_map,
     with_default_labels,
 )
+from viewflux import coproduct, fold_arrow, matching, morphisms
+from viewflux.morphisms import _morphism
 
 
 @pytest.fixture(scope="module")
@@ -112,6 +114,48 @@ def test_compose_domain_mismatch(cfg0, pa, pb, pab):
     g = empty_arrow(pab, pab, cfg0)
     with pytest.raises(DomainMismatch):
         compose(g, f)
+
+
+def test_witness_free_arrows_are_interned_by_object(cfg0, pa, ra):
+    flux = power_view(pa, cfg0)
+    f = semantic_arrow(pa, pa, flux, cfg0)
+    assert semantic_arrow(pa, pa, flux.relations, cfg0) is f
+    assert compose(f, f) is f
+    assert empty_arrow(pa, pa, cfg0).trees is f.trees  # one empty set of trees
+    # Equal instances may differ in labels, so they do not share arrows.
+    relabeled = Instance(pa.relations, {"other": ra})
+    g = semantic_arrow(relabeled, pa, flux, cfg0)
+    assert g is not f and g.source is relabeled
+    assert compose(f, g).source is relabeled
+    morphisms.clear_arrows()
+    assert semantic_arrow(pa, pa, flux, cfg0) is not f
+
+
+def test_compose_checks_domains_on_a_warm_intern_table(cfg0, cfg2, pa, pab):
+    f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pab, pab, power_view(pab, cfg0), cfg0)
+    assert compose(g, f) is compose(g, f)
+    other_cfg = semantic_arrow(pab, pab, power_view(pab, cfg2), cfg2)
+    for outer, inner in ((other_cfg, f), (f, g)):
+        with pytest.raises(DomainMismatch):
+            compose(outer, inner)
+
+
+def test_range_check_runs_on_a_warm_intern_table(cfg0, pab):
+    # fold_arrow and compose skip the range check, so compose interns an
+    # arrow whose flux escapes the matching of its endpoints.
+    doubled = coproduct(pab, pab)
+    whole = power_view(doubled, cfg0)
+    fold = fold_arrow(pab, cfg0)
+    escaped = compose(fold, semantic_arrow(doubled, doubled, whole, cfg0))
+    assert (escaped.source, escaped.target, escaped.flux) == (doubled, pab, whole)
+    assert compose(fold, semantic_arrow(doubled, doubled, whole, cfg0)) is escaped
+    assert not whole.relations <= matching(doubled, pab, cfg0).relations
+    for _ in range(2):
+        with pytest.raises(FluxOutOfRange):
+            semantic_arrow(doubled, pab, whole, cfg0)
+        with pytest.raises(FluxOutOfRange):
+            _morphism(doubled, pab, (), whole, cfg0)
 
 
 def test_compose_grafts_trees(cfg0, ra, rb, rab):

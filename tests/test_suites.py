@@ -1,6 +1,7 @@
 import itertools
 from pathlib import Path
 
+import count_oracle
 import pytest
 
 from viewflux import (
@@ -118,6 +119,15 @@ def test_k2_report_matches_golden(cfg2):
     # The golden file is the output of `viewflux check all --kmax 2
     # --max-relations 1`: binary relations and tagged coproducts of them.
     assert render_report(run_suite("all", cfg2, 1)) == GOLDEN_K2.read_text()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_arrow_law_counts_match_the_count_oracle(n):
+    expected = count_oracle.counted(n)
+    assert expected == {law: form(n) for law, form in count_oracle.CLOSED_FORMS.items()}
+    report = run_suite("all", UniverseConfig(domain=frozenset("abc"[:n]), k_max=1), 1)
+    assert report.ok
+    assert {law.law: law.checked for law in report.laws if law.law in expected} == expected
 
 
 def test_timings_add_elapsed_to_every_law_line(cfg0):
@@ -312,6 +322,19 @@ class ReprProbe:
     def __repr__(self):
         self.calls += 1
         return self.name
+
+
+def test_each_law_pass_starts_with_empty_arrow_tables(cfg0, pa):
+    semantic_arrow(pa, pa, power_view(pa, cfg0), cfg0)
+    sizes = []
+
+    @_law("probe", "the arrow tables are empty when a pass starts")
+    def probe(ctx):
+        sizes.append(len(morphisms._interned))
+        yield True, "probe"
+
+    probe(None)
+    assert sizes == [0]
 
 
 def test_law_keeps_first_five_failures():

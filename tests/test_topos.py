@@ -4,6 +4,7 @@ import pytest
 
 from viewflux import (
     BOTTOM,
+    DomainMismatch,
     Instance,
     NotAPullback,
     NotMonic,
@@ -201,6 +202,16 @@ def test_pullback_exhaustive(cfg0, classes):
                         f.flux.relations & g.flux.relations
                     )
                     assert is_pullback_square(square, cfg0, classes)
+
+
+def test_pullback_rejects_mixed_configurations(cfg0, cfg2, pa, pab):
+    # The corner is closed under both configurations, so only the check of
+    # the configurations can refuse the cospan.
+    f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pa, pab, power_view(pa, cfg2), cfg2)
+    for left, right in ((f, g), (g, f)):
+        with pytest.raises(DomainMismatch):
+            pullback(left, right)
 
 
 def test_pullback_rejects_wrong_corners(cfg0, pa, pb, pab, classes):

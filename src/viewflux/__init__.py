@@ -99,10 +99,7 @@ from .catops import (
     coproduct,
     eval_arrow,
     fold_arrow,
-    hom_object,
     identity_element_arrow,
-    lattice_inf,
-    lattice_sup,
     matching,
     merge_arrow,
     merging,

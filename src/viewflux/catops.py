@@ -60,11 +60,6 @@ def _merging_cached(
     return power_view(Instance(a | b, {}), cfg)
 
 
-#: The lattice meet and join of closed instances.
-lattice_inf = matching
-lattice_sup = merging
-
-
 def tensor_arrow(f: Morphism, g: Morphism) -> Morphism:
     """The matching of two arrows: transmits the views both transmit."""
     if f.cfg is not g.cfg and f.cfg != g.cfg:
@@ -210,25 +205,19 @@ def copair(f: Morphism, g: Morphism) -> Morphism:
     return paired
 
 
-#: The internal hom of two instances is their matching (equivalently the
-#: merging of all arrow fluxes from b to c, of which the matching is the largest).
-hom_object = matching
-
-
 def transpose(
     f: Morphism, a: Instance, b: Instance, cfg: UniverseConfig
 ) -> Morphism:
     """Curry an arrow out of a matching: same flux, target the hom-object."""
     if f.source != matching(a, b, cfg):
         raise DomainMismatch("transpose needs an arrow out of the matching of a and b")
-    hom = hom_object(b, f.target, cfg)
-    return semantic_arrow(a, hom, f.flux, cfg)
+    return semantic_arrow(a, matching(b, f.target, cfg), f.flux, cfg)
 
 
 def eval_arrow(b: Instance, c: Instance, cfg: UniverseConfig) -> Morphism:
     """The evaluation arrow of the closed structure; monic with flux the matching."""
-    hom = hom_object(b, c, cfg)
-    return semantic_arrow(matching(hom, b, cfg), c, matching(b, c, cfg), cfg)
+    hom = matching(b, c, cfg)
+    return semantic_arrow(matching(hom, b, cfg), c, hom, cfg)
 
 
 def monoid_structure(a: Instance, cfg: UniverseConfig) -> tuple[Morphism, Morphism]:
@@ -251,15 +240,15 @@ def composition_arrow(
 
     Flux is the three-way matching of the instances.
     """
-    src = matching(hom_object(b, c, cfg), hom_object(a, b, cfg), cfg)
-    tgt = hom_object(a, c, cfg)
+    src = matching(matching(b, c, cfg), matching(a, b, cfg), cfg)
+    tgt = matching(a, c, cfg)
     flux = meet_closed(matching(a, b, cfg), power_view(c, cfg))
     return semantic_arrow(src, tgt, flux, cfg)
 
 
 def identity_element_arrow(a: Instance, cfg: UniverseConfig) -> Morphism:
     """The internal identity element: epic from the total object onto the self-hom."""
-    tgt = hom_object(a, a, cfg)
+    tgt = matching(a, a, cfg)
     return semantic_arrow(total_object(cfg), tgt, power_view(a, cfg), cfg)
 
 

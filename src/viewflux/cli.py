@@ -14,12 +14,12 @@ import argparse
 import os
 import sys
 
-from .catops import hom_object, matching, merging, omega_chain
-from .closure import power_view, total_object
+from .catops import matching, merging, omega_chain
+from .closure import po_leq, power_view, total_object
 from .core import Instance, UniverseConfig
 from .errors import ViewfluxError
 from .formats import load_instance, load_morphism, render_instance
-from .morphisms import compose, is_epi, is_iso, is_mono
+from .morphisms import compose, is_epi, is_iso, is_mono, semantic_arrow
 from .queries import evaluate, parse_query
 from .suites import (
     DEFAULT_MAX_INSTANCES,
@@ -84,7 +84,7 @@ def cmd_total(args) -> int:
 
 def cmd_binary(args) -> int:
     a, b, cfg = _load_pair(args.left, args.right, args.kmax)
-    op = {"match": matching, "merge": merging, "homobj": hom_object, "distance": distance}
+    op = {"match": matching, "merge": merging, "homobj": matching, "distance": distance}
     _print_closed(op[args.op](a, b, cfg).relations, cfg.domain)
     return 0
 
@@ -132,9 +132,6 @@ def cmd_classify(args) -> int:
 
 
 def cmd_classify_subobject(args) -> int:
-    from .closure import po_leq
-    from .morphisms import semantic_arrow
-
     a, b, cfg = _load_pair(args.subobject, args.ambient, args.kmax)
     if not po_leq(a, b, cfg):
         raise ViewfluxError("the first instance is not a subobject of the second")

@@ -9,6 +9,7 @@ extensions are equal.  All values are immutable and safe to share.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -227,6 +228,8 @@ class UniverseConfig:
             _check_identifier(c)
             if c == "bot":
                 raise UnknownConstant("'bot' is reserved and cannot be a constant")
+        # Built in sorted order, so that equal domains iterate and print alike.
+        object.__setattr__(self, "domain", frozenset(sorted(self.domain)))
         # Every cache lookup hashes the configuration, so hash the fields once.
         fields = (self.domain, self.k_max, self.max_universe, self.max_homset_ground,
                   self.max_enumeration)
@@ -282,7 +285,7 @@ def subset_instances(
     if max_relations < 1:
         raise ViewfluxError(f"max_relations must be at least 1, got {max_relations}")
     universe = universe_relations(cfg)
-    total = sum(_n_choose_k(len(universe), k) for k in range(0, max_relations + 1))
+    total = sum(math.comb(len(universe), k) for k in range(0, max_relations + 1))
     if total > cfg.max_enumeration:
         raise EnumerationTooLarge(
             f"{total} instances requested, bound is {cfg.max_enumeration}"
@@ -292,12 +295,3 @@ def subset_instances(
             rels = [universe[i] for i in combo]
             labels = {f"r{i + 1}": rel for i, rel in enumerate(rels)}
             yield Instance(frozenset(rels), labels)
-
-
-def _n_choose_k(n: int, k: int) -> int:
-    if k > n:
-        return 0
-    out = 1
-    for i in range(k):
-        out = out * (n - i) // (i + 1)
-    return out

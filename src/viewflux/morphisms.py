@@ -202,19 +202,20 @@ def semantic_arrow(
     return _morphism(source, target, (), closed, cfg, interned=True)
 
 
-def identity(a: Instance, cfg: UniverseConfig) -> Morphism:
-    """The identity arrow: flux is the full closure, one view-map per view.
-
-    Views of ``a`` that are not relations of ``a`` get the first generating
-    query found during saturation as their witness.
-    """
-    labeled = with_default_labels(a)
+def _witness_trees(
+    source: Instance, views: Iterable[Relation], cfg: UniverseConfig
+) -> list[ViewTree]:
+    """One view-map per view over ``source`` (labeled by default), in canonical
+    order, each with the first generating query found during saturation."""
+    labeled = with_default_labels(source)
     witness = generating_queries(labeled, cfg)
-    trees = [
-        ViewTree(ViewMap(witness[v], labeled, v))
-        for v in sorted_relations(power_view(a, cfg).relations)
-    ]
-    return _morphism(a, a, trees, power_view(a, cfg), cfg)
+    return [ViewTree(ViewMap(witness[v], labeled, v)) for v in sorted_relations(views)]
+
+
+def identity(a: Instance, cfg: UniverseConfig) -> Morphism:
+    """The identity arrow: flux is the full closure, one view-map per view."""
+    closed = power_view(a, cfg)
+    return _morphism(a, a, _witness_trees(a, closed.relations, cfg), closed, cfg)
 
 
 def _graft(tree: ViewTree, below: list[ViewTree]) -> tuple[ViewTree, bool]:
@@ -293,12 +294,7 @@ def lift_arrow(f: Morphism) -> Morphism:
 
 def invert(f: Morphism) -> Morphism:
     """The reversed arrow with the same flux (the duality involution)."""
-    labeled = with_default_labels(f.target)
-    witness = generating_queries(labeled, f.cfg)
-    trees = [
-        ViewTree(ViewMap(witness[v], labeled, v))
-        for v in sorted_relations(f.flux.relations)
-    ]
+    trees = _witness_trees(f.target, f.flux.relations, f.cfg)
     return _morphism(f.target, f.source, trees, f.flux, f.cfg)
 
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Mapping, Sequence, Union as TUnion
+from typing import Iterator, Mapping, Sequence, Union as TUnion
 
 from .core import BOTTOM, Constant, Instance, Relation, make_relation
 from .errors import (
     ArityError,
     DomainMismatch,
     QuerySyntaxError,
+    UnknownConstant,
     UnknownRelation,
 )
 
@@ -97,6 +98,29 @@ class Slot:
 QueryTerm = TUnion[Base, Bot, Select, Project, Join, UnionTerm, Slot]
 
 
+def subterms(term: QueryTerm) -> Iterator[QueryTerm]:
+    """The term and all its subterms, depth first, left to right."""
+    yield term
+    if isinstance(term, (Select, Project)):
+        yield from subterms(term.arg)
+    elif isinstance(term, (Join, UnionTerm)):
+        yield from subterms(term.left)
+        yield from subterms(term.right)
+
+
+def _check_columns(cols: Sequence[int], arity: int) -> None:
+    """Column numbers are 1-based and at most ``arity``; a column list is not empty."""
+    if not cols:
+        raise ArityError("project needs at least one column")
+    for c in cols:
+        if not 1 <= c <= arity:
+            raise ArityError(f"column {c} out of range for arity {arity}")
+
+
+def _pred_columns(pred: Predicate) -> tuple[int, ...]:
+    return (pred.i, pred.j) if isinstance(pred, ColEqCol) else (pred.i,)
+
+
 def static_arity(term: QueryTerm, schema: Mapping[str, int]) -> int | None:
     """Static arity of a term; ``None`` means arity-erased (necessarily empty).
 
@@ -118,20 +142,13 @@ def static_arity(term: QueryTerm, schema: Mapping[str, int]) -> int | None:
         n = static_arity(term.arg, schema)
         if n is None:
             raise ArityError("select needs an operand of known arity")
-        cols = [term.pred.i, term.pred.j] if isinstance(term.pred, ColEqCol) else [term.pred.i]
-        for c in cols:
-            if not 1 <= c <= n:
-                raise ArityError(f"column {c} out of range for arity {n}")
+        _check_columns(_pred_columns(term.pred), n)
         return n
     if isinstance(term, Project):
         n = static_arity(term.arg, schema)
         if n is None:
             raise ArityError("project needs an operand of known arity")
-        if not term.cols:
-            raise ArityError("project needs at least one column")
-        for c in term.cols:
-            if not 1 <= c <= n:
-                raise ArityError(f"column {c} out of range for arity {n}")
+        _check_columns(term.cols, n)
         return len(term.cols)
     if isinstance(term, Join):
         left = static_arity(term.left, schema)
@@ -154,22 +171,7 @@ def static_arity(term: QueryTerm, schema: Mapping[str, int]) -> int | None:
 
 def base_names(term: QueryTerm) -> tuple[str, ...]:
     """Base relation names referenced by a term, left to right, deduplicated."""
-    seen: list[str] = []
-
-    def walk(t: QueryTerm) -> None:
-        if isinstance(t, Base):
-            if t.name not in seen:
-                seen.append(t.name)
-        elif isinstance(t, Select):
-            walk(t.arg)
-        elif isinstance(t, Project):
-            walk(t.arg)
-        elif isinstance(t, (Join, UnionTerm)):
-            walk(t.left)
-            walk(t.right)
-
-    walk(term)
-    return tuple(seen)
+    return tuple(dict.fromkeys(t.name for t in subterms(term) if isinstance(t, Base)))
 
 
 def _merge_tags(left: tuple[str, ...], right: tuple[str, ...]) -> tuple[str, ...]:
@@ -213,9 +215,7 @@ def evaluate(
         if rel.is_bottom:
             return BOTTOM
         pred = term.pred
-        hi = pred.j if isinstance(pred, ColEqCol) else pred.i
-        if max(pred.i, hi) > rel.arity:
-            raise ArityError(f"selection column out of range for arity {rel.arity}")
+        _check_columns(_pred_columns(pred), rel.arity)
         if isinstance(pred, ColEqCol):
             kept = {t for t in rel.tuples if t[pred.i - 1] == t[pred.j - 1]}
         else:
@@ -225,8 +225,7 @@ def evaluate(
         rel = evaluate(term.arg, inst, slots)
         if rel.is_bottom:
             return BOTTOM
-        if max(term.cols) > rel.arity:
-            raise ArityError(f"projection column out of range for arity {rel.arity}")
+        _check_columns(term.cols, rel.arity)
         rows = {tuple(t[c - 1] for c in term.cols) for t in rel.tuples}
         return make_relation(len(term.cols), rows, tag=rel.tag)
     if isinstance(term, Join):
@@ -258,18 +257,7 @@ def query_equiv(q1: QueryTerm, q2: QueryTerm, inst: Instance) -> bool:
 
 def slot_count(term: QueryTerm) -> int:
     """Number of distinct slots; indices must be exactly 1..k."""
-    indices: set[int] = set()
-
-    def walk(t: QueryTerm) -> None:
-        if isinstance(t, Slot):
-            indices.add(t.index)
-        elif isinstance(t, (Select, Project)):
-            walk(t.arg)
-        elif isinstance(t, (Join, UnionTerm)):
-            walk(t.left)
-            walk(t.right)
-
-    walk(term)
+    indices = {t.index for t in subterms(term) if isinstance(t, Slot)}
     if indices and indices != set(range(1, max(indices) + 1)):
         raise ArityError(f"slot indices {sorted(indices)} are not contiguous from 1")
     return len(indices)
@@ -464,14 +452,6 @@ def parse_query(
 
 
 def _check_constants(term: QueryTerm, domain: frozenset[Constant]) -> None:
-    from .errors import UnknownConstant
-
-    if isinstance(term, Select):
-        if isinstance(term.pred, ColEqConst) and term.pred.const not in domain:
-            raise UnknownConstant(f"constant {term.pred.const!r} is not in the domain")
-        _check_constants(term.arg, domain)
-    elif isinstance(term, Project):
-        _check_constants(term.arg, domain)
-    elif isinstance(term, (Join, UnionTerm)):
-        _check_constants(term.left, domain)
-        _check_constants(term.right, domain)
+    for t in subterms(term):
+        if isinstance(t, Select) and isinstance(t.pred, ColEqConst) and t.pred.const not in domain:
+            raise UnknownConstant(f"constant {t.pred.const!r} is not in the domain")

@@ -20,10 +20,7 @@ from .catops import (
     composition_arrow,
     coproduct,
     eval_arrow,
-    hom_object,
     identity_element_arrow,
-    lattice_inf,
-    lattice_sup,
     matching,
     merge_arrow,
     merging,
@@ -225,6 +222,21 @@ def _law(law: str, statement: str) -> Callable:
     return _laws((law, statement))
 
 
+def _arrow_law(law: str, statement: str) -> Callable:
+    """``_law`` for a predicate ``fn(ctx, f)`` checked on every arrow ``f`` of
+    ``ctx.arrows(a, b)``, over the class pairs ``(a, b)`` in canonical order."""
+
+    def decorate(fn):
+        def checks(ctx):
+            for a, b in itertools.product(ctx.classes, repeat=2):
+                for f in ctx.arrows(a, b):
+                    yield fn(ctx, f), witness(a, b, f.flux)
+
+        return _law(law, statement)(checks)
+
+    return decorate
+
+
 def _render(check: str | Callable[[], str]) -> str:
     return check if isinstance(check, str) else check()
 
@@ -335,77 +347,53 @@ def law_identity(ctx):
             yield ok, witness(a, b, f.flux)
 
 
-@_law("category.mono-cancellation", "an arrow is monic exactly when it cancels on the left")
-def law_mono_cancellation(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        for f in ctx.arrows(a, b):
-            cancels = True
-            for c in ctx.classes:
-                for g in ctx.homset(c, a):
-                    for h in ctx.homset(c, a):
-                        if (f.flux.relations & g) == (f.flux.relations & h) and g != h:
-                            cancels = False
-            yield is_mono(f) == cancels, witness(a, b, f.flux)
+def _cancels(f: Morphism, homsets: Iterable[tuple[frozenset[Relation], ...]]) -> bool:
+    """Whether meeting with the flux of ``f`` is injective on each hom-set
+    (whose fluxes are distinct): ``f`` cancels against the arrows of each."""
+    return all(len({f.flux.relations & g for g in hs}) == len(hs) for hs in homsets)
 
 
-@_law("category.epi-cancellation", "an arrow is epic exactly when it cancels on the right")
-def law_epi_cancellation(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        for f in ctx.arrows(a, b):
-            cancels = True
-            for c in ctx.classes:
-                for g in ctx.homset(b, c):
-                    for h in ctx.homset(b, c):
-                        if (f.flux.relations & g) == (f.flux.relations & h) and g != h:
-                            cancels = False
-            yield is_epi(f) == cancels, witness(a, b, f.flux)
+@_arrow_law("category.mono-cancellation", "an arrow is monic exactly when it cancels on the left")
+def law_mono_cancellation(ctx, f):
+    return is_mono(f) == _cancels(f, [ctx.homset(c, f.source) for c in ctx.classes])
 
 
-@_law("category.mono-epi-iso", "isomorphisms are exactly the monic epic arrows")
-def law_mono_epi_iso(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        for f in ctx.arrows(a, b):
-            ok = is_iso(f) == (is_mono(f) and is_epi(f))
-            if is_iso(f):
-                ok = ok and isomorphic(a, b, ctx.cfg)
-            yield ok, witness(a, b, f.flux)
+@_arrow_law("category.epi-cancellation", "an arrow is epic exactly when it cancels on the right")
+def law_epi_cancellation(ctx, f):
+    return is_epi(f) == _cancels(f, [ctx.homset(f.target, c) for c in ctx.classes])
 
 
-@_law("category.two-cells", "flux inclusion orders parallel arrows; antisymmetry is equivalence")
-def law_two_cells(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        arrows = ctx.arrows(a, b)
-        bottom = empty_arrow(a, b, ctx.cfg)
-        for f in arrows:
-            ok = arrow_po_leq(f, f) and arrow_po_leq(bottom, f)
-            for g in arrows:
-                if arrow_po_leq(f, g) and arrow_po_leq(g, f):
-                    ok = ok and equiv(f, g)
-            yield ok, witness(a, b, f.flux)
+@_arrow_law("category.mono-epi-iso", "an isomorphism, a monic epic arrow, joins equivalent instances")
+def law_mono_epi_iso(ctx, f):
+    return not is_iso(f) or isomorphic(f.source, f.target, ctx.cfg)
 
 
-@_law("category.closure-functor", "lifting to closures preserves flux, mono, epi and iso")
-def law_closure_functor(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        for f in ctx.arrows(a, b):
-            lifted = lift_arrow(f)
-            ok = lifted.flux.relations == f.flux.relations
-            ok = ok and is_mono(lifted) == is_mono(f)
-            ok = ok and is_epi(lifted) == is_epi(f)
-            ok = ok and is_iso(lifted) == is_iso(f)
-            yield ok, witness(a, b, f.flux)
+@_arrow_law("category.two-cells", "flux inclusion orders parallel arrows; antisymmetry is equivalence")
+def law_two_cells(ctx, f):
+    ok = arrow_po_leq(f, f) and arrow_po_leq(empty_arrow(f.source, f.target, ctx.cfg), f)
+    return ok and all(
+        equiv(f, g)
+        for g in ctx.arrows(f.source, f.target)
+        if arrow_po_leq(f, g) and arrow_po_leq(g, f)
+    )
 
 
-@_law("category.duality", "reversal keeps the flux, is involutive and swaps monic with epic")
-def law_duality(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        for f in ctx.arrows(a, b):
-            rev = invert(f)
-            ok = rev.flux.relations == f.flux.relations
-            ok = ok and rev.source == f.target and rev.target == f.source
-            ok = ok and equiv(invert(rev), f)
-            ok = ok and is_mono(f) == is_epi(rev) and is_epi(f) == is_mono(rev)
-            yield ok, witness(a, b, f.flux)
+@_arrow_law("category.closure-functor", "lifting to closures preserves flux, mono, epi and iso")
+def law_closure_functor(ctx, f):
+    lifted = lift_arrow(f)
+    ok = lifted.flux.relations == f.flux.relations
+    ok = ok and is_mono(lifted) == is_mono(f)
+    ok = ok and is_epi(lifted) == is_epi(f)
+    return ok and is_iso(lifted) == is_iso(f)
+
+
+@_arrow_law("category.duality", "reversal keeps the flux, is involutive and swaps monic with epic")
+def law_duality(ctx, f):
+    rev = invert(f)
+    ok = rev.flux.relations == f.flux.relations
+    ok = ok and rev.source == f.target and rev.target == f.source
+    ok = ok and equiv(invert(rev), f)
+    return ok and is_mono(f) == is_epi(rev) and is_epi(f) == is_mono(rev)
 
 
 @_law("category.totalize", "arrows between closed instances are faithful total tables")
@@ -439,15 +427,11 @@ def law_idempotents(ctx):
         yield report.bijection_holds, witness(a)
 
 
-@_law("category.principal", "the largest arrow between two instances factors every other")
-def law_principal(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        h = principal_morphism(a, b, ctx.cfg)
-        for f in ctx.arrows(a, b):
-            ok = f.flux.relations <= h.flux.relations
-            g = semantic_arrow(a, a, f.flux.relations, ctx.cfg)
-            ok = ok and equiv(compose(h, g), f)
-            yield ok, witness(a, b, f.flux)
+@_arrow_law("category.principal", "the largest arrow between two instances factors every other")
+def law_principal(ctx, f):
+    h = principal_morphism(f.source, f.target, ctx.cfg)
+    g = semantic_arrow(f.source, f.source, f.flux, ctx.cfg)
+    return f.flux.relations <= h.flux.relations and equiv(compose(h, g), f)
 
 
 @_law("category.monad", "the closure is a monad: unit is inclusion, multiplication collapses")
@@ -523,13 +507,10 @@ def law_arrow_tensor(ctx):
                     )
 
 
-@_law("monoidal.flux-range", "every flux sits between the zero object and the matching")
-def law_flux_range(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        bound = matching(a, b, ctx.cfg).relations
-        for f in ctx.arrows(a, b):
-            ok = BOTTOM in f.flux.relations and f.flux.relations <= bound
-            yield ok, witness(a, b, f.flux)
+@_arrow_law("monoidal.flux-range", "every flux sits between the zero object and the matching")
+def law_flux_range(ctx, f):
+    bound = matching(f.source, f.target, ctx.cfg).relations
+    return BOTTOM in f.flux.relations and f.flux.relations <= bound
 
 
 @_law("monoidal.monoid", "every instance is a monoid: iso multiplication, epi unit")
@@ -541,25 +522,21 @@ def law_monoid(ctx):
         ok = ok and mu.flux.relations == ta and eta.flux.relations == ta
         unit_flux = eta.flux.relations & identity(a, ctx.cfg).flux.relations
         ok = ok and (mu.flux.relations & unit_flux) == ta
-        assoc_left = mu.flux.relations & (mu.flux.relations & ta)
-        assoc_right = mu.flux.relations & (ta & mu.flux.relations)
-        ok = ok and assoc_left == assoc_right
         yield ok, witness(a)
 
 
 @_law("monoidal.hom-object", "the internal hom equals the matching, merged from all fluxes")
 def law_hom_object(ctx):
     for b, c in itertools.product(ctx.classes, repeat=2):
-        hom = hom_object(b, c, ctx.cfg)
-        ok = hom.relations == matching(b, c, ctx.cfg).relations
-        ok = ok and hom.relations == hom_object(c, b, ctx.cfg).relations
+        hom = matching(b, c, ctx.cfg)
+        ok = hom.relations == matching(c, b, ctx.cfg).relations
         merged: set[Relation] = set()
         for flux in ctx.homset(b, c):
             merged |= flux
         ok = ok and power_view(Instance(frozenset(merged), {}), ctx.cfg).relations == hom.relations
         yield ok, witness(b, c)
     for c in ctx.classes:
-        hom = hom_object(c, ctx.total, ctx.cfg)
+        hom = matching(c, ctx.total, ctx.cfg)
         yield hom.relations == power_view(c, ctx.cfg).relations, witness(c)
 
 
@@ -567,7 +544,7 @@ def law_hom_object(ctx):
 def law_hom_counting(ctx):
     for a, b, c in itertools.product(ctx.classes, repeat=3):
         tensor_ab = matching(a, b, ctx.cfg)
-        hom_bc = hom_object(b, c, ctx.cfg)
+        hom_bc = matching(b, c, ctx.cfg)
         yield (
             len(ctx.homset(tensor_ab, c)) == len(ctx.homset(a, hom_bc)),
             witness(a, b, c),
@@ -635,8 +612,8 @@ def law_absorption(ctx):
 @_law("lattice.inf-sup", "matching is the meet and merging the join of the behavioral order")
 def law_inf_sup(ctx):
     for a, b in itertools.product(ctx.classes, repeat=2):
-        inf = lattice_inf(a, b, ctx.cfg)
-        sup = lattice_sup(a, b, ctx.cfg)
+        inf = matching(a, b, ctx.cfg)
+        sup = merging(a, b, ctx.cfg)
         ok = po_leq(inf, a, ctx.cfg) and po_leq(inf, b, ctx.cfg)
         ok = ok and po_leq(a, sup, ctx.cfg) and po_leq(b, sup, ctx.cfg)
         for c in ctx.classes:
@@ -701,6 +678,7 @@ def law_merge_functor(ctx):
         ok = lifted.flux.relations == merging(a, b, ctx.cfg).relations
         yield ok, witness(a, b)
     pairs = list(itertools.product(ctx.classes, repeat=2))
+    gfs: dict = {}  # compose(g, f) depends on f and g alone: form it once per pair
     for a in ctx.classes:
         # merge_arrow(a, f) depends on a and f alone: build each once per a.
         merged = {
@@ -709,8 +687,8 @@ def law_merge_functor(ctx):
         for b, c, d in itertools.product(ctx.classes, repeat=3):
             for f, af in zip(ctx.arrows(b, c), merged[b, c]):
                 for g, ag in zip(ctx.arrows(c, d), merged[c, d]):
-                    lhs = merge_arrow(a, compose(g, f))
-                    yield equiv(lhs, compose(ag, af)), witness(a, f.flux, g.flux)
+                    gf = gfs.get((f, g)) or gfs.setdefault((f, g), compose(g, f))
+                    yield equiv(merge_arrow(a, gf), compose(ag, af)), witness(a, f.flux, g.flux)
 
 
 @_law("lattice.omega-chain", "iterated merging reaches the closure at the first step")
@@ -775,12 +753,16 @@ def law_pullback(ctx):
                     yield ok, witness(f.flux, g.flux)
 
 
+def _inclusions(ctx):
+    """The monomorphism of each class pair ``(a, b)`` with ``a`` behaviorally below ``b``."""
+    for a, b in itertools.product(ctx.classes, repeat=2):
+        if po_leq(a, b, ctx.cfg):
+            yield a, b, semantic_arrow(a, b, power_view(a, ctx.cfg), ctx.cfg)
+
+
 @_law("topos.classifier", "every monomorphism has a generator-level characteristic arrow")
 def law_classifier(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        if not po_leq(a, b, ctx.cfg):
-            continue
-        mono = semantic_arrow(a, b, power_view(a, ctx.cfg), ctx.cfg)
+    for a, b, mono in _inclusions(ctx):
         char, report = classifier(mono, ctx.cfg, ctx.classes)
         ok = report.generator_commutes and report.factorization_ok
         ok = ok and report.char_class_size == 1
@@ -791,10 +773,7 @@ def law_classifier(ctx):
 
 @_law("topos.classifier-audit", "closing the generator set may meet the subobject (documented divergence)")
 def law_classifier_audit(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        if not po_leq(a, b, ctx.cfg):
-            continue
-        mono = semantic_arrow(a, b, power_view(a, ctx.cfg), ctx.cfg)
+    for a, b, mono in _inclusions(ctx):
         _, report = classifier(mono, ctx.cfg, ctx.classes)
         audited = lambda a=a, b=b, audit=report.audit_intersection: (
             f"{witness(a, b)()}: closure of generators meets the subobject in "
@@ -805,10 +784,7 @@ def law_classifier_audit(ctx):
 
 @_law("topos.equalizer", "every monomorphism equalizes its characteristic arrow and true")
 def law_equalizer(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        if not po_leq(a, b, ctx.cfg):
-            continue
-        mono = semantic_arrow(a, b, power_view(a, ctx.cfg), ctx.cfg)
+    for a, b, mono in _inclusions(ctx):
         yield equalizer_check(mono, ctx.cfg, ctx.classes), witness(a, b)
 
 
@@ -820,11 +796,9 @@ def law_true_arrow(ctx):
     yield ok, "true"
 
 
-@_law("topos.factorization", "every arrow factors epi-mono through its flux, minimally")
-def law_factorization(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        for f in ctx.arrows(a, b):
-            yield factorization_minimal(f, ctx.cfg, ctx.classes), witness(a, b, f.flux)
+@_arrow_law("topos.factorization", "every arrow factors epi-mono through its flux, minimally")
+def law_factorization(ctx, f):
+    return factorization_minimal(f, ctx.cfg, ctx.classes)
 
 
 @_law("topos.coproduct-pullback", "combining two pullback squares over a shared leg is a pullback")

@@ -36,7 +36,6 @@ from .catops import (
 from .closure import (
     ClosedInstance,
     closed_subsets,
-    generating_queries,
     isomorphic,
     meet_closed,
     po_leq,
@@ -53,13 +52,10 @@ from .core import (
     sorted_relations,
     subset_instances,
     witness,
-    with_default_labels,
 )
 from .errors import DomainMismatch, NotAPullback, NotMonic
 from .morphisms import (
     Morphism,
-    ViewMap,
-    ViewTree,
     compose,
     empty_arrow,
     equiv,
@@ -69,6 +65,7 @@ from .morphisms import (
     semantic_arrow,
     semantic_homset,
     _morphism,
+    _witness_trees,
 )
 
 
@@ -213,15 +210,8 @@ def classifier(
     ta = power_view(in_a.source, cfg).relations
     tb = power_view(in_a.target, cfg).relations
     generators = frozenset(tb - ta) | {BOTTOM}
-
-    labeled = with_default_labels(in_a.target)
-    witness = generating_queries(labeled, cfg)
-    trees = [
-        ViewTree(ViewMap(witness[v], labeled, v))
-        for v in sorted_relations(generators)
-    ]
     char = _morphism(
-        in_a.target, total_object(cfg), trees,
+        in_a.target, total_object(cfg), _witness_trees(in_a.target, generators, cfg),
         power_view(Instance(generators, {}), cfg), cfg,
     )
 
@@ -230,23 +220,6 @@ def classifier(
     t_a = empty_arrow(in_a.source, zero_object(), cfg)
     true_composite = compose(true_arrow(cfg), t_a)
     gen_commutes = gen_commutes and true_composite.flux.relations == frozenset({BOTTOM})
-
-    factor_ok = True
-    checked = 0
-    for v in vertices:
-        for h in semantic_homset(v, in_a.target, cfg):
-            checked += 1
-            if h.relations & proper_gens:
-                continue
-            if not h.relations <= ta:
-                factor_ok = False
-                continue
-            mediators = [
-                k for k in semantic_homset(v, in_a.source, cfg)
-                if ta & k.relations == h.relations
-            ]
-            if len(mediators) != 1:
-                factor_ok = False
 
     class_size = 0
     for s in closed_subsets(power_view(in_a.target, cfg), cfg):
@@ -260,8 +233,8 @@ def classifier(
         ambient=in_a.target,
         generators=generators,
         generator_commutes=gen_commutes,
-        factorization_ok=factor_ok,
-        arrows_checked=checked,
+        factorization_ok=_equalizes(in_a, ta, proper_gens, vertices, cfg),
+        arrows_checked=sum(len(semantic_homset(v, in_a.target, cfg)) for v in vertices),
         char_class_size=class_size,
         audit_intersection=frozenset(audit),
         flagged=flagged,
@@ -299,21 +272,34 @@ def equalizer_check(
     tb = power_view(f.target, cfg).relations
     proper_gens = (tb - ta) - {BOTTOM}
     # f itself equalizes: its flux avoids every generator.
-    if ta & proper_gens:
-        return False
-    for v in vertices:
-        for h in semantic_homset(v, f.target, cfg):
-            if h.relations & proper_gens:
-                continue  # does not equalize; no factorization required
-            if not h.relations <= ta:
-                return False
-            mediators = [
-                k for k in semantic_homset(v, f.source, cfg)
-                if ta & k.relations == h.relations
-            ]
-            if len(mediators) != 1:
-                return False
-    return True
+    return not ta & proper_gens and _equalizes(f, ta, proper_gens, vertices, cfg)
+
+
+def _equalizes(
+    mono: Morphism,
+    ta: frozenset[Relation],
+    proper_gens: frozenset[Relation],
+    vertices: list[Instance],
+    cfg: UniverseConfig,
+) -> bool:
+    """Whether every arrow from ``vertices`` into the target of ``mono`` whose
+    flux avoids ``proper_gens`` (an arrow that does not equalize needs no
+    factorization) factors uniquely through ``mono``, whose source has the
+    views ``ta``."""
+    return all(
+        h.relations & proper_gens
+        or (h.relations <= ta and _unique_mediator(v, mono.source, ta, h.relations, cfg))
+        for v in vertices
+        for h in semantic_homset(v, mono.target, cfg)
+    )
+
+
+def _unique_mediator(
+    v: Instance, x: Instance, views: frozenset[Relation], flux: frozenset[Relation],
+    cfg: UniverseConfig,
+) -> bool:
+    """Whether exactly one arrow from ``v`` to ``x`` meets ``views`` in ``flux``."""
+    return sum(views & k.relations == flux for k in semantic_homset(v, x, cfg)) == 1
 
 
 def epi_mono_factorize(f: Morphism) -> tuple[Morphism, Morphism]:
@@ -331,7 +317,7 @@ def factorization_minimal(
     the arrow factors: every monic factorization contains it, with a unique
     mediating arrow from the flux object."""
     tau, tau_inv = epi_mono_factorize(f)
-    if not (is_epi_onto_flux(tau, f) and is_mono(tau_inv)):
+    if not (is_epi(tau) and is_mono(tau_inv)):
         return False
     if not equiv(compose(tau_inv, tau), f):
         return False
@@ -341,17 +327,9 @@ def factorization_minimal(
             continue  # not a subobject of the target
         if not f.flux.relations <= tc:
             continue  # the arrow does not factor through this subobject
-        mediators = [
-            k for k in semantic_homset(f.flux, c, cfg)
-            if tc & k.relations == f.flux.relations
-        ]
-        if len(mediators) != 1:
+        if not _unique_mediator(f.flux, c, tc, f.flux.relations, cfg):
             return False
     return True
-
-
-def is_epi_onto_flux(tau: Morphism, f: Morphism) -> bool:
-    return tau.flux.relations == power_view(tau.target, f.cfg).relations
 
 
 def coproduct_pullback_check(

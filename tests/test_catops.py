@@ -20,7 +20,6 @@ from viewflux import (
     evaluate,
     eval_arrow,
     fold_arrow,
-    hom_object,
     identity,
     identity_element_arrow,
     instance,
@@ -28,8 +27,6 @@ from viewflux import (
     is_epi,
     is_iso,
     is_mono,
-    lattice_inf,
-    lattice_sup,
     make_relation,
     matching,
     merge_arrow,
@@ -90,8 +87,8 @@ def test_merging_values(cfg0, pa, pb):
 def test_lattice_laws(cfg0, all_instances):
     for a, b in itertools.product(all_instances, repeat=2):
         ta = power_view(a, cfg0).relations
-        inf = lattice_inf(a, b, cfg0)
-        sup = lattice_sup(a, b, cfg0)
+        inf = matching(a, b, cfg0)
+        sup = merging(a, b, cfg0)
         assert inf.relations <= sup.relations
         # absorption
         assert merging(a, Instance(inf.relations, {}), cfg0).relations == ta
@@ -100,8 +97,8 @@ def test_lattice_laws(cfg0, all_instances):
 
 def test_inf_sup_are_bounds(cfg0, classes):
     for a, b in itertools.product(classes, repeat=2):
-        inf = Instance(lattice_inf(a, b, cfg0).relations, {})
-        sup = Instance(lattice_sup(a, b, cfg0).relations, {})
+        inf = Instance(matching(a, b, cfg0).relations, {})
+        sup = Instance(merging(a, b, cfg0).relations, {})
         for c in classes:
             below = po_leq(c, a, cfg0) and po_leq(c, b, cfg0)
             assert below == po_leq(c, inf, cfg0)
@@ -302,14 +299,13 @@ def test_fold_arrow(cfg0, pab):
 
 
 def test_hom_object(cfg0, pa, pb, classes):
-    assert hom_object(pa, pb, cfg0).relations == frozenset({BOTTOM})
+    assert matching(pa, pb, cfg0).relations == frozenset({BOTTOM})
     tot = Instance(total_object(cfg0).relations, {})
     for c in classes:
-        assert hom_object(c, tot, cfg0).relations == power_view(c, cfg0).relations
+        assert matching(c, tot, cfg0).relations == power_view(c, cfg0).relations
     for b, c in itertools.product(classes, repeat=2):
-        hom = hom_object(b, c, cfg0)
-        assert hom.relations == matching(b, c, cfg0).relations
-        assert hom.relations == hom_object(c, b, cfg0).relations
+        hom = matching(b, c, cfg0)
+        assert hom.relations == matching(c, b, cfg0).relations
         # merging every hom-set flux gives the hom-object back
         merged = ZERO
         for flux in semantic_homset(b, c, cfg0):
@@ -322,7 +318,7 @@ def test_hom_object(cfg0, pa, pb, classes):
 def test_hom_counting(cfg0, classes):
     for a, b, c in itertools.product(classes, repeat=3):
         tensor = Instance(matching(a, b, cfg0).relations, {})
-        hom = Instance(hom_object(b, c, cfg0).relations, {})
+        hom = Instance(matching(b, c, cfg0).relations, {})
         assert len(semantic_homset(tensor, c, cfg0)) == len(semantic_homset(a, hom, cfg0))
 
 

@@ -10,7 +10,7 @@ classes of the default configuration.
 import itertools
 
 import pytest
-from test_suites import _golden_checked
+from test_suites import _golden_checked, _merging_of_the_second
 
 from viewflux import (
     BOTTOM,
@@ -19,7 +19,12 @@ from viewflux import (
     arrow_coproduct,
     catops,
     coproduct,
+    empty_arrow,
     fold_arrow,
+    is_epi,
+    is_iso,
+    is_mono,
+    po_leq,
     power_view,
     suites,
     topos,
@@ -43,6 +48,26 @@ def _left_only_fold(d, cfg):
     return _morphism(fold.source, d, (), flux, cfg, check_range=False)
 
 
+def _strictly_below(a, b, cfg):
+    """A mutant isomorphism test: the closure of a is strictly inside that of b."""
+    return power_view(a, cfg).relations < power_view(b, cfg).relations
+
+
+def _reversed_arrow_order(f, g):
+    """A mutant two-cell order: flux inclusion read backwards."""
+    return g.flux.relations <= f.flux.relations
+
+
+def _lift_transmitting_nothing(f):
+    """A mutant lift: the empty arrow between the closures of the endpoints."""
+    return empty_arrow(power_view(f.source, f.cfg), power_view(f.target, f.cfg), f.cfg)
+
+
+def _closure_of_the_first(a, b, cfg):
+    """A mutant matching: the closure of the first operand alone."""
+    return power_view(a, cfg)
+
+
 # The coproduct mutant is bound where the law reads it.  Bound in ``catops``
 # it would also reach ``arrow_coproduct``, whose range check raises
 # ``FluxOutOfRange`` instead of letting the law fail.  The fold mutant sits
@@ -57,6 +82,21 @@ MUTANTS = [
     pytest.param("lattice.coproduct-count", suites.law_coproduct_count,
                  suites, "coproduct", _left_only_coproduct, 13,
                  id="lattice.coproduct-count"),
+    pytest.param("category.mono-cancellation", suites.law_mono_cancellation,
+                 suites, "is_mono", is_epi, 25, id="category.mono-cancellation"),
+    pytest.param("category.epi-cancellation", suites.law_epi_cancellation,
+                 suites, "is_epi", is_mono, 25, id="category.epi-cancellation"),
+    pytest.param("category.mono-epi-iso", suites.law_mono_epi_iso,
+                 suites, "isomorphic", _strictly_below, 25, id="category.mono-epi-iso"),
+    pytest.param("category.two-cells", suites.law_two_cells,
+                 suites, "arrow_po_leq", _reversed_arrow_order, 25, id="category.two-cells"),
+    pytest.param("category.closure-functor", suites.law_closure_functor,
+                 suites, "lift_arrow", _lift_transmitting_nothing, 25,
+                 id="category.closure-functor"),
+    pytest.param("monoidal.hom-object", suites.law_hom_object,
+                 suites, "matching", _closure_of_the_first, 20, id="monoidal.hom-object"),
+    pytest.param("lattice.inf-sup", suites.law_inf_sup,
+                 suites, "merging", _merging_of_the_second, 16, id="lattice.inf-sup"),
 ]
 
 
@@ -89,6 +129,74 @@ def test_left_only_fold_breaks_the_copairing_flux(ctx):
         != tagged_flux(f.flux, g.flux, ctx.cfg)
     ]
     assert broken
+
+
+def _arrows(ctx):
+    return [
+        f for a, b in itertools.product(ctx.classes, repeat=2) for f in ctx.arrows(a, b)
+    ]
+
+
+def _cancels_pairwise(f, homsets):
+    """Whether no two distinct fluxes of one hom-set meet f's flux alike."""
+    return not any(
+        g != h and f.flux.relations & g == f.flux.relations & h
+        for hs in homsets
+        for g, h in itertools.product(hs, repeat=2)
+    )
+
+
+def test_epi_test_breaks_left_cancellation(ctx):
+    assert any(
+        is_epi(f) != _cancels_pairwise(f, [ctx.homset(c, f.source) for c in ctx.classes])
+        for f in _arrows(ctx)
+    )
+
+
+def test_mono_test_breaks_right_cancellation(ctx):
+    assert any(
+        is_mono(f) != _cancels_pairwise(f, [ctx.homset(f.target, c) for c in ctx.classes])
+        for f in _arrows(ctx)
+    )
+
+
+def test_strict_inclusion_breaks_isomorphic_endpoints_of_an_iso(ctx):
+    assert any(
+        is_iso(f) and not _strictly_below(f.source, f.target, ctx.cfg) for f in _arrows(ctx)
+    )
+
+
+def test_reversed_order_breaks_the_bottom_arrow(ctx):
+    # The empty arrow sits below every parallel arrow in the two-cell order.
+    assert any(
+        not _reversed_arrow_order(empty_arrow(f.source, f.target, ctx.cfg), f)
+        for f in _arrows(ctx)
+    )
+
+
+def test_empty_lift_breaks_the_flux(ctx):
+    assert any(
+        _lift_transmitting_nothing(f).flux.relations != f.flux.relations
+        for f in _arrows(ctx)
+    )
+
+
+def test_closure_of_the_first_breaks_the_merged_fluxes(ctx):
+    # The internal hom is the closure of the union of every flux from b to c.
+    broken = []
+    for b, c in itertools.product(ctx.classes, repeat=2):
+        merged = frozenset().union(*ctx.homset(b, c))
+        hom = _closure_of_the_first(b, c, ctx.cfg)
+        if power_view(Instance(merged, {}), ctx.cfg).relations != hom.relations:
+            broken.append((b, c))
+    assert broken
+
+
+def test_merging_of_the_second_breaks_the_upper_bound(ctx):
+    assert any(
+        not po_leq(a, _merging_of_the_second(a, b, ctx.cfg), ctx.cfg)
+        for a, b in itertools.product(ctx.classes, repeat=2)
+    )
 
 
 @pytest.mark.parametrize("law, check, module, attr, mutant, checked", MUTANTS)

@@ -125,6 +125,20 @@ def test_eval_project_reorders_and_duplicates():
     assert evaluate(term, inst) == make_relation(3, {("b", "a", "a")})
 
 
+@pytest.mark.parametrize(
+    "term",
+    [Project((0,), Base("r1")), Select(ColEqConst(0, "b"), Base("r1")), Project((), Base("r1"))],
+    ids=["project-column-0", "select-column-0", "project-no-column"],
+)
+def test_eval_rejects_a_column_below_one_or_an_empty_projection(term):
+    # Column 0 would wrap to the last column through negative indexing.
+    r1 = make_relation(2, {("a", "b")})
+    with pytest.raises(ArityError):
+        evaluate(term, Instance(frozenset({r1}), {"r1": r1}))
+    with pytest.raises(ArityError):
+        static_arity(term, {"r1": 2})
+
+
 def test_eval_bot():
     assert evaluate(Bot(), instance()) is BOTTOM
 

@@ -215,6 +215,27 @@ def test_associativity_law_composes_each_later_pair_once(cfg0, monkeypatch):
     assert len(calls) == 2 * result.checked + 2 * pairs
 
 
+def test_merge_functor_law_composes_each_pair_once(cfg0, monkeypatch):
+    calls = []
+
+    def counting(g, f):
+        calls.append((g, f))
+        return compose(g, f)
+
+    monkeypatch.setattr(suites, "compose", counting)
+    ctx = SuiteContext(cfg0, 4)
+    result = suites.law_merge_functor(ctx)
+    n = len(ctx.classes)
+    pairs = sum(
+        len(ctx.homset(b, c)) * len(ctx.homset(c, d))
+        for b, c, d in itertools.product(ctx.classes, repeat=3)
+    )
+    # One identity check per class pair, then one check per fourth class a
+    # and pair (f, g); g.f is formed once per pair, the merged composite per check.
+    assert result.checked == _golden_checked("lattice.merge-functor") == n * n + n * pairs
+    assert len(calls) == n * pairs + pairs
+
+
 def test_merge_functor_law_catches_non_functorial_merge(cfg0, monkeypatch):
     mutant = _principal_merge_arrow
     classes = closure_classes(cfg0, 4)

@@ -2,16 +2,22 @@
 
 ``bench/tracer.py`` lists them in three tables; a name that no longer exists
 makes ``Tracer.install`` fail, and only in the traced run.  These tests read
-the tables, without changing them, and look every name up in ``viewflux``.
+the tables and the benchmark definition, without changing them, and look
+every name up in ``viewflux``.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import pytest
 
-TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+from viewflux import suites
+
+ROOT = Path(__file__).resolve().parents[1]
+TRACER = ROOT / "bench" / "tracer.py"
+BENCHMARK = ROOT / "BENCHMARK.json"
 
 
 @pytest.fixture(scope="module")
@@ -37,3 +43,21 @@ def test_counted_methods_are_live_attributes(tracer):
         assert isinstance(klass, type), f"viewflux.{mod}.{cls}"
         # The class defines the method itself: every class inherits a __repr__.
         assert callable(vars(klass).get(method)), f"viewflux.{mod}.{cls}.{method}"
+
+
+def test_law_names_match_the_benchmark_per_layer_metrics(tracer):
+    # The traced run times each law of SUITES as one per-layer metric; a
+    # renamed, merged or added law would fail only there.
+    names = tracer._law_names(suites)
+    traced = [
+        tracer.LAW_PREFIX + names[id(fn)] + "_s"
+        for fns in suites.SUITES.values()
+        for fn in fns
+    ]
+    declared = [
+        metric["name"]
+        for metric in json.loads(BENCHMARK.read_text())["per_layer"]
+        if metric["name"].startswith(tracer.LAW_PREFIX)
+    ]
+    assert len(traced) == len(set(traced)) == 52
+    assert sorted(traced) == sorted(declared)

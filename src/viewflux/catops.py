@@ -29,7 +29,7 @@ from .core import (
     Relation,
     UniverseConfig,
 )
-from .errors import DomainMismatch, NotMonic
+from .errors import DomainMismatch, NotMonic, ViewfluxError
 from .morphisms import (
     Morphism,
     compose,
@@ -127,25 +127,16 @@ def _coproduct_cached(a: tuple, b: tuple) -> Instance:
     return Instance(_tagged_union(arels, brels), labels)
 
 
-def tagged_flux(
-    left: Instance | frozenset[Relation],
-    right: Instance | frozenset[Relation],
-    cfg: UniverseConfig,
-) -> ClosedInstance:
-    """The closed set holding the left flux tagged left and the right tagged right.
-
-    Results are memoized on the two relation sets; an open input raises
-    ``NotClosedDomain`` on every call.
-    """
-    lrels = left.relations if isinstance(left, Instance) else frozenset(left)
-    rrels = right.relations if isinstance(right, Instance) else frozenset(right)
-    return _tagged_flux_cached(lrels, rrels, cfg)
-
-
 @lru_cache(maxsize=None)
-def _tagged_flux_cached(
+def tagged_flux(
     lrels: frozenset[Relation], rrels: frozenset[Relation], cfg: UniverseConfig
 ) -> ClosedInstance:
+    """The closed set holding the relations ``lrels`` tagged left and ``rrels``
+    tagged right.
+
+    Memoized on the two relation sets; an open input raises
+    ``NotClosedDomain`` on every call.
+    """
     return certify_closed(Instance(_tagged_union(lrels, rrels) | {BOTTOM}, {}), cfg)
 
 
@@ -160,7 +151,7 @@ def arrow_coproduct(f: Morphism, g: Morphism) -> Morphism:
             coproduct(f.source, g.source),
             coproduct(f.target, g.target),
             (),
-            tagged_flux(f.flux, g.flux, cfg),
+            tagged_flux(f.flux.relations, g.flux.relations, cfg),
             cfg,
         )
     return summed
@@ -303,6 +294,8 @@ def omega_chain(a: Instance, cfg: UniverseConfig, steps: int) -> list[ClosedInst
     Returns the chain of the first ``steps`` iterates after the start; it
     reaches the closure of ``a`` at the first step and stays there.
     """
+    if steps < 0:
+        raise ViewfluxError(f"steps must be at least 0, got {steps}")
     chain = [zero_object()]
     for _ in range(steps):
         chain.append(merging(a, chain[-1], cfg))

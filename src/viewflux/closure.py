@@ -92,11 +92,17 @@ def _apply_unary(rel: Relation, cfg: UniverseConfig):
     """Yield (arity, tuples, make, args) for every select/project applicable to rel.
 
     ``make(*args)`` is the candidate's query builder; it is made only for a
-    candidate that turns out to be a new view.
+    candidate that turns out to be a new view.  Raises before the first one
+    when the projections (one per column tuple) exceed ``cfg.max_enumeration``.
     """
     if rel.is_bottom:
         return
     n = rel.arity
+    counts = itertools.accumulate(n**m for m in range(1, cfg.k_max + 1))
+    if any(count > cfg.max_enumeration for count in counts):  # lazy: a huge k_max costs nothing
+        raise EnumerationTooLarge(
+            f"projections of arity {n} up to arity {cfg.k_max} exceed the bound {cfg.max_enumeration}"
+        )
     for i in range(1, n + 1):
         for c in cfg.constants():
             kept = frozenset(t for t in rel.tuples if t[i - 1] == c)

@@ -325,5 +325,6 @@ def semantic_homset(
 
 
 def semantic_arrows(a: Instance, b: Instance, cfg: UniverseConfig) -> tuple[Morphism, ...]:
-    """One representative arrow per equivalence class from a to b."""
+    """One representative arrow per equivalence class from a to b, each holding
+    its interned flux; a suite run keeps one such tuple per pair of classes."""
     return tuple(semantic_arrow(a, b, flux, cfg) for flux in semantic_homset(a, b, cfg))

@@ -52,7 +52,7 @@ from .core import (
     with_default_labels,
     witness,
 )
-from .errors import EnumerationTooLarge, UnknownSuite
+from .errors import EnumerationTooLarge, UnknownSuite, ViewfluxError
 from .morphisms import (
     Morphism,
     arrow_po_leq,
@@ -67,7 +67,7 @@ from .morphisms import (
     is_mono,
     lift_arrow,
     semantic_arrow,
-    semantic_homset,
+    semantic_arrows,
     totalize,
 )
 from .queries import (
@@ -145,6 +145,8 @@ class SuiteContext:
     """Shared enumeration and caches for the law implementations."""
 
     def __init__(self, cfg: UniverseConfig, max_relations: int, max_instances: int = DEFAULT_MAX_INSTANCES):
+        if max_instances < 1:
+            raise ViewfluxError(f"max_instances must be at least 1, got {max_instances}")
         self.cfg = cfg
         self.instances = list(subset_instances(cfg, max_relations))
         if len(self.instances) > max_instances:
@@ -158,24 +160,13 @@ class SuiteContext:
         self.closed_objects = list(closed_subsets(self.total, cfg))
         # after the bounds above, so that a bound that fails stops before this pass
         self.classes = closure_classes(cfg, max_relations, self.instances)
-        self._homsets: dict = {}
         self._arrows: dict = {}
 
-    def homset(self, a: Instance, b: Instance) -> tuple[frozenset[Relation], ...]:
-        key = (a.relations, b.relations)
-        if key not in self._homsets:
-            self._homsets[key] = tuple(
-                h.relations for h in semantic_homset(a, b, self.cfg)
-            )
-        return self._homsets[key]
-
     def arrows(self, a: Instance, b: Instance) -> tuple[Morphism, ...]:
-        """One semantic arrow per flux of ``homset(a, b)``, built on first use."""
+        """``semantic_arrows(a, b)``, built on first use: the run's one hom-set table."""
         key = (a.relations, b.relations)
         if key not in self._arrows:
-            self._arrows[key] = tuple(
-                semantic_arrow(a, b, flux, self.cfg) for flux in self.homset(a, b)
-            )
+            self._arrows[key] = semantic_arrows(a, b, self.cfg)
         return self._arrows[key]
 
 
@@ -328,11 +319,11 @@ def law_associativity(ctx):
             # compose(h, g) depends on g and h alone: form it once per pair.
             hgs = [[compose(h, g) for h in ctx.arrows(c, d)] for g in ctx.arrows(b, c)]
             for a in ctx.classes:
-                for s1, f in zip(ctx.homset(a, b), ctx.arrows(a, b)):
-                    for s2, g, row in zip(ctx.homset(b, c), ctx.arrows(b, c), hgs):
+                for f in ctx.arrows(a, b):
+                    for g, row in zip(ctx.arrows(b, c), hgs):
                         gf = gfs.get((f, g)) or gfs.setdefault((f, g), compose(g, f))
-                        for s3, h, hg in zip(ctx.homset(c, d), ctx.arrows(c, d), row):
-                            yield equiv(compose(h, gf), compose(hg, f)), witness(s1, s2, s3)
+                        for h, hg in zip(ctx.arrows(c, d), row):
+                            yield equiv(compose(h, gf), compose(hg, f)), witness(f.flux, g.flux, h.flux)
 
 
 @_law("category.identity", "identities are neutral for composition")
@@ -347,20 +338,20 @@ def law_identity(ctx):
             yield ok, witness(a, b, f.flux)
 
 
-def _cancels(f: Morphism, homsets: Iterable[tuple[frozenset[Relation], ...]]) -> bool:
+def _cancels(f: Morphism, homsets: Iterable[tuple[Morphism, ...]]) -> bool:
     """Whether meeting with the flux of ``f`` is injective on each hom-set
     (whose fluxes are distinct): ``f`` cancels against the arrows of each."""
-    return all(len({f.flux.relations & g for g in hs}) == len(hs) for hs in homsets)
+    return all(len({f.flux.relations & g.flux.relations for g in hs}) == len(hs) for hs in homsets)
 
 
 @_arrow_law("category.mono-cancellation", "an arrow is monic exactly when it cancels on the left")
 def law_mono_cancellation(ctx, f):
-    return is_mono(f) == _cancels(f, [ctx.homset(c, f.source) for c in ctx.classes])
+    return is_mono(f) == _cancels(f, [ctx.arrows(c, f.source) for c in ctx.classes])
 
 
 @_arrow_law("category.epi-cancellation", "an arrow is epic exactly when it cancels on the right")
 def law_epi_cancellation(ctx, f):
-    return is_epi(f) == _cancels(f, [ctx.homset(f.target, c) for c in ctx.classes])
+    return is_epi(f) == _cancels(f, [ctx.arrows(f.target, c) for c in ctx.classes])
 
 
 @_arrow_law("category.mono-epi-iso", "an isomorphism, a monic epic arrow, joins equivalent instances")
@@ -531,8 +522,8 @@ def law_hom_object(ctx):
         hom = matching(b, c, ctx.cfg)
         ok = hom.relations == matching(c, b, ctx.cfg).relations
         merged: set[Relation] = set()
-        for flux in ctx.homset(b, c):
-            merged |= flux
+        for f in ctx.arrows(b, c):
+            merged |= f.flux.relations
         ok = ok and power_view(Instance(frozenset(merged), {}), ctx.cfg).relations == hom.relations
         yield ok, witness(b, c)
     for c in ctx.classes:
@@ -546,7 +537,7 @@ def law_hom_counting(ctx):
         tensor_ab = matching(a, b, ctx.cfg)
         hom_bc = matching(b, c, ctx.cfg)
         yield (
-            len(ctx.homset(tensor_ab, c)) == len(ctx.homset(a, hom_bc)),
+            len(ctx.arrows(tensor_ab, c)) == len(ctx.arrows(a, hom_bc)),
             witness(a, b, c),
         )
 
@@ -749,7 +740,7 @@ def law_pullback(ctx):
                     ok = sq.corner.relations == f.flux.relations & g.flux.relations
                     ok = ok and is_closed(sq.corner, ctx.cfg)
                     ok = ok and is_mono(sq.left) and is_mono(sq.right)
-                    ok = ok and square_mediators(sq, ctx.classes, ctx.homset) is not None
+                    ok = ok and square_mediators(sq, ctx.classes, ctx.arrows) is not None
                     yield ok, witness(f.flux, g.flux)
 
 
@@ -808,13 +799,13 @@ def law_coproduct_pullback(ctx):
         clear_arrows()  # squares share legs only within one e
         legs = [h for b in ctx.classes for h in ctx.arrows(b, e)]
         for d in ctx.classes:
-            for k_flux, k in zip(ctx.homset(d, e), ctx.arrows(d, e)):
+            for k in ctx.arrows(d, e):
                 squares = [pullback(k, h) for h in legs]
-                tables = [(sq, square_mediators(sq, small, ctx.homset)) for sq in squares]
+                tables = [(sq, square_mediators(sq, small, ctx.arrows)) for sq in squares]
                 for (sq1, m1), (sq2, m2) in itertools.product(tables, repeat=2):
                     yield (
                         combined_pullback_check(sq1, m1, sq2, m2, ctx.cfg),
-                        witness(k_flux, sq1.g.flux, sq2.g.flux),
+                        witness(k.flux, sq1.g.flux, sq2.g.flux),
                     )
 
 

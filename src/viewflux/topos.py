@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterable
+from typing import Callable
 
 from .catops import (
     arrow_coproduct,
@@ -63,6 +63,7 @@ from .morphisms import (
     is_epi,
     is_mono,
     semantic_arrow,
+    semantic_arrows,
     semantic_homset,
     _morphism,
     _witness_trees,
@@ -166,7 +167,7 @@ def is_pullback_square(
     composite through both legs, and that this arrow factors below the cone
     legs in the arrow order.
     """
-    return square_mediators(square, vertices, _homsets(cfg)) is not None
+    return square_mediators(square, vertices, lambda v, x: semantic_arrows(v, x, cfg)) is not None
 
 
 def true_arrow(cfg: UniverseConfig) -> Morphism:
@@ -221,10 +222,12 @@ def classifier(
     true_composite = compose(true_arrow(cfg), t_a)
     gen_commutes = gen_commutes and true_composite.flux.relations == frozenset({BOTTOM})
 
-    class_size = 0
-    for s in closed_subsets(power_view(in_a.target, cfg), cfg):
-        if _flux_level_classifier_condition(s.relations, ta, vertices, in_a.target, cfg):
-            class_size += 1
+    tests = [(v, h.relations) for v in vertices for h in semantic_homset(v, in_a.target, cfg)]
+    # A flux of the class meets trivially exactly the test fluxes inside the subobject's views.
+    class_size = sum(
+        all((s.relations & h == ZERO.relations) == (h <= ta) for _, h in tests)
+        for s in closed_subsets(power_view(in_a.target, cfg), cfg)
+    )
 
     audit = power_view(Instance(generators, {}), cfg).relations & ta
     flagged = audit != frozenset({BOTTOM})
@@ -233,30 +236,13 @@ def classifier(
         ambient=in_a.target,
         generators=generators,
         generator_commutes=gen_commutes,
-        factorization_ok=_equalizes(in_a, ta, proper_gens, vertices, cfg),
-        arrows_checked=sum(len(semantic_homset(v, in_a.target, cfg)) for v in vertices),
+        factorization_ok=_equalizes(in_a.source, ta, proper_gens, tests, cfg),
+        arrows_checked=len(tests),
         char_class_size=class_size,
         audit_intersection=frozenset(audit),
         flagged=flagged,
     )
     return char, report
-
-
-def _flux_level_classifier_condition(
-    s: frozenset[Relation],
-    ta: frozenset[Relation],
-    vertices: list[Instance],
-    ambient: Instance,
-    cfg: UniverseConfig,
-) -> bool:
-    """Whether composing with flux ``s`` is trivial exactly on arrows into the
-    subobject's views."""
-    for v in vertices:
-        for h in semantic_homset(v, ambient, cfg):
-            trivial = (s & h.relations) == frozenset({BOTTOM})
-            if trivial != (h.relations <= ta):
-                return False
-    return True
 
 
 def equalizer_check(
@@ -272,25 +258,23 @@ def equalizer_check(
     tb = power_view(f.target, cfg).relations
     proper_gens = (tb - ta) - {BOTTOM}
     # f itself equalizes: its flux avoids every generator.
-    return not ta & proper_gens and _equalizes(f, ta, proper_gens, vertices, cfg)
+    tests = [(v, h.relations) for v in vertices for h in semantic_homset(v, f.target, cfg)]
+    return not ta & proper_gens and _equalizes(f.source, ta, proper_gens, tests, cfg)
 
 
 def _equalizes(
-    mono: Morphism,
+    source: Instance,
     ta: frozenset[Relation],
     proper_gens: frozenset[Relation],
-    vertices: list[Instance],
+    tests: list[tuple[Instance, frozenset[Relation]]],
     cfg: UniverseConfig,
 ) -> bool:
-    """Whether every arrow from ``vertices`` into the target of ``mono`` whose
-    flux avoids ``proper_gens`` (an arrow that does not equalize needs no
-    factorization) factors uniquely through ``mono``, whose source has the
-    views ``ta``."""
+    """Whether every test arrow ``(v, flux)`` whose flux avoids ``proper_gens``
+    (an arrow that does not equalize needs no factorization) factors uniquely
+    through the monomorphism out of ``source``, whose views are ``ta``."""
     return all(
-        h.relations & proper_gens
-        or (h.relations <= ta and _unique_mediator(v, mono.source, ta, h.relations, cfg))
-        for v in vertices
-        for h in semantic_homset(v, mono.target, cfg)
+        h & proper_gens or (h <= ta and _unique_mediator(v, source, ta, h, cfg))
+        for v, h in tests
     )
 
 
@@ -348,30 +332,26 @@ def coproduct_pullback_check(
     itself, ``square_mediators`` once per square and ``combined_pullback_check``
     per pair.
     """
-    homset = _homsets(cfg)
+    arrows = lambda v, x: semantic_arrows(v, x, cfg)
     return combined_pullback_check(
-        sq1, square_mediators(sq1, vertices, homset),
-        sq2, square_mediators(sq2, vertices, homset),
+        sq1, square_mediators(sq1, vertices, arrows),
+        sq2, square_mediators(sq2, vertices, arrows),
         cfg,
     )
 
 
 Mediators = tuple[frozenset[Relation], ...] | None
-HomSets = Callable[[Instance, Instance], Iterable[frozenset[Relation]]]
-
-
-def _homsets(cfg: UniverseConfig) -> HomSets:
-    """Look up the fluxes of a semantic hom-set, uncached."""
-    return lambda a, b: [h.relations for h in semantic_homset(a, b, cfg)]
+Arrows = Callable[[Instance, Instance], tuple[Morphism, ...]]
 
 
 def square_mediators(
-    square: PullbackSquare, vertices: list[Instance], homset: HomSets
+    square: PullbackSquare, vertices: list[Instance], arrows: Arrows
 ) -> Mediators:
     """Verify ``square`` in one pass over its cones: None when it is not a
-    pullback, else the unique mediator of every cone from every vertex.
+    pullback, else the flux of the unique mediator of every cone from every
+    vertex.
 
-    ``homset(v, x)`` gives the fluxes of the arrows from ``v`` to ``x``.
+    ``arrows(v, x)`` gives one arrow per flux from ``v`` to ``x``.
     """
     fl_f = square.f.flux.relations
     fl_g = square.g.flux.relations
@@ -382,16 +362,18 @@ def square_mediators(
         return None
     mediators = []
     for v in vertices:
-        homs_b = homset(v, square.g.source)
-        homs_corner = homset(v, square.corner)
-        for s1 in homset(v, square.f.source):
-            w = fl_f & s1
-            for s2 in homs_b:
-                if w != fl_g & s2:
+        legs_g = arrows(v, square.g.source)
+        into_corner = arrows(v, square.corner)
+        for h1 in arrows(v, square.f.source):
+            w = fl_f & h1.flux.relations
+            for h2 in legs_g:
+                if w != fl_g & h2.flux.relations:
                     continue
                 # Both legs' composites are ``composite`` (the square commutes).
-                found = [u for u in homs_corner if composite & u == w]
-                if len(found) != 1 or not (fl_p1 & found[0] <= s1 and fl_p2 & found[0] <= s2):
+                found = [u.flux.relations for u in into_corner if composite & u.flux.relations == w]
+                if len(found) != 1 or not (
+                    fl_p1 & found[0] <= h1.flux.relations and fl_p2 & found[0] <= h2.flux.relations
+                ):
                     return None
                 mediators.append(found[0])
     return tuple(mediators)
@@ -427,17 +409,18 @@ def combined_pullback_check(
 
     # Corner closure decomposes componentwise.
     expected_corner = tagged_flux(
-        power_view(sq1.corner, cfg), power_view(sq2.corner, cfg), cfg
+        power_view(sq1.corner, cfg).relations, power_view(sq2.corner, cfg).relations, cfg
     )
     if power_view(combined_corner, cfg).relations != expected_corner.relations:
         return False
     # Copairing flux is the tagged sum of the component fluxes.
-    if left_pair.flux.relations != tagged_flux(sq1.left.flux, sq2.left.flux, cfg).relations:
+    legs = tagged_flux(sq1.left.flux.relations, sq2.left.flux.relations, cfg)
+    if left_pair.flux.relations != legs.relations:
         return False
 
     # Combined square commutes componentwise: a plain flux is lifted to both
     # components when it crosses into the tagged space.
-    k_lifted = tagged_flux(shared.flux, shared.flux, cfg).relations
+    k_lifted = tagged_flux(shared.flux.relations, shared.flux.relations, cfg).relations
     lhs = k_lifted & left_pair.flux.relations
     rhs = bottom_pair.flux.relations & right_pair.flux.relations
     if lhs != rhs:

@@ -106,7 +106,7 @@ def clear_caches():
             closure._matching_cached,
             closure._closed_subsets_cached,
             catops._merging_cached,
-            catops._tagged_flux_cached,
+            catops.tagged_flux,
         ):
             cache.cache_clear()
 

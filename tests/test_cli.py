@@ -208,6 +208,30 @@ def test_closure_of_binary_chain_exceeds_view_bound(files, capsys):
     assert err == "error: saturation produced more than 20000 views\n"
 
 
+def test_chain_rejects_negative_steps(files, capsys):
+    code, err = _error(capsys, "chain", str(files / "A.db"), "--steps", "-1")
+    assert code == 2
+    assert "steps must be at least 0, got -1" in err
+
+
+def test_check_rejects_max_instances_below_one(files, capsys):
+    code, err = _error(capsys, "check", "all", "--max-instances", "0")
+    assert code == 2
+    assert "max_instances must be at least 1, got 0" in err
+
+
+def test_check_fails_early_on_the_projection_bound(files, capsys):
+    code, err = _error(capsys, "check", "all", "--domain", "a", "--kmax", "9", "--max-relations", "1")
+    assert code == 2
+    assert "up to arity 9 exceed the bound 200000" in err
+
+
+def test_witness_saturation_passes_below_the_projection_bound(files, capsys):
+    # The classifier saturates the witnesses of every class.
+    code, out = run(capsys, "check", "topos", "--domain", "a", "--kmax", "6", "--max-relations", "1")
+    assert code == 0, out
+
+
 def test_check_fails_early_on_the_closed_subset_bound(files, capsys):
     argv = ["check", "all", "--domain", "a,b,c", "--kmax", "2", "--max-relations", "1"]
     code, err = _error(capsys, *argv, "--max-instances", "600")

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from functools import lru_cache
 
 import pytest
@@ -476,6 +477,30 @@ def test_closed_subsets_ground_bound(cfg0):
     tight = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_homset_ground=1)
     with pytest.raises(EnumerationTooLarge):
         closed_subsets(total_object(tight), tight)
+
+
+def _all_a_tuple(k, **bounds):
+    """One all-``a`` tuple of arity ``k``, with ``k_max = k`` over ``{a}``."""
+    cfg = UniverseConfig(domain=frozenset({"a"}), k_max=k, **bounds)
+    return instance(make_relation(k, {("a",) * k})), cfg
+
+
+@pytest.mark.parametrize(
+    "k, bounds",
+    # sum(8**m for m in 1..8) projections; at k=6 there are 55,986.
+    [(8, {}), (6, {"max_enumeration": 55985})],
+)
+def test_witness_saturation_fails_early_on_the_projection_bound(k, bounds):
+    inst, cfg = _all_a_tuple(k, **bounds)
+    started = time.perf_counter()
+    with pytest.raises(EnumerationTooLarge, match=f"projections of arity {k} up to arity {k}"):
+        generating_queries(inst, cfg)
+    assert time.perf_counter() - started < 1.0
+
+
+def test_witness_saturation_below_the_projection_bound():
+    inst, cfg = _all_a_tuple(6, max_enumeration=55986)
+    assert len(generating_queries(inst, cfg)) == 7  # the bottom and six arities
 
 
 def test_intersection_of_closed_is_closed(cfg0):

@@ -26,6 +26,7 @@ from viewflux import (
     is_mono,
     po_leq,
     power_view,
+    semantic_homset,
     suites,
     topos,
     zero_object,
@@ -44,7 +45,7 @@ def _left_only_coproduct(a, b):
 def _left_only_fold(d, cfg):
     """A mutant fold: it passes only the left copy of the doubled instance."""
     fold = fold_arrow(d, cfg)
-    flux = tagged_flux(power_view(d, cfg), zero_object(), cfg)
+    flux = tagged_flux(power_view(d, cfg).relations, zero_object().relations, cfg)
     return _morphism(fold.source, d, (), flux, cfg, check_range=False)
 
 
@@ -66,6 +67,11 @@ def _lift_transmitting_nothing(f):
 def _closure_of_the_first(a, b, cfg):
     """A mutant matching: the closure of the first operand alone."""
     return power_view(a, cfg)
+
+
+def _every_flux_twice(a, b, cfg):
+    """A mutant hom-set: every flux of the semantic hom-set listed twice."""
+    return semantic_homset(a, b, cfg) * 2
 
 
 # The coproduct mutant is bound where the law reads it.  Bound in ``catops``
@@ -97,6 +103,10 @@ MUTANTS = [
                  suites, "matching", _closure_of_the_first, 20, id="monoidal.hom-object"),
     pytest.param("lattice.inf-sup", suites.law_inf_sup,
                  suites, "merging", _merging_of_the_second, 16, id="lattice.inf-sup"),
+    pytest.param("topos.equalizer", suites.law_equalizer,
+                 topos, "semantic_homset", _every_flux_twice, 9, id="topos.equalizer"),
+    pytest.param("topos.factorization", suites.law_factorization,
+                 topos, "semantic_homset", _every_flux_twice, 25, id="topos.factorization"),
 ]
 
 
@@ -126,7 +136,7 @@ def test_left_only_fold_breaks_the_copairing_flux(ctx):
         for e in ctx.classes
         for f, g in itertools.product(ctx.arrows(a, e), ctx.arrows(b, e))
         if meet_closed(_left_only_fold(e, ctx.cfg).flux, arrow_coproduct(f, g).flux)
-        != tagged_flux(f.flux, g.flux, ctx.cfg)
+        != tagged_flux(f.flux.relations, g.flux.relations, ctx.cfg)
     ]
     assert broken
 
@@ -138,9 +148,9 @@ def _arrows(ctx):
 
 
 def _cancels_pairwise(f, homsets):
-    """Whether no two distinct fluxes of one hom-set meet f's flux alike."""
+    """Whether no two distinct arrows of one hom-set meet f's flux alike."""
     return not any(
-        g != h and f.flux.relations & g == f.flux.relations & h
+        g is not h and f.flux.relations & g.flux.relations == f.flux.relations & h.flux.relations
         for hs in homsets
         for g, h in itertools.product(hs, repeat=2)
     )
@@ -148,14 +158,14 @@ def _cancels_pairwise(f, homsets):
 
 def test_epi_test_breaks_left_cancellation(ctx):
     assert any(
-        is_epi(f) != _cancels_pairwise(f, [ctx.homset(c, f.source) for c in ctx.classes])
+        is_epi(f) != _cancels_pairwise(f, [ctx.arrows(c, f.source) for c in ctx.classes])
         for f in _arrows(ctx)
     )
 
 
 def test_mono_test_breaks_right_cancellation(ctx):
     assert any(
-        is_mono(f) != _cancels_pairwise(f, [ctx.homset(f.target, c) for c in ctx.classes])
+        is_mono(f) != _cancels_pairwise(f, [ctx.arrows(f.target, c) for c in ctx.classes])
         for f in _arrows(ctx)
     )
 
@@ -185,11 +195,24 @@ def test_closure_of_the_first_breaks_the_merged_fluxes(ctx):
     # The internal hom is the closure of the union of every flux from b to c.
     broken = []
     for b, c in itertools.product(ctx.classes, repeat=2):
-        merged = frozenset().union(*ctx.homset(b, c))
+        merged = frozenset().union(*(g.flux.relations for g in ctx.arrows(b, c)))
         hom = _closure_of_the_first(b, c, ctx.cfg)
         if power_view(Instance(merged, {}), ctx.cfg).relations != hom.relations:
             broken.append((b, c))
     assert broken
+
+
+def test_doubled_homset_gives_an_arrow_two_mediators(ctx):
+    # An arrow from v into the closure of x meets the views of x in its own
+    # flux, so it mediates itself: once per listing of its flux.
+    assert any(
+        sum(
+            power_view(x, ctx.cfg).relations & k.relations == h.relations
+            for k in _every_flux_twice(v, x, ctx.cfg)
+        ) == 2
+        for v, x in itertools.product(ctx.classes, repeat=2)
+        for h in semantic_homset(v, x, ctx.cfg)
+    )
 
 
 def test_merging_of_the_second_breaks_the_upper_bound(ctx):
@@ -206,3 +229,5 @@ def test_law_fails_under_its_mutant(ctx, monkeypatch, law, check, module, attr, 
     result = check(ctx)
     assert result.status == "FAIL"
     assert result.checked == _golden_checked(law) == checked
+    # Witnesses print fluxes as instances, whose relations print sorted.
+    assert not any("frozenset(" in w for w in result.failures)

@@ -29,7 +29,6 @@ from viewflux import (
     run_suite,
     semantic_arrow,
     semantic_arrows,
-    semantic_homset,
     subset_instances,
     total_object,
     true_arrow,
@@ -50,8 +49,8 @@ def classes(cfg0):
 
 
 @pytest.fixture(scope="module")
-def homset(cfg0):
-    return lambda a, b: [h.relations for h in semantic_homset(a, b, cfg0)]
+def arrows(cfg0):
+    return lambda a, b: semantic_arrows(a, b, cfg0)
 
 
 def _metric_laws(cfg, max_relations=4):
@@ -394,7 +393,7 @@ def test_coproduct_pullback_rejects_bad_square(cfg0, pa, pb, pab, classes):
         coproduct_pullback_check(good, bad, cfg0, classes)
 
 
-def test_coproduct_pullback_tables_match_pairwise_check(cfg0, monkeypatch, homset):
+def test_coproduct_pullback_tables_match_pairwise_check(cfg0, monkeypatch, arrows):
     # Record every pair the law checks against its squares' mediator tables,
     # then check each pair again through the one-pair entry point.
     seen = []
@@ -411,14 +410,14 @@ def test_coproduct_pullback_tables_match_pairwise_check(cfg0, monkeypatch, homse
     assert result.checked == len(seen) == 1225
     small = [ctx.zero, ctx.classes[-1]]
     for sq1, m1, sq2, m2, outcome in seen:
-        assert m1 == square_mediators(sq1, small, homset)
-        assert m2 == square_mediators(sq2, small, homset)
+        assert m1 == square_mediators(sq1, small, arrows)
+        assert m2 == square_mediators(sq2, small, arrows)
         assert outcome == coproduct_pullback_check(sq1, sq2, cfg0, small)
 
 
-def test_coproduct_pullback_tables_reject_bad_square(cfg0, pa, pb, pab, classes, homset):
+def test_coproduct_pullback_tables_reject_bad_square(cfg0, pa, pb, pab, classes, arrows):
     good, bad = _good_and_bad_squares(cfg0, pa, pb, pab)
-    tables = [(sq, square_mediators(sq, classes, homset)) for sq in (good, bad)]
+    tables = [(sq, square_mediators(sq, classes, arrows)) for sq in (good, bad)]
     assert tables[0][1] is not None and tables[1][1] is None
     for (sq1, m1), (sq2, m2) in itertools.product(tables, repeat=2):
         if bad in (sq1, sq2):
@@ -428,16 +427,16 @@ def test_coproduct_pullback_tables_reject_bad_square(cfg0, pa, pb, pab, classes,
             assert combined_pullback_check(sq1, m1, sq2, m2, cfg0)
 
 
-def test_coproduct_pullback_rejects_cone_without_unique_mediator(cfg0, pa, pab, classes, homset):
+def test_coproduct_pullback_rejects_cone_without_unique_mediator(cfg0, pa, pab, classes, arrows):
     k = semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0)
     sq = pullback(k, semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0))
-    mediators = square_mediators(sq, classes, homset)
+    mediators = square_mediators(sq, classes, arrows)
     cones = sum(
         1
         for v in classes
-        for s1 in homset(v, pab)
-        for s2 in homset(v, pab)
-        if k.flux.relations & s1 == k.flux.relations & s2
+        for h1 in arrows(v, pab)
+        for h2 in arrows(v, pab)
+        if k.flux.relations & h1.flux.relations == k.flux.relations & h2.flux.relations
     )
     assert len(mediators) == cones and all(isinstance(u, frozenset) for u in mediators)
     assert combined_pullback_check(sq, mediators, sq, mediators, cfg0)
@@ -450,7 +449,7 @@ def test_coproduct_pullback_rejects_cone_without_unique_mediator(cfg0, pa, pab, 
         sq.f,
         sq.g,
     )
-    assert square_mediators(zero_corner, classes, homset) is None
+    assert square_mediators(zero_corner, classes, arrows) is None
     with pytest.raises(NotAPullback):
         combined_pullback_check(sq, mediators, zero_corner, None, cfg0)
 

@@ -28,7 +28,7 @@ from .suites import (
     render_report,
     run_suite,
 )
-from .topos import classifier, closure_classes, distance
+from .topos import classifier, distance
 
 
 def _max_enum() -> int | None:
@@ -136,8 +136,7 @@ def cmd_classify_subobject(args) -> int:
     if not po_leq(a, b, cfg):
         raise ViewfluxError("the first instance is not a subobject of the second")
     mono = semantic_arrow(a, b, power_view(a, cfg), cfg)
-    vertices = closure_classes(cfg, min(args.max_relations, 2))
-    char, report = classifier(mono, cfg, vertices)
+    char, report = classifier(mono, cfg)
     sys.stdout.write("# characteristic arrow generators:\n")
     _print_closed(report.generators, cfg.domain)
     sys.stdout.write(
@@ -230,7 +229,6 @@ def main(argv: list[str] | None = None) -> int:
     p.add_argument("subobject")
     p.add_argument("ambient")
     add_kmax(p)
-    p.add_argument("--max-relations", type=int, default=2)
     p.set_defaults(fn=cmd_classify_subobject)
 
     for name in ("check", "probe"):

@@ -10,9 +10,10 @@ tag by ``_closed_form``: every non-empty relation over ``adom^n`` for each
 arity ``n <= k_max``, where ``adom`` is the component's set of constants,
 every non-empty set of its input tuples of each higher arity of its own
 relations, and the bottom.  Untagged relations belong to every component.
-Its reference is the operational definition: ``_saturate``, a semi-naive
-worklist that records each view's first derivation (the operator and its
-operands), from which ``generating_queries`` rebuilds a witness query.
+It is the only closure here: the operational definition, a worklist that
+applies the operators round by round, is kept in the tests as its
+reference.  ``generating_queries`` reads each view's witness query off the
+closed form too, one term per tuple of the view.
 
 An atom of a closed instance is a view of it with exactly one tuple whose
 arity is 1 or above ``k_max``; a tagged atom and its untagged twin are two
@@ -28,12 +29,11 @@ memoized on the relation sets.  Their labels stay empty and shared.
 from __future__ import annotations
 
 import itertools
-from functools import lru_cache
+from functools import cache, lru_cache, reduce
 from typing import Iterable, Iterator
 
 from .core import (
     BOTTOM,
-    Constant,
     Instance,
     Relation,
     UniverseConfig,
@@ -46,7 +46,6 @@ from .errors import EnumerationTooLarge, NotClosedDomain, UniverseTooLarge, Unkn
 from .queries import (
     Base,
     Bot,
-    ColEqCol,
     ColEqConst,
     Join,
     Project,
@@ -76,114 +75,8 @@ def _interned(relations: frozenset[Relation]) -> ClosedInstance:
     return ClosedInstance(relations, {})
 
 
-def _select_const(i: int, c: Constant):
-    return lambda q: Select(ColEqConst(i, c), q)
-
-
-def _select_cols(i: int, j: int):
-    return lambda q: Select(ColEqCol(i, j), q)
-
-
-def _project(cols: tuple[int, ...]):
-    return lambda q: Project(cols, q)
-
-
-def _apply_unary(rel: Relation, cfg: UniverseConfig):
-    """Yield (arity, tuples, make, args) for every select/project applicable to rel.
-
-    ``make(*args)`` is the candidate's query builder; it is made only for a
-    candidate that turns out to be a new view.  Raises before the first one
-    when the projections (one per column tuple) exceed ``cfg.max_enumeration``.
-    """
-    if rel.is_bottom:
-        return
-    n = rel.arity
-    counts = itertools.accumulate(n**m for m in range(1, cfg.k_max + 1))
-    if any(count > cfg.max_enumeration for count in counts):  # lazy: a huge k_max costs nothing
-        raise EnumerationTooLarge(
-            f"projections of arity {n} up to arity {cfg.k_max} exceed the bound {cfg.max_enumeration}"
-        )
-    for i in range(1, n + 1):
-        for c in cfg.constants():
-            kept = frozenset(t for t in rel.tuples if t[i - 1] == c)
-            yield n, kept, _select_const, (i, c)
-        for j in range(i + 1, n + 1):
-            kept = frozenset(t for t in rel.tuples if t[i - 1] == t[j - 1])
-            yield n, kept, _select_cols, (i, j)
-    for m in range(1, cfg.k_max + 1):
-        for cols in itertools.product(range(1, n + 1), repeat=m):
-            rows = frozenset(tuple(t[c - 1] for c in cols) for t in rel.tuples)
-            yield m, rows, _project, (cols,)
-
-
-def _compatible(a: Relation, b: Relation) -> bool:
-    return not a.tag or not b.tag or a.tag == b.tag
-
-
-def _record(
-    views: dict[Relation, tuple], keys: set[tuple], rel: Relation, how: tuple, cfg: UniverseConfig
-) -> None:
-    """Insert a new view with its derivation; fail once there are too many."""
-    views[rel] = how
-    keys.add((rel.arity, rel.tuples, rel.tag))
-    if len(views) > cfg.max_universe:
-        raise UniverseTooLarge(f"saturation produced more than {cfg.max_universe} views")
-
-
-def _saturate(relations: frozenset[Relation], cfg: UniverseConfig) -> dict[Relation, tuple]:
-    """Least superset of the input (plus bottom) closed under the operators.
-
-    Maps each view to its first derivation, in insertion order: ``()`` for
-    the bottom and the inputs, otherwise ``(build, operand, ...)``, where
-    ``build`` turns the operands' query terms into the view's term.  Every
-    operand is inserted before the views derived from it.
-
-    A round applies the unary operators to the views the last round added,
-    then combines pairs of non-bottom views in canonical order.  A pair of
-    views both present at the last pair pass is skipped (it was combined
-    then), and a union is formed only at the pair whose second view sorts
-    later (the mirrored pair gave the same union earlier).  Candidates are
-    looked up by their ``(arity, tuples, tag)`` key, and a ``Relation`` is
-    built only for a new view.  No skipped candidate could have been new,
-    so the record is the one that combining all pairs every round gives.
-    """
-    views: dict[Relation, tuple] = {}
-    keys: set[tuple] = set()
-    for rel in sorted_relations(set(relations) | {BOTTOM}):
-        _record(views, keys, rel, (), cfg)
-    frontier = list(views)
-    old: set[Relation] = set()
-    while frontier:
-        known = len(views)
-        for rel in frontier:
-            for arity, rows, make, args in _apply_unary(rel, cfg):
-                key = (arity, rows, rel.tag)
-                if rows and key not in keys:
-                    _record(views, keys, Relation(*key), (make(*args), rel), cfg)
-        # The bottom drops out: a union or join of non-empty relations is non-empty.
-        current = list(enumerate(sorted_relations(r for r in views if not r.is_bottom)))
-        fresh = [(j, b) for j, b in current if b not in old]
-        for i, a in current:
-            for j, b in fresh if a in old else current:
-                if not _compatible(a, b):
-                    continue
-                tag = a.tag or b.tag
-                if j > i and a.arity == b.arity:
-                    key = (a.arity, a.tuples | b.tuples, tag)
-                    if key not in keys:
-                        _record(views, keys, Relation(*key), (UnionTerm, a, b), cfg)
-                if a.arity + b.arity <= cfg.k_max:
-                    rows = frozenset(x + y for x in a.tuples for y in b.tuples)
-                    key = (a.arity + b.arity, rows, tag)
-                    if key not in keys:
-                        _record(views, keys, Relation(*key), (Join, a, b), cfg)
-        old = {a for _, a in current}
-        frontier = sorted_relations(itertools.islice(views, known, None))
-    return views
-
-
 def _closed_form(relations: Iterable[Relation], cfg: UniverseConfig) -> Iterator[Relation]:
-    """Yield ``_saturate``'s views but the bottom, by the closed form (module docstring)."""
+    """Yield the views but the bottom, by the closed form (module docstring)."""
     parts: dict[tuple[str, ...], tuple[set, dict]] = {(): (set(), {})}
     for rel in relations:  # the bottom adds no constant and no tuple
         adom, high = parts.setdefault(rel.tag, (set(), {}))
@@ -269,19 +162,56 @@ def generating_queries(inst: Instance, cfg: UniverseConfig) -> dict[Relation, Qu
     """A deterministic generating query (over the instance's labels) per view.
 
     Unlabeled relations are auto-named first.  Base relations map to base
-    queries and the bottom to the bottom term; every other view gets the
-    term of its first derivation in the saturation, built from its operands'
-    terms.
+    queries and the bottom to the bottom term.  Every other view is read off
+    the closed form: the union, over its tuples in sorted order, of a term
+    yielding just that tuple.  Such a term reads the first base relation
+    ``r``, in canonical order, of the view's component that holds what it
+    needs.  A tuple up to ``k_max`` is the join of ``sel[1='c'](proj[j](r))``
+    over its constants ``c``, with ``c`` in column ``j`` of ``r``; a tuple
+    above the cap is ``r`` holding it, selected on every column.  An
+    untagged ``r`` under a tagged view is first united with a relation of
+    that tag, of the arity needed, which carries the tag over; the closed
+    form gives a view a tag, and a tag an arity above the cap, only when an
+    input relation has them, so there is one.
     """
     labeled = with_default_labels(inst)
     witness: dict[Relation, QueryTerm] = {
         rel: Base(name) for name, rel in labeled.labels.items()
     }
     witness[BOTTOM] = Bot()
-    for rel, how in _saturate(labeled.relations, cfg).items():
-        if how:
-            build, *operands = how
-            witness[rel] = build(*(witness[op] for op in operands))
+    bases = [(rel, witness[rel]) for rel in sorted_relations(labeled.relations) if rel.tuples]
+
+    def tagged(term, rel, tag, arity):
+        """``term``, read from ``rel`` and of ``arity``, made to carry ``tag``."""
+        if rel.tag == tag:
+            return term
+        own = next(t for o, t in bases if o.tag == tag and arity in (1, o.arity))
+        return UnionTerm(term, Project((1,), own) if arity == 1 else own)
+
+    @cache
+    def constant_term(tag, c):
+        rel, term, col = next(
+            (rel, term, col) for rel, term in bases if rel.tag in ((), tag)
+            for col in range(1, rel.arity + 1) if any(t[col - 1] == c for t in rel.tuples)
+        )
+        return Select(ColEqConst(1, c), tagged(Project((col,), term), rel, tag, 1))
+
+    @cache
+    def row_term(tag, row):
+        if len(row) <= cfg.k_max:
+            return reduce(Join, (constant_term(tag, c) for c in row))
+        rel, term = next(
+            (rel, term) for rel, term in bases if rel.tag in ((), tag) and row in rel.tuples
+        )
+        term = tagged(term, rel, tag, len(row))
+        for i, c in enumerate(row, 1):
+            term = Select(ColEqConst(i, c), term)
+        return term
+
+    for view in power_view(labeled, cfg).relations:
+        if view not in witness:
+            terms = (row_term(view.tag, row) for row in sorted(view.tuples))
+            witness[view] = reduce(UnionTerm, terms)
     return witness
 
 

@@ -206,7 +206,7 @@ def _witness_trees(
     source: Instance, views: Iterable[Relation], cfg: UniverseConfig
 ) -> list[ViewTree]:
     """One view-map per view over ``source`` (labeled by default), in canonical
-    order, each with the first generating query found during saturation."""
+    order, each with the view's query from ``generating_queries``."""
     labeled = with_default_labels(source)
     witness = generating_queries(labeled, cfg)
     return [ViewTree(ViewMap(witness[v], labeled, v)) for v in sorted_relations(views)]

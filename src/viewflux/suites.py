@@ -757,8 +757,6 @@ def law_classifier(ctx):
         char, report = classifier(mono, ctx.cfg, ctx.classes)
         ok = report.generator_commutes and report.factorization_ok
         ok = ok and report.char_class_size == 1
-        proper = report.generators - {BOTTOM}
-        ok = ok and not (proper & power_view(a, ctx.cfg).relations)
         yield ok, witness(a, b)
 
 

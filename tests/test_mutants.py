@@ -103,6 +103,8 @@ MUTANTS = [
                  suites, "matching", _closure_of_the_first, 20, id="monoidal.hom-object"),
     pytest.param("lattice.inf-sup", suites.law_inf_sup,
                  suites, "merging", _merging_of_the_second, 16, id="lattice.inf-sup"),
+    pytest.param("topos.classifier", suites.law_classifier,
+                 topos, "semantic_homset", _every_flux_twice, 9, id="topos.classifier"),
     pytest.param("topos.equalizer", suites.law_equalizer,
                  topos, "semantic_homset", _every_flux_twice, 9, id="topos.equalizer"),
     pytest.param("topos.factorization", suites.law_factorization,

@@ -306,6 +306,20 @@ def test_classifier_every_mono(cfg0, classes):
     assert flagged  # at least the one-constant inclusion gets audited
 
 
+@pytest.mark.parametrize(
+    "domain, k_max, counts", [("ab", 1, (2, 3, 4)), ("abc", 1, (2, 3)), ("ab", 2, (2,))]
+)
+def test_one_relation_realises_every_class(domain, k_max, counts):
+    # A class is fixed by its active domain, and one relation realises any
+    # active domain, so the classifier's default vertices,
+    # closure_classes(cfg, 1), are the classes at any max_relations.
+    cfg = UniverseConfig(domain=frozenset(domain), k_max=k_max)
+    one = closure_classes(cfg, 1)
+    assert len(one) == 2 ** len(domain)
+    for n in counts:
+        assert closure_classes(cfg, n) == one, n
+
+
 def test_true_arrow(cfg0):
     t = true_arrow(cfg0)
     assert t.flux.relations == frozenset({BOTTOM})

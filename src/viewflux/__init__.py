@@ -57,7 +57,6 @@ from .queries import (
     flatten_term,
     format_query,
     parse_query,
-    query_equiv,
     static_arity,
 )
 from .closure import (
@@ -126,12 +125,10 @@ from .topos import (
     true_arrow,
 )
 from .formats import (
-    dump_instance,
     load_instance,
     load_morphism,
     parse_instance,
     render_instance,
-    render_morphism,
 )
 from .suites import (
     LawResult,

@@ -10,7 +10,7 @@ structure closed: currying is a flux-preserving bijection of hom-sets.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import itertools
 from functools import lru_cache
 
 from .closure import (
@@ -257,35 +257,19 @@ def retraction_check(f: Morphism) -> bool:
     return equiv(compose(invert(f), f), identity(f.source, f.cfg))
 
 
-@dataclass(frozen=True)
-class RetCategoryReport:
-    """Outcome of probing the category of idempotents on an instance."""
-
-    instance: Instance
-    pairs_checked: int
-    bijection_holds: bool
-
-
-def ret_category_probe(a: Instance, cfg: UniverseConfig) -> RetCategoryReport:
+def ret_category_probe(a: Instance, cfg: UniverseConfig) -> bool:
     """Probe the category of idempotent endomorphisms on an instance.
 
-    For every pair of endomorphism fluxes (f, g), the arrows between their
-    flux objects must correspond one to one with the endomorphisms k
+    Whether, for every pair of endomorphism fluxes (f, g), the arrows between
+    their flux objects correspond one to one with the endomorphisms k
     satisfying k = g . k . f up to equivalence.
     """
     endos = semantic_homset(a, a, cfg)
-    pairs = 0
-    ok = True
-    for f_flux in endos:
-        for g_flux in endos:
-            pairs += 1
-            outer = semantic_homset(f_flux, g_flux, cfg)
-            fixed = [
-                k for k in endos
-                if k.relations == (k.relations & f_flux.relations & g_flux.relations)
-            ]
-            ok = ok and len(outer) == len(fixed)
-    return RetCategoryReport(a, pairs, ok)
+    return all(
+        len(semantic_homset(f_flux, g_flux, cfg))
+        == sum(k.relations <= f_flux.relations & g_flux.relations for k in endos)
+        for f_flux, g_flux in itertools.product(endos, repeat=2)
+    )
 
 
 def omega_chain(a: Instance, cfg: UniverseConfig, steps: int) -> list[ClosedInstance]:

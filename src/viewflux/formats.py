@@ -39,7 +39,7 @@ from .core import (
 )
 from .errors import ArityMismatch, QuerySyntaxError, UnknownConstant, ViewfluxError
 from .morphisms import Morphism, atomic_morphism
-from .queries import format_query, parse_query
+from .queries import parse_query
 
 _HEADER = re.compile(r"relation\s+([A-Za-z_][A-Za-z0-9_]*)\s*/\s*(\d+)\s*:\s*(empty)?\s*$")
 
@@ -141,12 +141,6 @@ def render_instance(
     return "\n".join(lines) + "\n"
 
 
-def dump_instance(
-    inst: Instance, domain: frozenset[Constant], path: str | Path
-) -> None:
-    Path(path).write_text(render_instance(inst, domain))
-
-
 def load_morphism(
     path: str | Path, cfg: UniverseConfig | None = None, k_max: int = 1
 ) -> Morphism:
@@ -167,11 +161,3 @@ def load_morphism(
     schema = {n: r.arity for n, r in src_inst.labels.items()}
     terms = [parse_query(line, schema, src_domain) for line in lines[1:]]
     return atomic_morphism(src_inst, tgt_inst, terms, cfg)
-
-
-def render_morphism(f: Morphism, src_name: str, tgt_name: str) -> str:
-    """Render an atomic morphism (one query per top-level tree)."""
-    lines = [f"morphism {src_name} -> {tgt_name}"]
-    queries = sorted(format_query(t.head.query) for t in f.trees)
-    lines.extend(queries)
-    return "\n".join(lines) + "\n"

@@ -250,11 +250,6 @@ def evaluate(
     raise TypeError(f"not a query term: {term!r}")
 
 
-def query_equiv(q1: QueryTerm, q2: QueryTerm, inst: Instance) -> bool:
-    """True when both terms evaluate to the same canonical extension."""
-    return evaluate(q1, inst) == evaluate(q2, inst)
-
-
 def slot_count(term: QueryTerm) -> int:
     """Number of distinct slots; indices must be exactly 1..k."""
     indices = {t.index for t in subterms(term) if isinstance(t, Slot)}

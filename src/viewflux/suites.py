@@ -1,9 +1,10 @@
 """Exhaustive property suites over a bounded enumeration of instances.
 
-Each suite runs a list of laws.  A law checks one identity or property over
-every instance, pair, triple or arrow the enumeration provides and reports
-the number of checks, any failures (with the first counterexample in
-canonical order) and any flagged witnesses.  Flagged entries document known
+A suite is every law whose name starts with the suite's name, in the order
+of this module.  A law checks one identity or property over every instance,
+pair, triple or arrow the enumeration provides and reports the number of
+checks, any failures (with the first counterexample in canonical order)
+and any flagged witnesses.  Flagged entries document known
 divergences between the generator-level and closure-level readings of the
 classifier; they never count as failures.  Reports render deterministically:
 identical inputs give byte-identical text.
@@ -170,9 +171,10 @@ class SuiteContext:
         return self._arrows[key]
 
 
-def _laws(*laws: tuple[str, str]) -> Callable:
+def _laws(*laws: tuple[str, str], over: str | None = None, repeat: int = 1) -> Callable:
     """Wrap a generator of checks into a function checking ``laws``, given as
-    (name, statement) pairs, in one pass.
+    (name, statement) pairs, in one pass.  The function records its suite,
+    the part of the first name before the dot.
 
     A check is ``(ok, witness)`` or ``(ok, witness, flagged)``; when several
     laws share the pass, each check starts with the name of its law.  A
@@ -180,9 +182,20 @@ def _laws(*laws: tuple[str, str]) -> Callable:
     the first five failures or flagged items, which are all the report
     keeps.  One law gives one ``LawResult``, several give a list in the order
     of ``laws`` with the pass's time on the first.
+
+    With ``over``, the name of an enumeration of the context (``instances``,
+    ``classes`` or ``closed_objects``), ``fn`` is a predicate instead: it is
+    checked as ``fn(ctx, *item)`` on every ``repeat``-tuple of the
+    enumeration, in ``itertools.product`` order, with witness ``witness(*item)``.
     """
 
     def decorate(fn):
+        def predicate_checks(ctx):
+            for item in itertools.product(getattr(ctx, over), repeat=repeat):
+                yield fn(ctx, *item), witness(*item)
+
+        checks = fn if over is None else predicate_checks
+
         def run(ctx: SuiteContext) -> LawResult | list[LawResult]:
             started = time.perf_counter()
             clear_arrows()
@@ -190,7 +203,7 @@ def _laws(*laws: tuple[str, str]) -> Callable:
             by_name = {result.law: result for result in results}
             grouped = len(results) > 1
             result = results[0]
-            for item in fn(ctx):
+            for item in checks(ctx):
                 if grouped:
                     result, item = by_name[item[0]], item[1:]
                 ok, check = item[0], item[1]
@@ -203,14 +216,15 @@ def _laws(*laws: tuple[str, str]) -> Callable:
             results[0].elapsed = time.perf_counter() - started
             return results if grouped else result
 
+        run.suite = laws[0][0].split(".")[0]
         return run
 
     return decorate
 
 
-def _law(law: str, statement: str) -> Callable:
+def _law(law: str, statement: str, over: str | None = None, repeat: int = 1) -> Callable:
     """``_laws`` for a law checked on its own."""
-    return _laws((law, statement))
+    return _laws((law, statement), over=over, repeat=repeat)
 
 
 def _arrow_law(law: str, statement: str) -> Callable:
@@ -235,10 +249,9 @@ def _render(check: str | Callable[[], str]) -> str:
 # --- closure laws ---------------------------------------------------------
 
 
-@_law("closure.extensive", "every instance is contained in its view closure")
-def law_closure_extensive(ctx):
-    for a in ctx.instances:
-        yield a.relations <= power_view(a, ctx.cfg).relations, witness(a)
+@_law("closure.extensive", "every instance is contained in its view closure", over="instances")
+def law_closure_extensive(ctx, a):
+    return a.relations <= power_view(a, ctx.cfg).relations
 
 
 @_law("closure.monotone", "instance inclusion is preserved by the closure")
@@ -251,11 +264,10 @@ def law_closure_monotone(ctx):
         yield ok, witness(small, big)
 
 
-@_law("closure.idempotent", "closing a closure changes nothing")
-def law_closure_idempotent(ctx):
-    for a in ctx.instances:
-        ta = power_view(a, ctx.cfg)
-        yield power_view(ta, ctx.cfg).relations == ta.relations, witness(a)
+@_law("closure.idempotent", "closing a closure changes nothing", over="instances")
+def law_closure_idempotent(ctx, a):
+    ta = power_view(a, ctx.cfg)
+    return power_view(ta, ctx.cfg).relations == ta.relations
 
 
 @_law("closure.bottom", "the zero object is its own closure")
@@ -269,33 +281,31 @@ def law_closure_total(ctx):
     yield power_view(ctx.total, ctx.cfg).relations == ctx.total.relations, witness(ctx.total)
 
 
-@_law("closure.algebraic", "a closure is the union of the closures of the finite subinstances")
-def law_closure_algebraic(ctx):
-    for a in ctx.instances:
-        rels = sorted_relations(a.relations)
-        union: set[Relation] = set()
-        for k in range(len(rels) + 1):
-            for combo in itertools.combinations(rels, k):
-                union |= power_view(Instance(frozenset(combo), {}), ctx.cfg).relations
-        yield union == power_view(a, ctx.cfg).relations, witness(a)
+@_law("closure.algebraic", "a closure is the union of the closures of the finite subinstances",
+      over="instances")
+def law_closure_algebraic(ctx, a):
+    rels = sorted_relations(a.relations)
+    union: set[Relation] = set()
+    for k in range(len(rels) + 1):
+        for combo in itertools.combinations(rels, k):
+            union |= power_view(Instance(frozenset(combo), {}), ctx.cfg).relations
+    return union == power_view(a, ctx.cfg).relations
 
 
-@_law("closure.intersections", "closed instances are closed under intersection")
-def law_closure_intersections(ctx):
-    for x, y in itertools.product(ctx.closed_objects, repeat=2):
-        meet = Instance(x.relations & y.relations, {})
-        yield is_closed(meet, ctx.cfg), witness(x, y)
+@_law("closure.intersections", "closed instances are closed under intersection",
+      over="closed_objects", repeat=2)
+def law_closure_intersections(ctx, x, y):
+    return is_closed(Instance(x.relations & y.relations, {}), ctx.cfg)
 
 
-@_law("closure.order", "behavioral inclusion is closure inclusion; equivalence is equality")
-def law_closure_order(ctx):
-    for a, b in itertools.product(ctx.instances, repeat=2):
-        ta = power_view(a, ctx.cfg).relations
-        tb = power_view(b, ctx.cfg).relations
-        ok = po_leq(a, b, ctx.cfg) == (ta <= tb)
-        ok = ok and isomorphic(a, b, ctx.cfg) == (ta == tb)
-        ok = ok and isomorphic(a, Instance(ta, {}), ctx.cfg)
-        yield ok, witness(a, b)
+@_law("closure.order", "behavioral inclusion is closure inclusion; equivalence is equality",
+      over="instances", repeat=2)
+def law_closure_order(ctx, a, b):
+    ta = power_view(a, ctx.cfg).relations
+    tb = power_view(b, ctx.cfg).relations
+    ok = po_leq(a, b, ctx.cfg) == (ta <= tb)
+    ok = ok and isomorphic(a, b, ctx.cfg) == (ta == tb)
+    return ok and isomorphic(a, Instance(ta, {}), ctx.cfg)
 
 
 # --- category laws --------------------------------------------------------
@@ -411,11 +421,10 @@ def law_retraction(ctx):
             yield retraction_check(f), witness(a, b, f.flux)
 
 
-@_law("category.idempotents", "arrows between endomorphism fluxes match fixed endomorphisms")
-def law_idempotents(ctx):
-    for a in ctx.classes:
-        report = ret_category_probe(a, ctx.cfg)
-        yield report.bijection_holds, witness(a)
+@_law("category.idempotents", "arrows between endomorphism fluxes match fixed endomorphisms",
+      over="classes")
+def law_idempotents(ctx, a):
+    return ret_category_probe(a, ctx.cfg)
 
 
 @_arrow_law("category.principal", "the largest arrow between two instances factors every other")
@@ -460,29 +469,25 @@ def law_monad(ctx):
 # --- monoidal laws --------------------------------------------------------
 
 
-@_law("monoidal.commutative", "matching is commutative")
-def law_tensor_commutative(ctx):
-    for a, b in itertools.product(ctx.instances, repeat=2):
-        ok = matching(a, b, ctx.cfg).relations == matching(b, a, ctx.cfg).relations
-        yield ok, witness(a, b)
+@_law("monoidal.commutative", "matching is commutative", over="instances", repeat=2)
+def law_tensor_commutative(ctx, a, b):
+    return matching(a, b, ctx.cfg).relations == matching(b, a, ctx.cfg).relations
 
 
-@_law("monoidal.associative", "matching is associative")
-def law_tensor_associative(ctx):
-    for a, b, c in itertools.product(ctx.classes, repeat=3):
-        lhs = matching(matching(a, b, ctx.cfg), c, ctx.cfg)
-        rhs = matching(a, matching(b, c, ctx.cfg), ctx.cfg)
-        yield lhs.relations == rhs.relations, witness(a, b, c)
+@_law("monoidal.associative", "matching is associative", over="classes", repeat=3)
+def law_tensor_associative(ctx, a, b, c):
+    lhs = matching(matching(a, b, ctx.cfg), c, ctx.cfg)
+    rhs = matching(a, matching(b, c, ctx.cfg), ctx.cfg)
+    return lhs.relations == rhs.relations
 
 
-@_law("monoidal.idempotent-unit-zero", "self-matching is the closure; total and zero are unit and absorbing")
-def law_tensor_units(ctx):
-    for a in ctx.instances:
-        ta = power_view(a, ctx.cfg).relations
-        ok = matching(a, a, ctx.cfg).relations == ta
-        ok = ok and matching(a, ctx.total, ctx.cfg).relations == ta
-        ok = ok and matching(a, ctx.zero, ctx.cfg).relations == frozenset({BOTTOM})
-        yield ok, witness(a)
+@_law("monoidal.idempotent-unit-zero",
+      "self-matching is the closure; total and zero are unit and absorbing", over="instances")
+def law_tensor_units(ctx, a):
+    ta = power_view(a, ctx.cfg).relations
+    ok = matching(a, a, ctx.cfg).relations == ta
+    ok = ok and matching(a, ctx.total, ctx.cfg).relations == ta
+    return ok and matching(a, ctx.zero, ctx.cfg).relations == frozenset({BOTTOM})
 
 
 @_law("monoidal.arrow-tensor", "the matching of two arrows transmits the common views")
@@ -504,16 +509,15 @@ def law_flux_range(ctx, f):
     return BOTTOM in f.flux.relations and f.flux.relations <= bound
 
 
-@_law("monoidal.monoid", "every instance is a monoid: iso multiplication, epi unit")
-def law_monoid(ctx):
-    for a in ctx.instances:
-        mu, eta = monoid_structure(a, ctx.cfg)
-        ta = power_view(a, ctx.cfg).relations
-        ok = is_iso(mu) and is_epi(eta)
-        ok = ok and mu.flux.relations == ta and eta.flux.relations == ta
-        unit_flux = eta.flux.relations & identity(a, ctx.cfg).flux.relations
-        ok = ok and (mu.flux.relations & unit_flux) == ta
-        yield ok, witness(a)
+@_law("monoidal.monoid", "every instance is a monoid: iso multiplication, epi unit",
+      over="instances")
+def law_monoid(ctx, a):
+    mu, eta = monoid_structure(a, ctx.cfg)
+    ta = power_view(a, ctx.cfg).relations
+    ok = is_iso(mu) and is_epi(eta)
+    ok = ok and mu.flux.relations == ta and eta.flux.relations == ta
+    unit_flux = eta.flux.relations & identity(a, ctx.cfg).flux.relations
+    return ok and (mu.flux.relations & unit_flux) == ta
 
 
 @_law("monoidal.hom-object", "the internal hom equals the matching, merged from all fluxes")
@@ -531,15 +535,10 @@ def law_hom_object(ctx):
         yield hom.relations == power_view(c, ctx.cfg).relations, witness(c)
 
 
-@_law("monoidal.hom-counting", "currying is a bijection of hom-sets")
-def law_hom_counting(ctx):
-    for a, b, c in itertools.product(ctx.classes, repeat=3):
-        tensor_ab = matching(a, b, ctx.cfg)
-        hom_bc = matching(b, c, ctx.cfg)
-        yield (
-            len(ctx.arrows(tensor_ab, c)) == len(ctx.arrows(a, hom_bc)),
-            witness(a, b, c),
-        )
+@_law("monoidal.hom-counting", "currying is a bijection of hom-sets", over="classes", repeat=3)
+def law_hom_counting(ctx, a, b, c):
+    tensor_ab = matching(a, b, ctx.cfg)
+    return len(ctx.arrows(tensor_ab, c)) == len(ctx.arrows(a, matching(b, c, ctx.cfg)))
 
 
 @_law("monoidal.exponent", "evaluation is monic and the currying triangle commutes on fluxes")
@@ -591,51 +590,45 @@ def law_join_laws(ctx):
         yield lhs.relations == rhs.relations, witness(a, b, c)
 
 
-@_law("lattice.absorption", "each operation absorbs the other")
-def law_absorption(ctx):
-    for a, b in itertools.product(ctx.instances, repeat=2):
-        ta = power_view(a, ctx.cfg).relations
-        ok = merging(a, matching(a, b, ctx.cfg), ctx.cfg).relations == ta
-        ok = ok and matching(a, merging(a, b, ctx.cfg), ctx.cfg).relations == ta
-        yield ok, witness(a, b)
+@_law("lattice.absorption", "each operation absorbs the other", over="instances", repeat=2)
+def law_absorption(ctx, a, b):
+    ta = power_view(a, ctx.cfg).relations
+    ok = merging(a, matching(a, b, ctx.cfg), ctx.cfg).relations == ta
+    return ok and matching(a, merging(a, b, ctx.cfg), ctx.cfg).relations == ta
 
 
-@_law("lattice.inf-sup", "matching is the meet and merging the join of the behavioral order")
-def law_inf_sup(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        inf = matching(a, b, ctx.cfg)
-        sup = merging(a, b, ctx.cfg)
-        ok = po_leq(inf, a, ctx.cfg) and po_leq(inf, b, ctx.cfg)
-        ok = ok and po_leq(a, sup, ctx.cfg) and po_leq(b, sup, ctx.cfg)
-        for c in ctx.classes:
-            if po_leq(c, a, ctx.cfg) and po_leq(c, b, ctx.cfg):
-                ok = ok and po_leq(c, inf, ctx.cfg)
-            if po_leq(a, c, ctx.cfg) and po_leq(b, c, ctx.cfg):
-                ok = ok and po_leq(sup, c, ctx.cfg)
-        yield ok, witness(a, b)
+@_law("lattice.inf-sup", "matching is the meet and merging the join of the behavioral order",
+      over="classes", repeat=2)
+def law_inf_sup(ctx, a, b):
+    inf = matching(a, b, ctx.cfg)
+    sup = merging(a, b, ctx.cfg)
+    ok = po_leq(inf, a, ctx.cfg) and po_leq(inf, b, ctx.cfg)
+    ok = ok and po_leq(a, sup, ctx.cfg) and po_leq(b, sup, ctx.cfg)
+    for c in ctx.classes:
+        if po_leq(c, a, ctx.cfg) and po_leq(c, b, ctx.cfg):
+            ok = ok and po_leq(c, inf, ctx.cfg)
+        if po_leq(a, c, ctx.cfg) and po_leq(b, c, ctx.cfg):
+            ok = ok and po_leq(sup, c, ctx.cfg)
+    return ok
 
 
-@_law("lattice.distributive", "matching distributes over merging on closed instances")
-def law_distributive(ctx):
-    for a, b, c in itertools.product(ctx.classes, repeat=3):
-        lhs = matching(merging(a, b, ctx.cfg), c, ctx.cfg)
-        plain_union = (
-            matching(a, c, ctx.cfg).relations | matching(b, c, ctx.cfg).relations
-        )
-        rhs = merging(matching(a, c, ctx.cfg), matching(b, c, ctx.cfg), ctx.cfg)
-        ok = lhs.relations == rhs.relations and plain_union <= lhs.relations
-        yield ok, witness(a, b, c)
+@_law("lattice.distributive", "matching distributes over merging on closed instances",
+      over="classes", repeat=3)
+def law_distributive(ctx, a, b, c):
+    lhs = matching(merging(a, b, ctx.cfg), c, ctx.cfg)
+    plain_union = matching(a, c, ctx.cfg).relations | matching(b, c, ctx.cfg).relations
+    rhs = merging(matching(a, c, ctx.cfg), matching(b, c, ctx.cfg), ctx.cfg)
+    return lhs.relations == rhs.relations and plain_union <= lhs.relations
 
 
-@_law("lattice.bounds", "the zero object is the bottom and the total object the top")
-def law_bounds(ctx):
-    for a in ctx.instances:
-        ta = power_view(a, ctx.cfg).relations
-        ok = po_leq(ctx.zero, a, ctx.cfg) and po_leq(a, ctx.total, ctx.cfg)
-        ok = ok and merging(a, ctx.zero, ctx.cfg).relations == ta
-        ok = ok and merging(a, ctx.total, ctx.cfg).relations == ctx.total.relations
-        ok = ok and merging(a, Instance(ta, {}), ctx.cfg).relations == ta
-        yield ok, witness(a)
+@_law("lattice.bounds", "the zero object is the bottom and the total object the top",
+      over="instances")
+def law_bounds(ctx, a):
+    ta = power_view(a, ctx.cfg).relations
+    ok = po_leq(ctx.zero, a, ctx.cfg) and po_leq(a, ctx.total, ctx.cfg)
+    ok = ok and merging(a, ctx.zero, ctx.cfg).relations == ta
+    ok = ok and merging(a, ctx.total, ctx.cfg).relations == ctx.total.relations
+    return ok and merging(a, Instance(ta, {}), ctx.cfg).relations == ta
 
 
 @_law("lattice.closed-count", "the total object has 2**|domain| closed subsets, distinct fixed points")
@@ -654,12 +647,10 @@ def law_sup_all(ctx):
     yield merged.relations == ctx.total.relations, witness(len(ctx.instances))
 
 
-@_law("lattice.federation", "the union of two instances is equivalent to their merging")
-def law_federation(ctx):
-    for a, b in itertools.product(ctx.classes, repeat=2):
-        union = instance_union(a, b)
-        ok = isomorphic(union, merging(a, b, ctx.cfg), ctx.cfg)
-        yield ok, witness(a, b)
+@_law("lattice.federation", "the union of two instances is equivalent to their merging",
+      over="classes", repeat=2)
+def law_federation(ctx, a, b):
+    return isomorphic(instance_union(a, b), merging(a, b, ctx.cfg), ctx.cfg)
 
 
 @_law("lattice.merge-functor", "merging with a fixed instance is a functor")
@@ -682,14 +673,13 @@ def law_merge_functor(ctx):
                     yield equiv(merge_arrow(a, gf), compose(ag, af)), witness(a, f.flux, g.flux)
 
 
-@_law("lattice.omega-chain", "iterated merging reaches the closure at the first step")
-def law_omega_chain(ctx):
-    for a in ctx.instances:
-        chain = omega_chain(a, ctx.cfg, 3)
-        ta = power_view(a, ctx.cfg).relations
-        ok = chain[0].relations == frozenset({BOTTOM})
-        ok = ok and all(step.relations == ta for step in chain[1:])
-        yield ok, witness(a)
+@_law("lattice.omega-chain", "iterated merging reaches the closure at the first step",
+      over="instances")
+def law_omega_chain(ctx, a):
+    chain = omega_chain(a, ctx.cfg, 3)
+    ta = power_view(a, ctx.cfg).relations
+    ok = chain[0].relations == frozenset({BOTTOM})
+    return ok and all(step.relations == ta for step in chain[1:])
 
 
 @_law("lattice.coproduct-count", "the doubled closure counts both components once, sharing the bottom")
@@ -821,81 +811,17 @@ def law_negative(ctx):
 
 # --- suite registry and runner -------------------------------------------
 
-_CLOSURE_LAWS = [
-    law_closure_extensive,
-    law_closure_monotone,
-    law_closure_idempotent,
-    law_closure_bottom,
-    law_closure_total,
-    law_closure_algebraic,
-    law_closure_intersections,
-    law_closure_order,
-]
 
-_CATEGORY_LAWS = [
-    law_flux_composition,
-    law_associativity,
-    law_identity,
-    law_mono_cancellation,
-    law_epi_cancellation,
-    law_mono_epi_iso,
-    law_two_cells,
-    law_closure_functor,
-    law_duality,
-    law_totalize,
-    law_retraction,
-    law_idempotents,
-    law_principal,
-    law_monad,
-]
+def _suites() -> dict[str, list]:
+    """Every law of this module, in definition order, under its suite."""
+    suites: dict[str, list] = {}
+    for name, law in globals().items():
+        if name.startswith("law_"):
+            suites.setdefault(law.suite, []).append(law)
+    return suites
 
-_MONOIDAL_LAWS = [
-    law_tensor_commutative,
-    law_tensor_associative,
-    law_tensor_units,
-    law_arrow_tensor,
-    law_flux_range,
-    law_monoid,
-    law_hom_object,
-    law_hom_counting,
-    law_exponent,
-    law_internal_arrows,
-]
 
-_LATTICE_LAWS = [
-    law_join_laws,
-    law_absorption,
-    law_inf_sup,
-    law_distributive,
-    law_bounds,
-    law_closed_count,
-    law_sup_all,
-    law_federation,
-    law_merge_functor,
-    law_omega_chain,
-    law_coproduct_count,
-]
-
-_TOPOS_LAWS = [
-    law_pullback,
-    law_classifier,
-    law_classifier_audit,
-    law_equalizer,
-    law_true_arrow,
-    law_factorization,
-    law_coproduct_pullback,
-]
-
-SUITES: dict[str, list] = {
-    "closure": _CLOSURE_LAWS,
-    "category": _CATEGORY_LAWS,
-    "monoidal": _MONOIDAL_LAWS,
-    "lattice": _LATTICE_LAWS,
-    "metric": [law_metric],
-    "topos": _TOPOS_LAWS,
-    "negative": [law_negative],
-}
-
+SUITES: dict[str, list] = _suites()
 SUITE_NAMES = tuple(SUITES) + ("all",)
 
 

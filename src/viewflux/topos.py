@@ -179,8 +179,6 @@ def true_arrow(cfg: UniverseConfig) -> Morphism:
 class ClassifierReport:
     """Two-layer verification of a characteristic arrow."""
 
-    subobject: Instance
-    ambient: Instance
     generators: frozenset[Relation]
     generator_commutes: bool
     factorization_ok: bool
@@ -198,8 +196,11 @@ def classifier(
     The arrow sends the ambient instance to the classifying object (the
     total object) and is generated by the bottom view-map together with one
     view-map per view of the ambient that is not a view of the subobject.
-    The report checks the classifying square at the generator layer, runs
-    the factorization half of the pullback property over enumerated arrows,
+    Its flux is the closure of the generators within the matching of the
+    ambient and the total object, the part of the ambient's views up to the
+    arity cap, which is all the classifier can receive.  The report checks
+    the classifying square at the generator layer, runs the factorization
+    half of the pullback property (``equalizer_check``),
     counts the semantic arrows satisfying the flux-level pullback condition,
     and audits the closure of the generator set (flagged when the closure
     meets the subobject's views).
@@ -211,12 +212,10 @@ def classifier(
     ta = power_view(in_a.source, cfg).relations
     tb = power_view(in_a.target, cfg).relations
     generators = frozenset(tb - ta) | {BOTTOM}
-    char = _morphism(
-        in_a.target, total_object(cfg), _witness_trees(in_a.target, generators, cfg),
-        power_view(Instance(generators, {}), cfg), cfg,
-    )
+    total = total_object(cfg)
+    flux = meet_closed(power_view(Instance(generators, {}), cfg), matching(in_a.target, total, cfg))
+    char = _morphism(in_a.target, total, _witness_trees(in_a.target, generators, cfg), flux, cfg)
 
-    proper_gens = generators - {BOTTOM}
     t_a = empty_arrow(in_a.source, zero_object(), cfg)
     true_composite = compose(true_arrow(cfg), t_a)
     gen_commutes = true_composite.flux.relations == frozenset({BOTTOM})
@@ -231,11 +230,9 @@ def classifier(
     audit = power_view(Instance(generators, {}), cfg).relations & ta
     flagged = audit != frozenset({BOTTOM})
     report = ClassifierReport(
-        subobject=in_a.source,
-        ambient=in_a.target,
         generators=generators,
         generator_commutes=gen_commutes,
-        factorization_ok=_equalizes(in_a.source, ta, proper_gens, tests, cfg),
+        factorization_ok=equalizer_check(in_a, cfg, vertices),
         arrows_checked=len(tests),
         char_class_size=class_size,
         audit_intersection=frozenset(audit),
@@ -248,32 +245,22 @@ def equalizer_check(
     f: Morphism, cfg: UniverseConfig, vertices: list[Instance] | None = None
 ) -> bool:
     """Verify a monomorphism equalizes its characteristic arrow and the
-    constant-true arrow, over enumerated test arrows at the generator layer."""
+    constant-true arrow, over enumerated test arrows at the generator layer:
+    every test arrow from a vertex whose flux avoids the proper generators
+    (an arrow that does not equalize needs no factorization) factors
+    uniquely through the monomorphism."""
     if not is_mono(f):
         raise NotMonic("equalizer_check needs a monomorphism")
     if vertices is None:
         vertices = closure_classes(cfg, 1)
     ta = power_view(f.source, cfg).relations
-    tb = power_view(f.target, cfg).relations
-    proper_gens = (tb - ta) - {BOTTOM}
+    proper_gens = (power_view(f.target, cfg).relations - ta) - {BOTTOM}
     # f itself equalizes: its flux ta misses every generator, each outside ta.
-    tests = [(v, h.relations) for v in vertices for h in semantic_homset(v, f.target, cfg)]
-    return _equalizes(f.source, ta, proper_gens, tests, cfg)
-
-
-def _equalizes(
-    source: Instance,
-    ta: frozenset[Relation],
-    proper_gens: frozenset[Relation],
-    tests: list[tuple[Instance, frozenset[Relation]]],
-    cfg: UniverseConfig,
-) -> bool:
-    """Whether every test arrow ``(v, flux)`` whose flux avoids ``proper_gens``
-    (an arrow that does not equalize needs no factorization) factors uniquely
-    through the monomorphism out of ``source``, whose views are ``ta``."""
     return all(
-        h & proper_gens or (h <= ta and _unique_mediator(v, source, ta, h, cfg))
-        for v, h in tests
+        h.relations & proper_gens
+        or (h.relations <= ta and _unique_mediator(v, f.source, ta, h.relations, cfg))
+        for v in vertices
+        for h in semantic_homset(v, f.target, cfg)
     )
 
 

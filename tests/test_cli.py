@@ -78,6 +78,23 @@ def test_classify_subobject(files, capsys):
     assert "closure-level audit: FLAGGED" in out
 
 
+def test_classify_subobject_of_an_ambient_above_the_arity_cap(tmp_path, capsys):
+    # The ambient holds a binary relation at --kmax 1: the characteristic
+    # arrow transmits only the views up to the cap.
+    (tmp_path / "X.db").write_text(
+        "domain: a b c\n\nrelation r1/2:\na b\nb c\n\nrelation r2/1:\nc\n"
+    )
+    (tmp_path / "Y.db").write_text("domain: a b c\n\nrelation r1/2:\na b\n")
+    code, out = run(
+        capsys, "classify-subobject", str(tmp_path / "Y.db"), str(tmp_path / "X.db"),
+        "--kmax", "1",
+    )
+    assert code == 0
+    assert "factorization: PASS (27 arrows)" in out
+    assert "characteristic arrows in class: 1" in out
+    assert "closure-level audit: FLAGGED" in out
+
+
 def test_classify_subobject_rejects_non_subobject(files, capsys):
     (files / "D.db").write_text("domain: a b\n\nrelation u1/1:\nb\n")
     code, _ = run(capsys, "classify-subobject", str(files / "D.db"), str(files / "A.db"))

@@ -7,15 +7,14 @@ from viewflux import (
     Instance,
     QuerySyntaxError,
     UnknownConstant,
-    dump_instance,
     load_instance,
     load_morphism,
     make_relation,
     parse_instance,
     power_view,
     render_instance,
-    render_morphism,
 )
+from viewflux.queries import format_query
 
 SAMPLE = """\
 domain: a b
@@ -56,7 +55,7 @@ def test_parse_instance_errors():
 def test_round_trip(tmp_path):
     inst, domain = parse_instance(SAMPLE)
     path = tmp_path / "sample.db"
-    dump_instance(inst, domain, path)
+    path.write_text(render_instance(inst, domain))
     again, domain2 = load_instance(path)
     assert again == inst
     assert domain2 == domain
@@ -78,6 +77,12 @@ def test_render_is_deterministic(cfg0, pab):
     a = render_instance(Instance(closure.relations, {}), cfg0.domain)
     b = render_instance(Instance(closure.relations, {}), cfg0.domain)
     assert a == b
+
+
+def render_morphism(f, src_name, tgt_name):
+    """The text of an atomic morphism: one query per top-level tree."""
+    queries = sorted(format_query(t.head.query) for t in f.trees)
+    return "\n".join([f"morphism {src_name} -> {tgt_name}", *queries]) + "\n"
 
 
 def test_morphism_round_trip(tmp_path, cfg0):

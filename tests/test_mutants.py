@@ -21,12 +21,16 @@ from viewflux import (
     coproduct,
     empty_arrow,
     fold_arrow,
+    instance_union,
+    is_closed,
     is_epi,
     is_iso,
     is_mono,
+    isomorphic,
     po_leq,
     power_view,
     semantic_homset,
+    sorted_relations,
     suites,
     topos,
     zero_object,
@@ -47,6 +51,16 @@ def _left_only_fold(d, cfg):
     fold = fold_arrow(d, cfg)
     flux = tagged_flux(power_view(d, cfg).relations, zero_object().relations, cfg)
     return _morphism(fold.source, d, (), flux, cfg, check_range=False)
+
+
+def _closure_of_the_first_relation(a, cfg):
+    """A mutant closure: the closure of the first relation of ``a`` alone."""
+    return power_view(Instance(frozenset(sorted_relations(a.relations)[:1]), {}), cfg)
+
+
+def _closed_but_not_zero(inst, cfg):
+    """A mutant closedness test: the zero object is not taken as closed."""
+    return is_closed(inst, cfg) and inst.relations != ZERO.relations
 
 
 def _strictly_below(a, b, cfg):
@@ -99,6 +113,17 @@ MUTANTS = [
     pytest.param("category.closure-functor", suites.law_closure_functor,
                  suites, "lift_arrow", _lift_transmitting_nothing, 25,
                  id="category.closure-functor"),
+    pytest.param("closure.extensive", suites.law_closure_extensive,
+                 suites, "power_view", _closure_of_the_first_relation, 16,
+                 id="closure.extensive"),
+    pytest.param("closure.intersections", suites.law_closure_intersections,
+                 suites, "is_closed", _closed_but_not_zero, 16, id="closure.intersections"),
+    pytest.param("monoidal.commutative", suites.law_tensor_commutative,
+                 suites, "matching", _closure_of_the_first, 256, id="monoidal.commutative"),
+    pytest.param("monoidal.hom-counting", suites.law_hom_counting,
+                 suites, "matching", _closure_of_the_first, 64, id="monoidal.hom-counting"),
+    pytest.param("lattice.federation", suites.law_federation,
+                 suites, "merging", _merging_of_the_second, 16, id="lattice.federation"),
     pytest.param("monoidal.hom-object", suites.law_hom_object,
                  suites, "matching", _closure_of_the_first, 20, id="monoidal.hom-object"),
     pytest.param("lattice.inf-sup", suites.law_inf_sup,
@@ -169,6 +194,47 @@ def test_mono_test_breaks_right_cancellation(ctx):
     assert any(
         is_mono(f) != _cancels_pairwise(f, [ctx.arrows(f.target, c) for c in ctx.classes])
         for f in _arrows(ctx)
+    )
+
+
+def test_first_relation_closure_breaks_extensiveness(ctx):
+    assert any(
+        not a.relations <= _closure_of_the_first_relation(a, ctx.cfg).relations
+        for a in ctx.instances
+    )
+
+
+def test_zero_blind_closedness_breaks_a_closed_meet(ctx):
+    # The closures of two disjoint atoms meet in the zero object, which is closed.
+    assert any(
+        is_closed(meet, ctx.cfg) and not _closed_but_not_zero(meet, ctx.cfg)
+        for x, y in itertools.product(ctx.closed_objects, repeat=2)
+        for meet in [Instance(x.relations & y.relations, {})]
+    )
+
+
+def test_closure_of_the_first_breaks_commutativity(ctx):
+    assert any(
+        _closure_of_the_first(a, b, ctx.cfg).relations
+        != _closure_of_the_first(b, a, ctx.cfg).relations
+        for a, b in itertools.product(ctx.instances, repeat=2)
+    )
+
+
+def test_closure_of_the_first_breaks_the_currying_count(ctx):
+    # Hom-sets out of the matching of a and b into c, and out of a into the
+    # matching of b and c, have the same size.
+    mutant = lambda x, y: _closure_of_the_first(x, y, ctx.cfg)
+    assert any(
+        len(ctx.arrows(mutant(a, b), c)) != len(ctx.arrows(a, mutant(b, c)))
+        for a, b, c in itertools.product(ctx.classes, repeat=3)
+    )
+
+
+def test_merging_of_the_second_breaks_federation(ctx):
+    assert any(
+        not isomorphic(instance_union(a, b), _merging_of_the_second(a, b, ctx.cfg), ctx.cfg)
+        for a, b in itertools.product(ctx.classes, repeat=2)
     )
 
 

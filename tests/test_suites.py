@@ -30,6 +30,7 @@ from viewflux.topos import closure_classes
 
 GOLDEN_DEFAULT = Path(__file__).parent / "golden" / "check-all-default.txt"
 GOLDEN_K2 = Path(__file__).parent / "golden" / "check-all-k2.txt"
+GOLDEN_ABC = Path(__file__).parents[1] / "bench" / "golden" / "check-abc.txt"
 
 
 def test_enumeration_counts(cfg0, cfg_single):
@@ -120,6 +121,13 @@ def test_k2_report_matches_golden(cfg2):
     # The golden file is the output of `viewflux check all --kmax 2
     # --max-relations 1`: binary relations and tagged coproducts of them.
     assert render_report(run_suite("all", cfg2, 1)) == GOLDEN_K2.read_text()
+
+
+def test_abc_report_matches_the_benchmark_golden():
+    # The benchmark's correctness check compares `viewflux check all --domain
+    # a,b,c --max-relations 2` with this file; it is read, never written.
+    cfg = UniverseConfig(domain=frozenset("abc"), k_max=1)
+    assert render_report(run_suite("all", cfg, 2)) == GOLDEN_ABC.read_text()
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])

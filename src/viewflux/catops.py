@@ -41,6 +41,7 @@ from .morphisms import (
     semantic_homset,
     _arrow_coproducts,
     _copairs,
+    _merged_arrows,
     _morphism,
 )
 
@@ -75,11 +76,16 @@ def merge_arrow(a: Instance, f: Morphism) -> Morphism:
 
     Sends f to an arrow between the merged endpoints whose flux is the
     merging of a with the flux of f; preserves identities and composition.
+    Stored per law pass on the relations of a and the arrow f.
     """
-    cfg = f.cfg
-    src = merging(a, f.source, cfg)
-    tgt = merging(a, f.target, cfg)
-    return semantic_arrow(src, tgt, merging(a, f.flux, cfg), cfg)
+    merged = _merged_arrows.get((a.relations, f))
+    if merged is None:
+        cfg = f.cfg
+        src = merging(a, f.source, cfg)
+        tgt = merging(a, f.target, cfg)
+        flux = merging(a, f.flux, cfg)
+        merged = _merged_arrows[a.relations, f] = semantic_arrow(src, tgt, flux, cfg)
+    return merged
 
 
 @lru_cache(maxsize=None)

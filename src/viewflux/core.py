@@ -11,6 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache, partial
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -189,9 +190,13 @@ def instance_union(a: Instance, b: Instance) -> Instance:
     return Instance(a.relations | b.relations, labels)
 
 
-def witness(*parts) -> Callable[[], str]:
-    """A counterexample naming ``parts``, rendered only when called."""
-    return lambda: "; ".join(repr(p) for p in parts)
+def _describe(*parts) -> str:
+    return "; ".join(repr(p) for p in parts)
+
+
+#: ``witness(*parts)``: a counterexample naming ``parts``, rendered only when
+#: called; a partial of ``_describe``, built without a Python-level call.
+witness: Callable[..., Callable[[], str]] = partial(partial, _describe)
 
 
 IDENT_OK = set("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_")
@@ -254,11 +259,12 @@ class UniverseConfig:
         return total
 
 
+@lru_cache(maxsize=None)
 def universe_relations(cfg: UniverseConfig) -> tuple[Relation, ...]:
     """Every relation over the domain with arity <= k_max, in canonical order.
 
     The bottom relation appears once; all empty extensions are identified
-    with it.
+    with it.  Memoized per configuration; an over-bound one raises on every call.
     """
     size = cfg.universe_size()
     if size > cfg.max_universe:

@@ -120,14 +120,15 @@ class Morphism:
 
 
 #: Tables of one law pass: witness-free arrows, keyed by the identity of their endpoint, flux and
-#: cfg objects (equal instances may differ in labels), and catops's arrow_coproduct, copair memos.
-_interned, _arrow_coproducts, _copairs = {}, {}, {}
+#: cfg objects (equal instances may differ in labels); witness-free composites, keyed by the arrow
+#: pair; and catops's memos of merge_arrow (on a's relations and the arrow), arrow_coproduct, copair.
+_interned, _composites, _merged_arrows, _arrow_coproducts, _copairs = {}, {}, {}, {}, {}
 _NO_TREES = frozenset()  # shared by every witness-free arrow
 
 
 def clear_arrows() -> None:
     """Empty the arrow tables; each law pass starts with them empty."""
-    for table in (_interned, _arrow_coproducts, _copairs):
+    for table in (_interned, _composites, _merged_arrows, _arrow_coproducts, _copairs):
         table.clear()
 
 
@@ -233,8 +234,12 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
     Trees: keep each top-level tree of g at least one of whose leaves reads
     a view produced by f, grafting the matching trees of f under those
     leaves (the natural extension of single-stage grafting to nested trees).
-    Flux: the intersection of the two fluxes.
+    Flux: the intersection of the two fluxes.  A composite without trees
+    is stored per pair, so the checks below run on the first call only.
     """
+    gf = _composites.get((g, f))
+    if gf is not None:
+        return gf
     if f.cfg is not g.cfg and f.cfg != g.cfg:
         raise DomainMismatch("morphisms built over different configurations")
     if f.target is not g.source and f.target != g.source:
@@ -249,7 +254,10 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
             if matched:
                 trees.append(grafted)
     flux = meet_closed(g.flux, f.flux)
-    return _morphism(f.source, g.target, trees, flux, f.cfg, check_range=False, interned=not trees)
+    gf = _morphism(f.source, g.target, trees, flux, f.cfg, check_range=False, interned=not trees)
+    if not trees:
+        _composites[g, f] = gf
+    return gf
 
 
 def equiv(f: Morphism, g: Morphism) -> bool:

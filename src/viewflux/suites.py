@@ -323,17 +323,12 @@ def law_flux_composition(ctx):
 
 @_law("category.associativity", "composition is associative up to equivalence")
 def law_associativity(ctx):
-    for b, c in itertools.product(ctx.classes, repeat=2):
-        gfs: dict = {}  # compose(g, f) depends on f and g alone: form it once per pair
-        for d in ctx.classes:
-            # compose(h, g) depends on g and h alone: form it once per pair.
-            hgs = [[compose(h, g) for h in ctx.arrows(c, d)] for g in ctx.arrows(b, c)]
-            for a in ctx.classes:
-                for f in ctx.arrows(a, b):
-                    for g, row in zip(ctx.arrows(b, c), hgs):
-                        gf = gfs.get((f, g)) or gfs.setdefault((f, g), compose(g, f))
-                        for h, hg in zip(ctx.arrows(c, d), row):
-                            yield equiv(compose(h, gf), compose(hg, f)), witness(f.flux, g.flux, h.flux)
+    for b, c, d, a in itertools.product(ctx.classes, repeat=4):
+        for f in ctx.arrows(a, b):
+            for g in ctx.arrows(b, c):
+                gf = compose(g, f)
+                for h in ctx.arrows(c, d):
+                    yield equiv(compose(h, gf), compose(compose(h, g), f)), witness(f.flux, g.flux, h.flux)
 
 
 @_law("category.identity", "identities are neutral for composition")
@@ -547,10 +542,11 @@ def law_exponent(ctx):
         ev = eval_arrow(b, c, ctx.cfg)
         ok = is_mono(ev) and ev.flux.relations == matching(b, c, ctx.cfg).relations
         yield ok, witness(b, c)
+    identities = {b: identity(b, ctx.cfg) for b in ctx.classes}
     for a, b, c in itertools.product(ctx.classes, repeat=3):
         tensor_ab = matching(a, b, ctx.cfg)
         ev = eval_arrow(b, c, ctx.cfg)
-        idb = identity(b, ctx.cfg)
+        idb = identities[b]
         for f in ctx.arrows(tensor_ab, c):
             lam = transpose(f, a, b, ctx.cfg)
             ok = lam.flux.relations == f.flux.relations
@@ -659,18 +655,12 @@ def law_merge_functor(ctx):
         lifted = merge_arrow(a, identity(b, ctx.cfg))
         ok = lifted.flux.relations == merging(a, b, ctx.cfg).relations
         yield ok, witness(a, b)
-    pairs = list(itertools.product(ctx.classes, repeat=2))
-    gfs: dict = {}  # compose(g, f) depends on f and g alone: form it once per pair
-    for a in ctx.classes:
-        # merge_arrow(a, f) depends on a and f alone: build each once per a.
-        merged = {
-            (b, c): tuple(merge_arrow(a, f) for f in ctx.arrows(b, c)) for b, c in pairs
-        }
-        for b, c, d in itertools.product(ctx.classes, repeat=3):
-            for f, af in zip(ctx.arrows(b, c), merged[b, c]):
-                for g, ag in zip(ctx.arrows(c, d), merged[c, d]):
-                    gf = gfs.get((f, g)) or gfs.setdefault((f, g), compose(g, f))
-                    yield equiv(merge_arrow(a, gf), compose(ag, af)), witness(a, f.flux, g.flux)
+    for a, b, c, d in itertools.product(ctx.classes, repeat=4):
+        for f in ctx.arrows(b, c):
+            af = merge_arrow(a, f)
+            for g in ctx.arrows(c, d):
+                ok = equiv(merge_arrow(a, compose(g, f)), compose(merge_arrow(a, g), af))
+                yield ok, witness(a, f.flux, g.flux)
 
 
 @_law("lattice.omega-chain", "iterated merging reaches the closure at the first step",

@@ -378,7 +378,9 @@ def combined_pullback_check(
         raise NotAPullback("first square fails pullback verification")
     if mediators2 is None:
         raise NotAPullback("second square fails pullback verification")
-    if sq1.f.source != sq2.f.source or sq1.f.target != sq2.f.target or not equiv(sq1.f, sq2.f):
+    if sq1.f is not sq2.f and (
+        sq1.f.source != sq2.f.source or sq1.f.target != sq2.f.target or not equiv(sq1.f, sq2.f)
+    ):
         raise NotAPullback("squares do not share the cospan leg")
     # The zero object is the coproduct unit: combining with a zero corner
     # returns the other square, already verified above.
@@ -411,8 +413,9 @@ def combined_pullback_check(
         return False
 
     # Universal property: component mediators reassemble into the unique
-    # tagged mediator for every pair of component cones.
-    for u1, u2 in itertools.product(mediators1, mediators2):
+    # tagged mediator for every pair of component cones.  A step reads only
+    # (u1, u2), so each distinct pair is checked once.
+    for u1, u2 in itertools.product(dict.fromkeys(mediators1), dict.fromkeys(mediators2)):
         combined = tagged_flux(u1, u2, cfg).relations
         p1 = left_pair.flux.relations & combined
         expected = tagged_flux(

@@ -141,6 +141,15 @@ def test_universe_too_large():
         universe_relations(cfg)
 
 
+def test_universe_is_enumerated_once_per_configuration(cfg0):
+    equal = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1)
+    assert universe_relations(cfg0) is universe_relations(cfg0) is universe_relations(equal)
+    over = UniverseConfig(domain=frozenset({"a", "b"}), k_max=2, max_universe=10)
+    for _ in range(2):
+        with pytest.raises(UniverseTooLarge):
+            universe_relations(over)
+
+
 def test_universe_closed_under_operators(cfg0, cfg2):
     from viewflux import evaluate
     from viewflux.queries import Base, ColEqCol, ColEqConst, Join, Project, Select, UnionTerm

@@ -141,6 +141,27 @@ def test_compose_checks_domains_on_a_warm_intern_table(cfg0, cfg2, pa, pab):
             compose(outer, inner)
 
 
+def test_compose_stores_each_witness_free_composite_per_pair(cfg0, cfg2, pa, pab, ra, rb, rab):
+    f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pab, pab, power_view(pab, cfg0), cfg0)
+    gf = compose(g, f)
+    assert compose(g, f) is gf
+    # A mismatched pair is never stored, so it raises on every call.
+    other_cfg = semantic_arrow(pab, pab, power_view(pab, cfg2), cfg2)
+    for outer, inner in ((other_cfg, f), (f, g), (other_cfg, f), (f, g)):
+        with pytest.raises(DomainMismatch):
+            compose(outer, inner)
+    # A composite that carries trees is built and grafted afresh on every call.
+    src = Instance(frozenset({ra, rb}), {"r1": ra, "r2": rb})
+    mid = Instance(frozenset({ra, rb}), {"s1": ra, "s2": rb})
+    h = atomic_morphism(src, mid, ["r1", "r2"], cfg0)
+    k = atomic_morphism(mid, instance(rab), ["union(s1,s2)"], cfg0)
+    first, second = compose(k, h), compose(k, h)
+    assert first is not second and first.trees == second.trees
+    (tree,) = second.trees
+    assert {child.result for child in tree.children} == {ra, rb}
+
+
 def test_range_check_runs_on_a_warm_intern_table(cfg0, pab):
     # fold_arrow and compose skip the range check, so compose interns an
     # arrow whose flux escapes the matching of its endpoints.

@@ -208,34 +208,43 @@ def test_associativity_law_catches_non_associative_compose(cfg0, monkeypatch):
     assert not any("frozenset(" in w for w in result.failures)
 
 
+def _recording(fn, log: list, key=lambda *args: args):
+    """``fn`` that first appends ``key(*args)`` of each call to ``log``."""
+
+    def recorded(*args):
+        log.append(key(*args))
+        return fn(*args)
+
+    return recorded
+
+
 def test_associativity_law_composes_each_later_pair_once(cfg0, monkeypatch):
-    calls = []
-
-    def counting(g, f):
-        calls.append((g, f))
-        return compose(g, f)
-
-    monkeypatch.setattr(suites, "compose", counting)
+    calls, misses = [], []
+    monkeypatch.setattr(suites, "compose", _recording(compose, calls))
+    # compose meets the two fluxes only on a table miss.
+    monkeypatch.setattr(morphisms, "meet_closed", _recording(meet_closed, misses))
     ctx = SuiteContext(cfg0, 4)
     result = suites.law_associativity(ctx)
-    # (f, g) and (g, h) pairs over three classes: the flux-composition count.
+    # (f, g) pairs over three classes: the flux-composition count.
     pairs = sum(
         len(ctx.arrows(a, b)) * len(ctx.arrows(b, c))
         for a, b, c in itertools.product(ctx.classes, repeat=3)
     )
-    # Two composites per check, g.f once per (f, g) and h.g once per (g, h).
     assert result.checked == _golden_checked("category.associativity")
-    assert len(calls) == 2 * result.checked + 2 * pairs
+    # Three composites per check, and g.f once per (f, g) and fourth class d;
+    # yet no (g, f) pair is composed twice within the pass.
+    assert len(calls) == 3 * result.checked + len(ctx.classes) * pairs
+    assert len(misses) == len(set(calls)) < len(calls)
 
 
 def test_merge_functor_law_composes_each_pair_once(cfg0, monkeypatch):
-    calls = []
-
-    def counting(g, f):
-        calls.append((g, f))
-        return compose(g, f)
-
-    monkeypatch.setattr(suites, "compose", counting)
+    composed, compose_misses, merged, merge_misses = [], [], [], []
+    monkeypatch.setattr(suites, "compose", _recording(compose, composed))
+    monkeypatch.setattr(morphisms, "meet_closed", _recording(meet_closed, compose_misses))
+    by_key = _recording(catops.merge_arrow, merged, key=lambda a, f: (a.relations, f))
+    monkeypatch.setattr(suites, "merge_arrow", by_key)
+    # merge_arrow builds its arrow only on a table miss.
+    monkeypatch.setattr(catops, "semantic_arrow", _recording(semantic_arrow, merge_misses))
     ctx = SuiteContext(cfg0, 4)
     result = suites.law_merge_functor(ctx)
     n = len(ctx.classes)
@@ -244,9 +253,12 @@ def test_merge_functor_law_composes_each_pair_once(cfg0, monkeypatch):
         for b, c, d in itertools.product(ctx.classes, repeat=3)
     )
     # One identity check per class pair, then one check per fourth class a
-    # and pair (f, g); g.f is formed once per pair, the merged composite per check.
+    # and pair (f, g), each forming g.f and one more composite.
     assert result.checked == _golden_checked("lattice.merge-functor") == n * n + n * pairs
-    assert len(calls) == n * pairs + pairs
+    assert len(composed) == 2 * n * pairs
+    # No (g, f) composed twice and no (a, f) merged twice within the pass.
+    assert len(compose_misses) == len(set(composed)) < len(composed)
+    assert len(merge_misses) == len(set(merged)) < len(merged)
 
 
 def test_merge_functor_law_catches_non_functorial_merge(cfg0, monkeypatch):
@@ -358,17 +370,29 @@ class ReprProbe:
         return self.name
 
 
-def test_each_law_pass_starts_with_empty_arrow_tables(cfg0, pa):
-    semantic_arrow(pa, pa, power_view(pa, cfg0), cfg0)
+def test_each_law_pass_starts_with_empty_arrow_tables(cfg0, pa, pab):
+    f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pab, pab, power_view(pab, cfg0), cfg0)
+    compose(g, f)
+    catops.merge_arrow(pab, f)
+    catops.copair(f, semantic_arrow(pab, pab, power_view(pa, cfg0), cfg0))
+    tables = (
+        morphisms._interned,
+        morphisms._composites,
+        morphisms._merged_arrows,
+        morphisms._arrow_coproducts,
+        morphisms._copairs,
+    )
+    assert all(tables)
     sizes = []
 
     @_law("probe", "the arrow tables are empty when a pass starts")
     def probe(ctx):
-        sizes.append(len(morphisms._interned))
+        sizes.extend(map(len, tables))
         yield True, "probe"
 
     probe(None)
-    assert sizes == [0]
+    assert sizes == [0] * 5
 
 
 def test_law_keeps_first_five_failures():

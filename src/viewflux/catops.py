@@ -37,11 +37,9 @@ from .morphisms import (
     identity,
     invert,
     is_mono,
+    per_pass,
     semantic_arrow,
     semantic_homset,
-    _arrow_coproducts,
-    _copairs,
-    _merged_arrows,
     _morphism,
 )
 
@@ -71,21 +69,18 @@ def tensor_arrow(f: Morphism, g: Morphism) -> Morphism:
     return semantic_arrow(src, tgt, meet_closed(f.flux, g.flux), cfg)
 
 
+@per_pass
 def merge_arrow(a: Instance, f: Morphism) -> Morphism:
     """The "merging with a" functor on arrows: the identity on a joined with f.
 
     Sends f to an arrow between the merged endpoints whose flux is the
     merging of a with the flux of f; preserves identities and composition.
-    Stored per law pass on the relations of a and the arrow f.
+    Memoized per law pass on a (by its relations) and the arrow f.
     """
-    merged = _merged_arrows.get((a.relations, f))
-    if merged is None:
-        cfg = f.cfg
-        src = merging(a, f.source, cfg)
-        tgt = merging(a, f.target, cfg)
-        flux = merging(a, f.flux, cfg)
-        merged = _merged_arrows[a.relations, f] = semantic_arrow(src, tgt, flux, cfg)
-    return merged
+    cfg = f.cfg
+    src = merging(a, f.source, cfg)
+    tgt = merging(a, f.target, cfg)
+    return semantic_arrow(src, tgt, merging(a, f.flux, cfg), cfg)
 
 
 @lru_cache(maxsize=None)
@@ -146,21 +141,19 @@ def tagged_flux(
     return certify_closed(Instance(_tagged_union(lrels, rrels) | {BOTTOM}, {}), cfg)
 
 
+@per_pass
 def arrow_coproduct(f: Morphism, g: Morphism) -> Morphism:
     """The coproduct of two arrows, acting componentwise on the tagged sum."""
     if f.cfg is not g.cfg and f.cfg != g.cfg:
         raise DomainMismatch("arrows built over different configurations")
     cfg = f.cfg
-    summed = _arrow_coproducts.get((f, g))
-    if summed is None:
-        summed = _arrow_coproducts[f, g] = _morphism(
-            coproduct(f.source, g.source),
-            coproduct(f.target, g.target),
-            (),
-            tagged_flux(f.flux.relations, g.flux.relations, cfg),
-            cfg,
-        )
-    return summed
+    return _morphism(
+        coproduct(f.source, g.source),
+        coproduct(f.target, g.target),
+        (),
+        tagged_flux(f.flux.relations, g.flux.relations, cfg),
+        cfg,
+    )
 
 
 def fold_arrow(d: Instance, cfg: UniverseConfig) -> Morphism:
@@ -177,11 +170,13 @@ def fold_arrow(d: Instance, cfg: UniverseConfig) -> Morphism:
     )
 
 
+@per_pass
 def copair(f: Morphism, g: Morphism) -> Morphism:
     """The copairing of two arrows into a common target.
 
     Built as the fold after the arrow coproduct; the flux is the tagged sum
     of the two fluxes (what each component transmits, with provenance).
+    Memoized per law pass on the two arrows.
     """
     if f.cfg is not g.cfg and f.cfg != g.cfg:
         raise DomainMismatch("arrows built over different configurations")
@@ -194,12 +189,9 @@ def copair(f: Morphism, g: Morphism) -> Morphism:
         return g
     if g.source.relations <= ZERO.relations:
         return f
-    paired = _copairs.get((f, g))
-    if paired is None:
-        summed = arrow_coproduct(f, g)
-        flux = meet_closed(fold_arrow(f.target, cfg).flux, summed.flux)
-        paired = _copairs[f, g] = _morphism(summed.source, f.target, (), flux, cfg, check_range=False)
-    return paired
+    summed = arrow_coproduct(f, g)
+    flux = meet_closed(fold_arrow(f.target, cfg).flux, summed.flux)
+    return _morphism(summed.source, f.target, (), flux, cfg, check_range=False)
 
 
 def transpose(

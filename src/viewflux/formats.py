@@ -113,13 +113,11 @@ def load_instance(path: str | Path) -> tuple[Instance, frozenset[Constant]]:
     return parse_instance(_read_text(Path(path)))
 
 
-def render_instance(
-    inst: Instance, domain: frozenset[Constant], name_prefix: str = "v"
-) -> str:
+def render_instance(inst: Instance, domain: frozenset[Constant]) -> str:
     """Render an instance in the text format.
 
-    Relations keep their labels; unlabeled ones are auto-named with the
-    prefix, in canonical order, so closures print deterministically.
+    Relations keep their labels; unlabeled ones are named ``v1, v2, ...`` in
+    canonical order, so closures print deterministically.
     """
     name_of = {rel: name for name, rel in inst.labels.items()}
     lines = ["domain: " + " ".join(sorted(domain))]
@@ -127,9 +125,9 @@ def render_instance(
     for rel in sorted_relations(inst.relations):
         name = name_of.get(rel)
         if name is None:
-            while f"{name_prefix}{counter}" in inst.labels:
+            while f"v{counter}" in inst.labels:
                 counter += 1
-            name = f"{name_prefix}{counter}"
+            name = f"v{counter}"
             counter += 1
         lines.append("")
         if rel.is_bottom:
@@ -141,10 +139,8 @@ def render_instance(
     return "\n".join(lines) + "\n"
 
 
-def load_morphism(
-    path: str | Path, cfg: UniverseConfig | None = None, k_max: int = 1
-) -> Morphism:
-    """Load an atomic morphism; endpoint paths resolve relative to the file."""
+def load_morphism(path: str | Path, k_max: int = 1) -> Morphism:
+    """Load an atomic morphism at arity cap ``k_max``; endpoints resolve relative to the file."""
     path = Path(path)
     lines = [l for l in _read_text(path).splitlines() if l.strip()]
     if not lines or not lines[0].strip().startswith("morphism"):
@@ -156,8 +152,7 @@ def load_morphism(
     tgt_inst, tgt_domain = load_instance(path.parent / m.group(2))
     if src_domain != tgt_domain:
         raise UnknownConstant("morphism endpoints declare different domains")
-    if cfg is None:
-        cfg = UniverseConfig(domain=src_domain, k_max=k_max)
+    cfg = UniverseConfig(domain=src_domain, k_max=k_max)
     schema = {n: r.arity for n, r in src_inst.labels.items()}
     terms = [parse_query(line, schema, src_domain) for line in lines[1:]]
     return atomic_morphism(src_inst, tgt_inst, terms, cfg)

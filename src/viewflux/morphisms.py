@@ -12,7 +12,8 @@ with trees kept as witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable
+from functools import lru_cache
+from typing import Callable, Iterable
 
 from .closure import (
     ClosedInstance,
@@ -119,17 +120,24 @@ class Morphism:
         return f"Morphism({self.source!r} -> {self.target!r}, flux={self.flux!r})"
 
 
-#: Tables of one law pass: witness-free arrows, keyed by the identity of their endpoint, flux and
-#: cfg objects (equal instances may differ in labels); witness-free composites, keyed by the arrow
-#: pair; and catops's memos of merge_arrow (on a's relations and the arrow), arrow_coproduct, copair.
-_interned, _composites, _merged_arrows, _arrow_coproducts, _copairs = {}, {}, {}, {}, {}
+#: Witness-free arrows of one law pass, keyed by the identity of their endpoint, flux and cfg
+#: objects (equal instances may differ in labels), and the memos that ``per_pass`` registers.
+_interned, _pass_memos = {}, []
 _NO_TREES = frozenset()  # shared by every witness-free arrow
+
+
+def per_pass(fn: Callable) -> Callable:
+    """Memoize ``fn`` per law pass (``clear_arrows`` empties it); a raising call stores nothing."""
+    memo = lru_cache(maxsize=None)(fn)
+    _pass_memos.append(memo)
+    return memo
 
 
 def clear_arrows() -> None:
     """Empty the arrow tables; each law pass starts with them empty."""
-    for table in (_interned, _composites, _merged_arrows, _arrow_coproducts, _copairs):
-        table.clear()
+    _interned.clear()
+    for memo in _pass_memos:
+        memo.cache_clear()
 
 
 def _morphism(
@@ -228,18 +236,16 @@ def _graft(tree: ViewTree, below: list[ViewTree]) -> tuple[ViewTree, bool]:
     return ViewTree(tree.head, matches), bool(matches)
 
 
+@per_pass
 def compose(g: Morphism, f: Morphism) -> Morphism:
     """The composite g after f.
 
     Trees: keep each top-level tree of g at least one of whose leaves reads
     a view produced by f, grafting the matching trees of f under those
     leaves (the natural extension of single-stage grafting to nested trees).
-    Flux: the intersection of the two fluxes.  A composite without trees
-    is stored per pair, so the checks below run on the first call only.
+    Flux: the intersection of the two fluxes.  Memoized per law pass on the
+    pair, so the checks below run on the first call only.
     """
-    gf = _composites.get((g, f))
-    if gf is not None:
-        return gf
     if f.cfg is not g.cfg and f.cfg != g.cfg:
         raise DomainMismatch("morphisms built over different configurations")
     if f.target is not g.source and f.target != g.source:
@@ -254,10 +260,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
             if matched:
                 trees.append(grafted)
     flux = meet_closed(g.flux, f.flux)
-    gf = _morphism(f.source, g.target, trees, flux, f.cfg, check_range=False, interned=not trees)
-    if not trees:
-        _composites[g, f] = gf
-    return gf
+    return _morphism(f.source, g.target, trees, flux, f.cfg, check_range=False, interned=not trees)
 
 
 def equiv(f: Morphism, g: Morphism) -> bool:

@@ -336,8 +336,9 @@ def law_identity(ctx):
     for a in ctx.instances:
         ida = identity(a, ctx.cfg)
         yield is_iso(ida), witness(a)
+    identities = {a: identity(a, ctx.cfg) for a in ctx.classes}
     for a, b in itertools.product(ctx.classes, repeat=2):
-        ida, idb = identity(a, ctx.cfg), identity(b, ctx.cfg)
+        ida, idb = identities[a], identities[b]
         for f in ctx.arrows(a, b):
             ok = equiv(compose(idb, f), f) and equiv(compose(f, ida), f)
             yield ok, witness(a, b, f.flux)
@@ -651,8 +652,9 @@ def law_federation(ctx, a, b):
 
 @_law("lattice.merge-functor", "merging with a fixed instance is a functor")
 def law_merge_functor(ctx):
+    identities = {b: identity(b, ctx.cfg) for b in ctx.classes}
     for a, b in itertools.product(ctx.classes, repeat=2):
-        lifted = merge_arrow(a, identity(b, ctx.cfg))
+        lifted = merge_arrow(a, identities[b])
         ok = lifted.flux.relations == merging(a, b, ctx.cfg).relations
         yield ok, witness(a, b)
     for a, b, c, d in itertools.product(ctx.classes, repeat=4):

@@ -96,11 +96,9 @@ def metric_suite(cfg: UniverseConfig, instances: list[Instance]):
     checks come in canonical order (instances, then pairs, then triples).
     """
     total = total_object(cfg).relations
-    # One distance per ordered pair (equal values shared) and one
-    # isomorphism test per ordered pair; every law below reads these tables.
-    canon: dict[frozenset[Relation], frozenset[Relation]] = {}
-    d = [[canon.setdefault(r, r) for r in (distance(a, b, cfg).relations for b in instances)]
-         for a in instances]
+    # One distance per ordered pair (interned, so equal values share one frozenset)
+    # and one isomorphism test per ordered pair; every law below reads these tables.
+    d = [[distance(a, b, cfg).relations for b in instances] for a in instances]
     iso = [[isomorphic(a, b, cfg) for b in instances] for a in instances]
     top = [power_view(a, cfg).relations == total for a in instances]
     zero = [isomorphic(a, ZERO, cfg) for a in instances]

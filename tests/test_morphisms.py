@@ -151,15 +151,41 @@ def test_compose_stores_each_witness_free_composite_per_pair(cfg0, cfg2, pa, pab
     for outer, inner in ((other_cfg, f), (f, g), (other_cfg, f), (f, g)):
         with pytest.raises(DomainMismatch):
             compose(outer, inner)
-    # A composite that carries trees is built and grafted afresh on every call.
+    # A composite that carries trees keeps them, and is stored for the pass too.
     src = Instance(frozenset({ra, rb}), {"r1": ra, "r2": rb})
     mid = Instance(frozenset({ra, rb}), {"s1": ra, "s2": rb})
     h = atomic_morphism(src, mid, ["r1", "r2"], cfg0)
     k = atomic_morphism(mid, instance(rab), ["union(s1,s2)"], cfg0)
-    first, second = compose(k, h), compose(k, h)
-    assert first is not second and first.trees == second.trees
-    (tree,) = second.trees
+    first = compose(k, h)
+    (tree,) = first.trees
     assert {child.result for child in tree.children} == {ra, rb}
+    assert compose(k, h) is first
+    morphisms.clear_arrows()
+    fresh = compose(k, h)
+    assert fresh is not first and fresh.trees == first.trees
+
+
+def _depth(tree) -> int:
+    return 1 + max(map(_depth, tree.children), default=0)
+
+
+def test_compose_grafts_nested_trees_in_either_bracketing(cfg0, ra, rb, rab):
+    # (h . g) . f grafts f under the leaves of a tree that already has
+    # children, which h . (g . f) never does; both give one three-level tree.
+    a = Instance(frozenset({ra, rb}), {"r1": ra, "r2": rb})
+    b = Instance(frozenset({ra, rb}), {"s1": ra, "s2": rb})
+    c = Instance(frozenset({rab}), {"t1": rab})
+    f = atomic_morphism(a, b, ["r1", "r2"], cfg0)
+    g = atomic_morphism(b, c, ["union(s1,s2)"], cfg0)
+    h = atomic_morphism(c, instance(rab), ["t1"], cfg0)
+    left, right = compose(compose(h, g), f), compose(h, compose(g, f))
+    assert equiv(left, right)
+    assert left.trees == right.trees
+    (tree,) = left.trees
+    assert _depth(tree) == 3
+    (middle,) = tree.children
+    assert middle.result == rab and {leaf.result for leaf in middle.children} == {ra, rb}
+    assert left.inputs == frozenset({ra, rb})
 
 
 def test_range_check_runs_on_a_warm_intern_table(cfg0, pab):

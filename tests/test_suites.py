@@ -22,7 +22,7 @@ from viewflux import (
     semantic_homset,
     subset_instances,
 )
-from viewflux import catops, morphisms, suites
+from viewflux import catops, closure, morphisms, suites
 from viewflux.closure import ClosedInstance, meet_closed, zero_object
 from viewflux.core import witness
 from viewflux.suites import SUITE_NAMES, SUITES, SuiteContext, _law, _laws
@@ -376,23 +376,22 @@ def test_each_law_pass_starts_with_empty_arrow_tables(cfg0, pa, pab):
     compose(g, f)
     catops.merge_arrow(pab, f)
     catops.copair(f, semantic_arrow(pab, pab, power_view(pa, cfg0), cfg0))
-    tables = (
-        morphisms._interned,
-        morphisms._composites,
-        morphisms._merged_arrows,
-        morphisms._arrow_coproducts,
-        morphisms._copairs,
-    )
-    assert all(tables)
+    memos = morphisms._pass_memos
+    assert morphisms._interned and all(memo.cache_info().currsize for memo in memos)
+    # A process memo keeps its entries across passes.
+    kept = closure._power_view_cached.cache_info().currsize
+    assert kept
     sizes = []
 
     @_law("probe", "the arrow tables are empty when a pass starts")
     def probe(ctx):
-        sizes.extend(map(len, tables))
+        sizes.append(len(morphisms._interned))
+        sizes.extend(memo.cache_info().currsize for memo in memos)
+        sizes.append(closure._power_view_cached.cache_info().currsize)
         yield True, "probe"
 
     probe(None)
-    assert sizes == [0] * 5
+    assert sizes == [0] * (1 + len(memos)) + [kept]
 
 
 def test_law_keeps_first_five_failures():

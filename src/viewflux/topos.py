@@ -10,7 +10,10 @@ cospan target reproduces the cone's composite, and that arrow sits below the
 cone legs in the arrow order.  The strict one-categorical property fails in
 this semantics (a cone may have legs with different fluxes, which no single
 mediating flux can reproduce), so the strict form is deliberately not
-asserted.
+asserted.  Within one law pass each distinct square is verified once: its
+mediator table is memoized (``per_pass``) on the leg sources, corner and
+fluxes, not the cospan target, and so is the step of the coproduct check that
+reads only the corners, left legs and tables of a pair of squares.
 
 The characteristic arrow of a monomorphism is verified at two layers.  The
 generator layer works with the set difference of the two closures, exactly
@@ -62,6 +65,7 @@ from .morphisms import (
     identity,
     is_epi,
     is_mono,
+    per_pass,
     semantic_arrow,
     semantic_arrows,
     semantic_homset,
@@ -333,30 +337,39 @@ def square_mediators(
 ) -> Mediators:
     """Verify ``square`` in one pass over its cones: None when it is not a
     pullback, else the flux of the unique mediator of every cone from every
-    vertex.
+    vertex, cone legs ``h1`` then ``h2`` in the order of ``arrows``.
 
-    ``arrows(v, x)`` gives one arrow per flux from ``v`` to ``x``.
+    ``arrows(v, x)`` gives one arrow per flux from ``v`` to ``x``.  The table is
+    memoized per law pass on what it reads: the two leg sources, the corner,
+    the four fluxes, the vertices and ``arrows``; not on the cospan target.
     """
-    fl_f = square.f.flux.relations
-    fl_g = square.g.flux.relations
-    fl_p1 = square.left.flux.relations
-    fl_p2 = square.right.flux.relations
+    f, g, left, right = square.f, square.g, square.left, square.right
+    return _mediators(
+        f.source, g.source, square.corner, f.flux.relations, g.flux.relations,
+        left.flux.relations, right.flux.relations, tuple(vertices), arrows,
+    )
+
+
+@per_pass
+def _mediators(a, b, corner, fl_f, fl_g, fl_p1, fl_p2, vertices, arrows) -> Mediators:
     composite = fl_f & fl_p1
     if composite != fl_g & fl_p2:
         return None
     mediators = []
     for v in vertices:
-        legs_g = arrows(v, square.g.source)
-        into_corner = arrows(v, square.corner)
-        for h1 in arrows(v, square.f.source):
+        # Cones indexed by their composite w: the g-legs and the arrows into
+        # the corner (both legs' composites are ``composite``) that give w.
+        legs_g, into_corner = {}, {}
+        for h2 in arrows(v, b):
+            legs_g.setdefault(fl_g & h2.flux.relations, []).append(h2.flux.relations)
+        for u in arrows(v, corner):
+            into_corner.setdefault(composite & u.flux.relations, []).append(u.flux.relations)
+        for h1 in arrows(v, a):
             w = fl_f & h1.flux.relations
-            for h2 in legs_g:
-                if w != fl_g & h2.flux.relations:
-                    continue
-                # Both legs' composites are ``composite`` (the square commutes).
-                found = [u.flux.relations for u in into_corner if composite & u.flux.relations == w]
+            found = into_corner.get(w, ())
+            for h2 in legs_g.get(w, ()):
                 if len(found) != 1 or not (
-                    fl_p1 & found[0] <= h1.flux.relations and fl_p2 & found[0] <= h2.flux.relations
+                    fl_p1 & found[0] <= h1.flux.relations and fl_p2 & found[0] <= h2
                 ):
                     return None
                 mediators.append(found[0])
@@ -371,7 +384,12 @@ def combined_pullback_check(
     cfg: UniverseConfig,
 ) -> bool:
     """The pair step of ``coproduct_pullback_check``, given each square's
-    ``square_mediators`` over the same vertices."""
+    ``square_mediators`` over the same vertices.
+
+    Only the commuting check reads the whole pair.  The corner, copairing-flux
+    and universal-property checks are memoized per law pass on what they read:
+    the two corners, the two left legs, the two mediator tables and ``cfg``.
+    """
     if mediators1 is None:
         raise NotAPullback("first square fails pullback verification")
     if mediators2 is None:
@@ -386,28 +404,31 @@ def combined_pullback_check(
         return True
 
     shared = sq1.f  # k : D -> E
-    combined_corner = coproduct(sq1.corner, sq2.corner)
     left_pair = copair(sq1.left, sq2.left)  # A+A1 -> D
     right_pair = arrow_coproduct(sq1.right, sq2.right)  # A+A1 -> B+B1
     bottom_pair = copair(sq1.g, sq2.g)  # B+B1 -> E
-
-    # Corner closure decomposes componentwise.
-    expected_corner = tagged_flux(
-        power_view(sq1.corner, cfg).relations, power_view(sq2.corner, cfg).relations, cfg
-    )
-    if power_view(combined_corner, cfg).relations != expected_corner.relations:
-        return False
-    # Copairing flux is the tagged sum of the component fluxes.
-    legs = tagged_flux(sq1.left.flux.relations, sq2.left.flux.relations, cfg)
-    if left_pair.flux.relations != legs.relations:
+    if not _combined_legs(sq1.corner, sq1.left, mediators1, sq2.corner, sq2.left, mediators2, cfg):
         return False
 
     # Combined square commutes componentwise: a plain flux is lifted to both
     # components when it crosses into the tagged space.
     k_lifted = tagged_flux(shared.flux.relations, shared.flux.relations, cfg).relations
     lhs = k_lifted & left_pair.flux.relations
-    rhs = bottom_pair.flux.relations & right_pair.flux.relations
-    if lhs != rhs:
+    return lhs == bottom_pair.flux.relations & right_pair.flux.relations
+
+
+@per_pass
+def _combined_legs(corner1, left1, mediators1, corner2, left2, mediators2, cfg) -> bool:
+    # Corner closure decomposes componentwise.
+    expected_corner = tagged_flux(
+        power_view(corner1, cfg).relations, power_view(corner2, cfg).relations, cfg
+    )
+    if power_view(coproduct(corner1, corner2), cfg).relations != expected_corner.relations:
+        return False
+    # Copairing flux is the tagged sum of the component fluxes.
+    legs = tagged_flux(left1.flux.relations, left2.flux.relations, cfg)
+    left_pair = copair(left1, left2).flux.relations
+    if left_pair != legs.relations:
         return False
 
     # Universal property: component mediators reassemble into the unique
@@ -415,11 +436,8 @@ def combined_pullback_check(
     # (u1, u2), so each distinct pair is checked once.
     for u1, u2 in itertools.product(dict.fromkeys(mediators1), dict.fromkeys(mediators2)):
         combined = tagged_flux(u1, u2, cfg).relations
-        p1 = left_pair.flux.relations & combined
-        expected = tagged_flux(
-            sq1.left.flux.relations & u1, sq2.left.flux.relations & u2, cfg
-        ).relations
-        if p1 != expected:
+        expected = tagged_flux(left1.flux.relations & u1, left2.flux.relations & u2, cfg).relations
+        if left_pair & combined != expected:
             return False
     return True
 

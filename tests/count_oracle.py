@@ -55,6 +55,14 @@ def counted(n: int) -> dict[str, int]:
     }
 
 
+def squares(n: int) -> int:
+    """The number of distinct squares ``topos.pullback`` verifies, leaving out
+    the cospan target: one per pair of leg sources ``(a, b)`` and pair of leg
+    fluxes, a set of constants of ``a`` and one of ``b`` (the top class
+    receives every such flux)."""
+    return sum(2 ** len(a) * 2 ** len(b) for a, b in itertools.product(classes(n), repeat=2))
+
+
 #: Each law's count as a function of the domain size.
 CLOSED_FORMS = {
     "category.flux-composition": lambda n: 13**n,

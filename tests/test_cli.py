@@ -1,5 +1,11 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import viewflux
 from viewflux.cli import main
 
 A_DB = "domain: a b\n\nrelation r1/1:\na\n"
@@ -249,3 +255,16 @@ def test_check_fails_early_on_the_closed_subset_bound(files, capsys):
     code, err = _error(capsys, *argv, "--max-instances", "600")
     assert code == 2
     assert "518 relations exceed the closed-subset bound 64" in err
+
+
+def test_python_m_viewflux_runs_the_cli():
+    src = str(Path(viewflux.__file__).parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "viewflux", "check", "closure"],
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("suite: closure")

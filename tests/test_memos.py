@@ -1,9 +1,11 @@
 """Every memo of ``viewflux`` sits in one of two tiers on purpose.
 
-A per-pass memo (``morphisms.per_pass``) holds arrows and is emptied by
-``morphisms.clear_arrows`` when a law pass starts; a process memo holds
-values (closed sets, relations, instances) and lives as long as the
-process.  A new ``lru_cache`` fails this test until it is listed here.
+A per-pass memo (``morphisms.per_pass``) holds arrows, or results keyed on
+arrows or on an arrow lookup (the pullback kernel's mediator tables and pair
+steps), and is emptied by ``morphisms.clear_arrows`` when a law pass starts;
+a process memo holds values (closed sets, relations, instances) and lives as
+long as the process.  A new ``lru_cache`` fails this test until it is listed
+here.
 """
 
 import importlib
@@ -17,6 +19,8 @@ PER_PASS = {
     "viewflux.catops.merge_arrow",
     "viewflux.catops.arrow_coproduct",
     "viewflux.catops.copair",
+    "viewflux.topos._mediators",
+    "viewflux.topos._combined_legs",
 }
 
 PROCESS = {
@@ -47,7 +51,7 @@ def _memos() -> set[str]:
     return found
 
 
-def test_per_pass_registry_is_the_four_arrow_constructors():
+def test_per_pass_registry_is_the_arrow_constructors_and_pullback_steps():
     registry = [_name(memo) for memo in morphisms._pass_memos]
     assert len(registry) == len(PER_PASS) and set(registry) == PER_PASS
 

@@ -29,6 +29,8 @@ from viewflux import (
     isomorphic,
     po_leq,
     power_view,
+    pullback,
+    semantic_arrow,
     semantic_homset,
     sorted_relations,
     suites,
@@ -88,11 +90,35 @@ def _every_flux_twice(a, b, cfg):
     return semantic_homset(a, b, cfg) * 2
 
 
+def _pullback_at_zero(f, g):
+    """A mutant pullback: the corner is the zero object, not the meet of the fluxes."""
+    corner = zero_object()
+    left = semantic_arrow(corner, f.source, corner, f.cfg)
+    return topos.PullbackSquare(corner, left, semantic_arrow(corner, g.source, corner, f.cfg), f, g)
+
+
+def _doubled_homsets(arrows):
+    """A mutant hom-set lookup: every arrow of every hom-set listed twice."""
+    return lambda v, x: arrows(v, x) * 2
+
+
+def _mediators_over_doubled_homsets(square, vertices, arrows):
+    """The mediator check of a square, reading every hom-set through the mutant."""
+    return topos.square_mediators(square, vertices, _doubled_homsets(arrows))
+
+
 # The coproduct mutant is bound where the law reads it.  Bound in ``catops``
 # it would also reach ``arrow_coproduct``, whose range check raises
 # ``FluxOutOfRange`` instead of letting the law fail.  The fold mutant sits
-# behind the ``copair`` memo, which a passing run has filled.
+# behind the ``copair`` memo, which a passing run has filled.  The doubled
+# hom-sets reach only the mediator check of ``topos.pullback``, so the law keeps
+# its cospans and its corner, closedness and mono conjuncts.
 MUTANTS = [
+    pytest.param("topos.pullback", suites.law_pullback,
+                 suites, "pullback", _pullback_at_zero, 169, id="topos.pullback"),
+    pytest.param("topos.pullback", suites.law_pullback,
+                 suites, "square_mediators", _mediators_over_doubled_homsets, 169,
+                 id="topos.pullback:square_mediators"),
     pytest.param("topos.coproduct-pullback", suites.law_coproduct_pullback,
                  topos, "coproduct", _left_only_coproduct, 1225,
                  id="topos.coproduct-pullback"),
@@ -280,6 +306,33 @@ def test_doubled_homset_gives_an_arrow_two_mediators(ctx):
         ) == 2
         for v, x in itertools.product(ctx.classes, repeat=2)
         for h in semantic_homset(v, x, ctx.cfg)
+    )
+
+
+def test_zero_corner_is_not_the_meet_of_the_fluxes(ctx):
+    assert any(
+        _pullback_at_zero(f, g).corner.relations != f.flux.relations & g.flux.relations
+        for c, a, b in itertools.product(ctx.classes, repeat=3)
+        for f, g in itertools.product(ctx.arrows(a, c), ctx.arrows(b, c))
+    )
+
+
+def test_doubled_homsets_give_a_cone_two_mediators(ctx):
+    # Over a square of an arrow f with itself, a cone (h, h) has exactly one
+    # arrow into the corner whose composite through the legs is that of h;
+    # the doubled hom-set lists it twice.
+    doubled = _doubled_homsets(ctx.arrows)
+    assert any(
+        sum(
+            sq.f.flux.relations & sq.left.flux.relations & u.flux.relations
+            == sq.f.flux.relations & h.flux.relations
+            for u in doubled(v, sq.corner)
+        ) == 2
+        for a, c in itertools.product(ctx.classes, repeat=2)
+        for f in ctx.arrows(a, c)
+        for sq in [pullback(f, f)]
+        for v in ctx.classes
+        for h in ctx.arrows(v, a)
     )
 
 

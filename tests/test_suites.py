@@ -22,7 +22,7 @@ from viewflux import (
     semantic_homset,
     subset_instances,
 )
-from viewflux import catops, closure, morphisms, suites
+from viewflux import catops, closure, morphisms, suites, topos
 from viewflux.closure import ClosedInstance, meet_closed, zero_object
 from viewflux.core import witness
 from viewflux.suites import SUITE_NAMES, SUITES, SuiteContext, _law, _laws
@@ -376,6 +376,10 @@ def test_each_law_pass_starts_with_empty_arrow_tables(cfg0, pa, pab):
     compose(g, f)
     catops.merge_arrow(pab, f)
     catops.copair(f, semantic_arrow(pab, pab, power_view(pa, cfg0), cfg0))
+    # A square with a non-zero corner reaches both pullback memos.
+    sq = topos.pullback(f, f)
+    mediators = topos.square_mediators(sq, [pa, pab], lambda v, x: semantic_arrows(v, x, cfg0))
+    assert topos.combined_pullback_check(sq, mediators, sq, mediators, cfg0)
     memos = morphisms._pass_memos
     assert morphisms._interned and all(memo.cache_info().currsize for memo in memos)
     # A process memo keeps its entries across passes.
@@ -392,6 +396,17 @@ def test_each_law_pass_starts_with_empty_arrow_tables(cfg0, pa, pab):
 
     probe(None)
     assert sizes == [0] * (1 + len(memos)) + [kept]
+    assert {topos._mediators, topos._combined_legs} <= set(memos)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_pullback_pass_builds_one_mediator_table_per_distinct_square(n):
+    # The table reads the leg sources, the corner and the fluxes, not the
+    # cospan target, so the 13^n checks build one table per distinct square.
+    ctx = SuiteContext(UniverseConfig(domain=frozenset("abc"[:n]), k_max=1), 1)
+    result = suites.law_pullback(ctx)
+    assert result.status == "PASS" and result.checked == 13**n
+    assert topos._mediators.cache_info().misses == count_oracle.squares(n) == 9**n
 
 
 def test_law_keeps_first_five_failures():

@@ -1,5 +1,6 @@
 import itertools
 
+import frozen_pullback
 import pytest
 
 from viewflux import (
@@ -475,6 +476,76 @@ def test_coproduct_pullback_rejects_different_shared_leg(cfg0, pa, pb, pab, clas
     sq2 = pullback(k2, semantic_arrow(pb, pa, [BOTTOM], cfg0))
     with pytest.raises(NotAPullback):
         coproduct_pullback_check(sq1, sq2, cfg0, classes)
+
+
+def _outcome(check, *args):
+    """What a check returns, or the message of the ``NotAPullback`` it raises."""
+    try:
+        return check(*args)
+    except NotAPullback as exc:
+        return f"NotAPullback: {exc}"
+
+
+def _hand_built_squares(cfg0, pa, pb, pab):
+    """The squares of the tests above: three pullbacks, and four squares that
+    are not, with a corner too big, a corner too small, a leg that breaks
+    commuting and a zero corner no cone factors through."""
+    f = semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pb, pa, [BOTTOM], cfg0)
+    f2 = semantic_arrow(pab, pab, power_view(pab, cfg0), cfg0)
+    g2 = semantic_arrow(pab, pab, power_view(pa, cfg0), cfg0)
+    k = semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0)
+    tot = Instance(total_object(cfg0).relations, {})
+    bottom = lambda source, target: semantic_arrow(source, target, [BOTTOM], cfg0)
+    base = pullback(f2, g2)
+    return [
+        pullback(f, g),
+        pullback(f2, f2),
+        pullback(k, k),
+        PullbackSquare(tot, bottom(tot, pab), bottom(tot, pb), f, g),
+        PullbackSquare(ZERO, bottom(ZERO, pab), bottom(ZERO, pab), f2, f2),
+        PullbackSquare(base.corner, bottom(base.corner, pab), base.right, f2, g2),
+        PullbackSquare(ZERO, bottom(ZERO, pab), bottom(ZERO, pab), k, k),
+    ]
+
+
+def test_hand_built_squares_match_the_frozen_kernel(cfg0, pa, pb, pab, classes, arrows):
+    squares = _hand_built_squares(cfg0, pa, pb, pab)
+    tables = [square_mediators(sq, classes, arrows) for sq in squares]
+    assert [m is None for m in tables] == [False] * 3 + [True] * 4
+    assert tables == [frozen_pullback.square_mediators(sq, classes, arrows) for sq in squares]
+    for (sq1, m1), (sq2, m2) in itertools.product(zip(squares, tables), repeat=2):
+        args = (sq1, m1, sq2, m2, cfg0)
+        expected = _outcome(frozen_pullback.combined_pullback_check, *args)
+        assert _outcome(combined_pullback_check, *args) == expected
+
+
+def test_pullback_laws_match_the_frozen_kernel_at_abc(monkeypatch):
+    # Every square both pullback laws verify at {a,b,c} (max-relations 2)
+    # gets the frozen kernel's table, and every pair step its verdict.  Each
+    # law builds 13^3 squares: coproduct-pullback one per cospan (k, h).
+    ctx = suites.SuiteContext(UniverseConfig(domain=frozenset("abc"), k_max=1), 2)
+    seen = {"squares": 0, "pairs": 0}
+
+    def mediators(sq, vertices, arrows):
+        table = square_mediators(sq, vertices, arrows)
+        assert table == frozen_pullback.square_mediators(sq, vertices, arrows)
+        seen["squares"] += 1
+        return table
+
+    def pair(*args):
+        verdict = combined_pullback_check(*args)
+        assert verdict == frozen_pullback.combined_pullback_check(*args)
+        seen["pairs"] += 1
+        return verdict
+
+    monkeypatch.setattr(suites, "square_mediators", mediators)
+    monkeypatch.setattr(suites, "combined_pullback_check", pair)
+    pullbacks = suites.law_pullback(ctx)
+    combined = suites.law_coproduct_pullback(ctx)
+    assert (pullbacks.status, combined.status) == ("PASS", "PASS")
+    assert seen == {"squares": 2 * 2197, "pairs": 42875}
+    assert (pullbacks.checked, combined.checked) == (2197, 42875)
 
 
 def test_negative_probes(cfg0):

@@ -15,7 +15,7 @@ from __future__ import annotations
 import itertools
 import time
 from dataclasses import dataclass, field
-from typing import Callable, Iterable
+from typing import Callable, Iterable, NamedTuple
 
 from .catops import (
     composition_arrow,
@@ -176,12 +176,13 @@ def _laws(*laws: tuple[str, str], over: str | None = None, repeat: int = 1) -> C
     (name, statement) pairs, in one pass.  The function records its suite,
     the part of the first name before the dot.
 
-    A check is ``(ok, witness)`` or ``(ok, witness, flagged)``; when several
-    laws share the pass, each check starts with the name of its law.  A
-    witness is a string or a ``witness`` thunk; a thunk is rendered only for
-    the first five failures or flagged items, which are all the report
-    keeps.  One law gives one ``LawResult``, several give a list in the order
-    of ``laws`` with the pass's time on the first.
+    A check is ``True`` when it passes, else its witness, a string or a
+    ``witness`` thunk, or a ``Flag`` of a flagged item's witness: laws write
+    ``yield ok or witness(...)``; any other check raises ``ViewfluxError``.
+    When several laws share the pass, each check is ``(law, check)``.  A
+    thunk is rendered only for the first five failures or flags, all the
+    report keeps.  One law gives one ``LawResult``, several give a list in
+    the order of ``laws`` with the pass's time on the first.
 
     With ``over``, the name of an enumeration of the context (``instances``,
     ``classes`` or ``closed_objects``), ``fn`` is a predicate instead: it is
@@ -192,7 +193,7 @@ def _laws(*laws: tuple[str, str], over: str | None = None, repeat: int = 1) -> C
     def decorate(fn):
         def predicate_checks(ctx):
             for item in itertools.product(getattr(ctx, over), repeat=repeat):
-                yield fn(ctx, *item), witness(*item)
+                yield fn(ctx, *item) or witness(*item)
 
         checks = fn if over is None else predicate_checks
 
@@ -203,16 +204,12 @@ def _laws(*laws: tuple[str, str], over: str | None = None, repeat: int = 1) -> C
             by_name = {result.law: result for result in results}
             grouped = len(results) > 1
             result = results[0]
-            for item in checks(ctx):
+            for check in checks(ctx):
                 if grouped:
-                    result, item = by_name[item[0]], item[1:]
-                ok, check = item[0], item[1]
+                    result, check = by_name[check[0]], check[1]
                 result.checked += 1
-                if len(item) > 2 and item[2]:
-                    if len(result.flagged) < 5:
-                        result.flagged.append(_render(check))
-                elif not ok and len(result.failures) < 5:
-                    result.failures.append(_render(check))
+                if check is not True:
+                    _record(result, check)
             results[0].elapsed = time.perf_counter() - started
             return results if grouped else result
 
@@ -235,15 +232,29 @@ def _arrow_law(law: str, statement: str) -> Callable:
         def checks(ctx):
             for a, b in itertools.product(ctx.classes, repeat=2):
                 for f in ctx.arrows(a, b):
-                    yield fn(ctx, f), witness(a, b, f.flux)
+                    yield fn(ctx, f) or witness(a, b, f.flux)
 
         return _law(law, statement)(checks)
 
     return decorate
 
 
-def _render(check: str | Callable[[], str]) -> str:
-    return check if isinstance(check, str) else check()
+class Flag(NamedTuple):
+    """The check of a flagged item: reported with its witness, never a failure."""
+
+    witness: str | Callable[[], str]
+
+
+def _record(result: LawResult, check) -> None:
+    """Keep a failing or flagged check, rendered, among the first five of ``result``."""
+    kept = result.failures
+    if isinstance(check, Flag):
+        kept, check = result.flagged, check.witness
+    if not (isinstance(check, str) or callable(check)):
+        raise ViewfluxError(f"law {result.law} gave a check of type {type(check).__name__}; "
+                            "a check is True, a Flag or a witness")
+    if len(kept) < 5:
+        kept.append(check if isinstance(check, str) else check())
 
 
 # --- closure laws ---------------------------------------------------------
@@ -261,7 +272,7 @@ def law_closure_monotone(ctx):
         if not small.relations <= big.relations:
             continue
         ok = power_view(small, ctx.cfg).relations <= power_view(big, ctx.cfg).relations
-        yield ok, witness(small, big)
+        yield ok or witness(small, big)
 
 
 @_law("closure.idempotent", "closing a closure changes nothing", over="instances")
@@ -272,13 +283,13 @@ def law_closure_idempotent(ctx, a):
 
 @_law("closure.bottom", "the zero object is its own closure")
 def law_closure_bottom(ctx):
-    yield power_view(ctx.zero, ctx.cfg).relations == frozenset({BOTTOM}), witness(ctx.zero)
-    yield power_view(Instance(frozenset(), {}), ctx.cfg).relations == frozenset({BOTTOM}), "empty instance"
+    yield power_view(ctx.zero, ctx.cfg).relations == frozenset({BOTTOM}) or witness(ctx.zero)
+    yield power_view(Instance(frozenset(), {}), ctx.cfg).relations == frozenset({BOTTOM}) or "empty instance"
 
 
 @_law("closure.total-fixpoint", "the total object is a fixed point of the closure")
 def law_closure_total(ctx):
-    yield power_view(ctx.total, ctx.cfg).relations == ctx.total.relations, witness(ctx.total)
+    yield power_view(ctx.total, ctx.cfg).relations == ctx.total.relations or witness(ctx.total)
 
 
 @_law("closure.algebraic", "a closure is the union of the closures of the finite subinstances",
@@ -318,7 +329,7 @@ def law_flux_composition(ctx):
             for g in ctx.arrows(b, c):
                 h = compose(g, f)
                 ok = h.flux.relations == g.flux.relations & f.flux.relations
-                yield ok, witness(f.flux, g.flux)
+                yield ok or witness(f.flux, g.flux)
 
 
 @_law("category.associativity", "composition is associative up to equivalence")
@@ -328,20 +339,19 @@ def law_associativity(ctx):
             for g in ctx.arrows(b, c):
                 gf = compose(g, f)
                 for h in ctx.arrows(c, d):
-                    yield equiv(compose(h, gf), compose(compose(h, g), f)), witness(f.flux, g.flux, h.flux)
+                    yield equiv(compose(h, gf), compose(compose(h, g), f)) or witness(f.flux, g.flux, h.flux)
 
 
 @_law("category.identity", "identities are neutral for composition")
 def law_identity(ctx):
     for a in ctx.instances:
-        ida = identity(a, ctx.cfg)
-        yield is_iso(ida), witness(a)
+        yield is_iso(identity(a, ctx.cfg)) or witness(a)
     identities = {a: identity(a, ctx.cfg) for a in ctx.classes}
     for a, b in itertools.product(ctx.classes, repeat=2):
         ida, idb = identities[a], identities[b]
         for f in ctx.arrows(a, b):
             ok = equiv(compose(idb, f), f) and equiv(compose(f, ida), f)
-            yield ok, witness(a, b, f.flux)
+            yield ok or witness(a, b, f.flux)
 
 
 def _cancels(f: Morphism, homsets: Iterable[tuple[Morphism, ...]]) -> bool:
@@ -405,7 +415,7 @@ def law_totalize(ctx):
             )
             for j in range(len(arrows)):
                 ok = ok and (tables[i] == tables[j]) == equiv(f, arrows[j])
-            yield ok, witness(a, b, f.flux)
+            yield ok or witness(a, b, f.flux)
 
 
 @_law("category.retraction", "the reversal of a monomorphism retracts it")
@@ -414,7 +424,7 @@ def law_retraction(ctx):
         for f in ctx.arrows(a, b):
             if not is_mono(f):
                 continue
-            yield retraction_check(f), witness(a, b, f.flux)
+            yield retraction_check(f) or witness(a, b, f.flux)
 
 
 @_law("category.idempotents", "arrows between endomorphism fluxes match fixed endomorphisms",
@@ -435,7 +445,7 @@ def law_monad(ctx):
     for a in ctx.instances:
         ta = power_view(a, ctx.cfg)
         tta = power_view(ta, ctx.cfg)
-        yield a.relations <= ta.relations and tta.relations == ta.relations, witness(a)
+        yield a.relations <= ta.relations and tta.relations == ta.relations or witness(a)
     contexts = [
         Slot(1, 1),
         Select(ColEqConst(1, min(ctx.cfg.constants())), Slot(1, 1)),
@@ -459,7 +469,7 @@ def law_monad(ctx):
                 staged = evaluate(
                     term, labeled, slots=[evaluate(s, labeled) for s in subs]
                 )
-                yield direct == staged, witness(a, term)
+                yield direct == staged or witness(a, term)
 
 
 # --- monoidal laws --------------------------------------------------------
@@ -493,10 +503,8 @@ def law_arrow_tensor(ctx):
             for f in ctx.arrows(a, b):
                 for g in ctx.arrows(c, d):
                     t = tensor_arrow(f, g)
-                    yield (
-                        t.flux.relations == f.flux.relations & g.flux.relations,
-                        witness(f.flux, g.flux),
-                    )
+                    ok = t.flux.relations == f.flux.relations & g.flux.relations
+                    yield ok or witness(f.flux, g.flux)
 
 
 @_arrow_law("monoidal.flux-range", "every flux sits between the zero object and the matching")
@@ -525,10 +533,10 @@ def law_hom_object(ctx):
         for f in ctx.arrows(b, c):
             merged |= f.flux.relations
         ok = ok and power_view(Instance(frozenset(merged), {}), ctx.cfg).relations == hom.relations
-        yield ok, witness(b, c)
+        yield ok or witness(b, c)
     for c in ctx.classes:
         hom = matching(c, ctx.total, ctx.cfg)
-        yield hom.relations == power_view(c, ctx.cfg).relations, witness(c)
+        yield hom.relations == power_view(c, ctx.cfg).relations or witness(c)
 
 
 @_law("monoidal.hom-counting", "currying is a bijection of hom-sets", over="classes", repeat=3)
@@ -542,7 +550,7 @@ def law_exponent(ctx):
     for b, c in itertools.product(ctx.classes, repeat=2):
         ev = eval_arrow(b, c, ctx.cfg)
         ok = is_mono(ev) and ev.flux.relations == matching(b, c, ctx.cfg).relations
-        yield ok, witness(b, c)
+        yield ok or witness(b, c)
     identities = {b: identity(b, ctx.cfg) for b in ctx.classes}
     for a, b, c in itertools.product(ctx.classes, repeat=3):
         tensor_ab = matching(a, b, ctx.cfg)
@@ -553,7 +561,7 @@ def law_exponent(ctx):
             ok = lam.flux.relations == f.flux.relations
             paired = lam.flux.relations & idb.flux.relations
             ok = ok and (ev.flux.relations & paired) == f.flux.relations
-            yield ok, witness(a, b, c, f.flux)
+            yield ok or witness(a, b, c, f.flux)
 
 
 @_law("monoidal.internal-arrows", "internal composition is monic, the internal identity is epic")
@@ -565,10 +573,10 @@ def law_internal_arrows(ctx):
             & power_view(b, ctx.cfg).relations
             & power_view(c, ctx.cfg).relations
         )
-        yield is_mono(m) and m.flux.relations == expected, witness(a, b, c)
+        yield is_mono(m) and m.flux.relations == expected or witness(a, b, c)
     for a in ctx.classes:
         j = identity_element_arrow(a, ctx.cfg)
-        yield is_epi(j) and j.flux.relations == power_view(a, ctx.cfg).relations, witness(a)
+        yield is_epi(j) and j.flux.relations == power_view(a, ctx.cfg).relations or witness(a)
 
 
 # --- lattice laws ---------------------------------------------------------
@@ -578,13 +586,13 @@ def law_internal_arrows(ctx):
 def law_join_laws(ctx):
     for a, b in itertools.product(ctx.instances, repeat=2):
         ok = merging(a, b, ctx.cfg).relations == merging(b, a, ctx.cfg).relations
-        yield ok, witness(a, b)
+        yield ok or witness(a, b)
     for a in ctx.instances:
-        yield merging(a, a, ctx.cfg).relations == power_view(a, ctx.cfg).relations, witness(a)
+        yield merging(a, a, ctx.cfg).relations == power_view(a, ctx.cfg).relations or witness(a)
     for a, b, c in itertools.product(ctx.classes, repeat=3):
         lhs = merging(merging(a, b, ctx.cfg), c, ctx.cfg)
         rhs = merging(a, merging(b, c, ctx.cfg), ctx.cfg)
-        yield lhs.relations == rhs.relations, witness(a, b, c)
+        yield lhs.relations == rhs.relations or witness(a, b, c)
 
 
 @_law("lattice.absorption", "each operation absorbs the other", over="instances", repeat=2)
@@ -633,7 +641,7 @@ def law_closed_count(ctx):
     computed = closed_subsets(ctx.total, ctx.cfg)
     ok = len(computed) == len({c.relations for c in computed}) == 2 ** len(ctx.cfg.domain)
     ok = ok and all(c.relations <= ctx.total.relations and is_closed(c, ctx.cfg) for c in computed)
-    yield ok, f"{len(computed)} closed subsets"
+    yield ok or f"{len(computed)} closed subsets"
 
 
 @_law("lattice.sup-all", "merging every instance yields the total object")
@@ -641,7 +649,7 @@ def law_sup_all(ctx):
     merged = ctx.zero
     for a in ctx.instances:
         merged = merging(merged, a, ctx.cfg)
-    yield merged.relations == ctx.total.relations, witness(len(ctx.instances))
+    yield merged.relations == ctx.total.relations or witness(len(ctx.instances))
 
 
 @_law("lattice.federation", "the union of two instances is equivalent to their merging",
@@ -656,13 +664,13 @@ def law_merge_functor(ctx):
     for a, b in itertools.product(ctx.classes, repeat=2):
         lifted = merge_arrow(a, identities[b])
         ok = lifted.flux.relations == merging(a, b, ctx.cfg).relations
-        yield ok, witness(a, b)
+        yield ok or witness(a, b)
     for a, b, c, d in itertools.product(ctx.classes, repeat=4):
         for f in ctx.arrows(b, c):
             af = merge_arrow(a, f)
             for g in ctx.arrows(c, d):
                 ok = equiv(merge_arrow(a, compose(g, f)), compose(merge_arrow(a, g), af))
-                yield ok, witness(a, f.flux, g.flux)
+                yield ok or witness(a, f.flux, g.flux)
 
 
 @_law("lattice.omega-chain", "iterated merging reaches the closure at the first step",
@@ -683,14 +691,14 @@ def law_coproduct_count(ctx):
         na = len(power_view(a, ctx.cfg).relations)
         nb = len(power_view(b, ctx.cfg).relations)
         ok = len(power_view(both, ctx.cfg).relations) == na + nb - 1
-        yield ok, witness(a, b)
+        yield ok or witness(a, b)
     for a in ctx.classes:
         if a.relations <= ctx.zero.relations:
             continue
         doubled = coproduct(a, a)
         na = len(power_view(a, ctx.cfg).relations)
-        yield len(power_view(doubled, ctx.cfg).relations) == 2 * na - 1, witness(a)
-    yield isomorphic(coproduct(ctx.zero, ctx.classes[-1]), ctx.classes[-1], ctx.cfg), "zero unit"
+        yield len(power_view(doubled, ctx.cfg).relations) == 2 * na - 1 or witness(a)
+    yield isomorphic(coproduct(ctx.zero, ctx.classes[-1]), ctx.classes[-1], ctx.cfg) or "zero unit"
 
 
 # --- metric laws ----------------------------------------------------------
@@ -723,7 +731,7 @@ def law_pullback(ctx):
                     ok = ok and is_closed(sq.corner, ctx.cfg)
                     ok = ok and is_mono(sq.left) and is_mono(sq.right)
                     ok = ok and square_mediators(sq, ctx.classes, ctx.arrows) is not None
-                    yield ok, witness(f.flux, g.flux)
+                    yield ok or witness(f.flux, g.flux)
 
 
 def _inclusions(ctx):
@@ -739,32 +747,30 @@ def law_classifier(ctx):
         char, report = classifier(mono, ctx.cfg, ctx.classes)
         ok = report.generator_commutes and report.factorization_ok
         ok = ok and report.char_class_size == 1
-        yield ok, witness(a, b)
+        yield ok or witness(a, b)
 
 
 @_law("topos.classifier-audit", "closing the generator set may meet the subobject (documented divergence)")
 def law_classifier_audit(ctx):
     for a, b, mono in _inclusions(ctx):
         _, report = classifier(mono, ctx.cfg, ctx.classes)
-        audited = lambda a=a, b=b, audit=report.audit_intersection: (
+        yield not report.flagged or Flag(lambda a=a, b=b, audit=report.audit_intersection: (
             f"{witness(a, b)()}: closure of generators meets the subobject in "
             f"{sorted_relations(audit)!r}"
-        )
-        yield True, audited, report.flagged
+        ))
 
 
 @_law("topos.equalizer", "every monomorphism equalizes its characteristic arrow and true")
 def law_equalizer(ctx):
     for a, b, mono in _inclusions(ctx):
-        yield equalizer_check(mono, ctx.cfg, ctx.classes), witness(a, b)
+        yield equalizer_check(mono, ctx.cfg, ctx.classes) or witness(a, b)
 
 
 @_law("topos.true-arrow", "the true arrow transmits nothing and targets the classifier")
 def law_true_arrow(ctx):
     t = true_arrow(ctx.cfg)
     ok = t.flux.relations == frozenset({BOTTOM})
-    ok = ok and t.target.relations == ctx.total.relations
-    yield ok, "true"
+    yield ok and t.target.relations == ctx.total.relations or "true"
 
 
 @_arrow_law("topos.factorization", "every arrow factors epi-mono through its flux, minimally")
@@ -776,17 +782,14 @@ def law_factorization(ctx, f):
 def law_coproduct_pullback(ctx):
     small = [ctx.zero, ctx.classes[-1]]
     for e in ctx.classes:
-        clear_arrows()  # squares share legs only within one e
         legs = [h for b in ctx.classes for h in ctx.arrows(b, e)]
         for d in ctx.classes:
             for k in ctx.arrows(d, e):
                 squares = [pullback(k, h) for h in legs]
                 tables = [(sq, square_mediators(sq, small, ctx.arrows)) for sq in squares]
                 for (sq1, m1), (sq2, m2) in itertools.product(tables, repeat=2):
-                    yield (
-                        combined_pullback_check(sq1, m1, sq2, m2, ctx.cfg),
-                        witness(k.flux, sq1.g.flux, sq2.g.flux),
-                    )
+                    ok = combined_pullback_check(sq1, m1, sq2, m2, ctx.cfg)
+                    yield ok or witness(k.flux, sq1.g.flux, sq2.g.flux)
 
 
 # --- negative probes ------------------------------------------------------
@@ -834,10 +837,7 @@ def run_suite(
     laws: list[LawResult] = []
     for fn in law_fns:
         outcome = fn(ctx)
-        if isinstance(outcome, list):
-            laws.extend(outcome)
-        else:
-            laws.append(outcome)
+        laws.extend(outcome if isinstance(outcome, list) else [outcome])
     return SuiteReport(name, cfg, max_relations, laws, time.perf_counter() - started)
 
 

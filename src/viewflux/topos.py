@@ -10,10 +10,10 @@ cospan target reproduces the cone's composite, and that arrow sits below the
 cone legs in the arrow order.  The strict one-categorical property fails in
 this semantics (a cone may have legs with different fluxes, which no single
 mediating flux can reproduce), so the strict form is deliberately not
-asserted.  Within one law pass each distinct square is verified once: its
-mediator table is memoized (``per_pass``) on the leg sources, corner and
-fluxes, not the cospan target, and so is the step of the coproduct check that
-reads only the corners, left legs and tables of a pair of squares.
+asserted.  One law pass verifies each distinct square once, whatever its
+cospan target: the mediator table is memoized (``per_pass``) on the leg
+sources, corner and fluxes, and so is the coproduct check's step that reads
+only the corners, left legs and tables of a pair of squares.
 
 The characteristic arrow of a monomorphism is verified at two layers.  The
 generator layer works with the set difference of the two closures, exactly
@@ -96,7 +96,7 @@ def closure_classes(cfg: UniverseConfig, max_relations: int, instances=None) -> 
 def metric_suite(cfg: UniverseConfig, instances: list[Instance]):
     """Yield every check of the distance laws over ``instances``.
 
-    Each check is ``(law, ok, witness)`` with a lazy witness; within a law the
+    Each check is ``(law, True)`` or ``(law, lazy witness)``; within a law the
     checks come in canonical order (instances, then pairs, then triples).
     """
     total = total_object(cfg).relations
@@ -112,22 +112,22 @@ def metric_suite(cfg: UniverseConfig, instances: list[Instance]):
     separating = [[k for k in idx if top[k] or not iso[k][i]] for i in idx]
 
     for i, a in enumerate(instances):
-        yield "metric.self-distance", d[i][i] == total, witness(a)
+        yield "metric.self-distance", d[i][i] == total or witness(a)
         own = {h.relations for h in semantic_homset(a, a, cfg)}
         others = {d[i][j] for j in idx if not iso[i][j]}
-        yield "metric.locally-closed", others <= own, witness(a)
+        yield "metric.locally-closed", others <= own or witness(a)
     for i, j in itertools.product(idx, repeat=2):
         a, b, dij = instances[i], instances[j], d[i][j]
-        yield "metric.symmetry", dij == d[j][i], witness(a, b)
-        yield "metric.indiscernible", dij != total or iso[i][j], witness(a, b)
+        yield "metric.symmetry", dij == d[j][i] or witness(a, b)
+        yield "metric.indiscernible", dij != total or iso[i][j] or witness(a, b)
         refines = all(d[i][k] <= d[j][k] for k in separating[i])
-        yield "metric.order", po_leq(a, b, cfg) == refines, witness(a, b)
+        yield "metric.order", po_leq(a, b, cfg) == refines or witness(a, b)
         # d(a, b) is the bottom alone when b is the zero object and a is not.
         far = iso[i][j] or not zero[j] or dij == ZERO.relations
-        yield "metric.infinite-distance", BOTTOM in dij and far, witness(a, b)
+        yield "metric.infinite-distance", BOTTOM in dij and far or witness(a, b)
     for i, j, k in itertools.product(idx, repeat=3):
         ok = d[i][j] & d[j][k] <= d[i][k]
-        yield "metric.triangle", ok, witness(instances[i], instances[j], instances[k])
+        yield "metric.triangle", ok or witness(instances[i], instances[j], instances[k])
 
 
 @dataclass(frozen=True)
@@ -447,7 +447,7 @@ def negative_probes(cfg: UniverseConfig, classes: list[Instance]):
     not preserve epimorphisms, no instance has a power object, and the
     category is not well-pointed.
 
-    Each check is ``(law, ok, witness)`` with a lazy witness.
+    Each check is ``(law, True)`` or ``(law, lazy witness)``.
     """
     epis = (
         semantic_arrow(a, c, h, cfg)
@@ -462,7 +462,7 @@ def negative_probes(cfg: UniverseConfig, classes: list[Instance]):
         for b in classes
         for g in semantic_homset(b, f.target, cfg)
     )
-    yield "negative.pullback-epi", non_epic_leg, "no counterexample found"
+    yield "negative.pullback-epi", non_epic_leg or "no counterexample found"
 
     candidates = closed_subsets(total_object(cfg), cfg)
     for a in classes:
@@ -474,7 +474,7 @@ def negative_probes(cfg: UniverseConfig, classes: list[Instance]):
                 != len(closed_subsets(power_view(coproduct(b, a), cfg), cfg))
                 for b in classes
             )
-            yield "negative.no-power-object", refuted, witness(a, p)
+            yield "negative.no-power-object", refuted or witness(a, p)
 
     # Every point out of the zero object has the zero flux, so the identity
     # and the empty arrow of any non-zero instance agree on all points.
@@ -490,4 +490,4 @@ def negative_probes(cfg: UniverseConfig, classes: list[Instance]):
         )
         for f, g in pairs
     )
-    yield "negative.not-well-pointed", collapsed, "no witness pair found"
+    yield "negative.not-well-pointed", collapsed or "no witness pair found"

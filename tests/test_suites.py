@@ -1,5 +1,6 @@
 import itertools
 from pathlib import Path
+from types import SimpleNamespace
 
 import count_oracle
 import pytest
@@ -25,7 +26,8 @@ from viewflux import (
 from viewflux import catops, closure, morphisms, suites, topos
 from viewflux.closure import ClosedInstance, meet_closed, zero_object
 from viewflux.core import witness
-from viewflux.suites import SUITE_NAMES, SUITES, SuiteContext, _law, _laws
+from viewflux.errors import ViewfluxError
+from viewflux.suites import SUITE_NAMES, SUITES, Flag, SuiteContext, _law, _laws
 from viewflux.topos import closure_classes
 
 GOLDEN_DEFAULT = Path(__file__).parent / "golden" / "check-all-default.txt"
@@ -392,7 +394,7 @@ def test_each_law_pass_starts_with_empty_arrow_tables(cfg0, pa, pab):
         sizes.append(len(morphisms._interned))
         sizes.extend(memo.cache_info().currsize for memo in memos)
         sizes.append(closure._power_view_cached.cache_info().currsize)
-        yield True, "probe"
+        yield True
 
     probe(None)
     assert sizes == [0] * (1 + len(memos)) + [kept]
@@ -409,11 +411,20 @@ def test_pullback_pass_builds_one_mediator_table_per_distinct_square(n):
     assert topos._mediators.cache_info().misses == count_oracle.squares(n) == 9**n
 
 
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_coproduct_pullback_pass_builds_one_mediator_table_per_distinct_square(n):
+    # A square recurs under every cospan target; one pass shares its table.
+    ctx = SuiteContext(UniverseConfig(domain=frozenset("abc"[:n]), k_max=1), 1)
+    result = suites.law_coproduct_pullback(ctx)
+    assert result.status == "PASS" and result.checked == 35**n
+    assert topos._mediators.cache_info().misses == count_oracle.squares(n)
+
+
 def test_law_keeps_first_five_failures():
     @_law("probe.fail", "fails seven times")
     def law(ctx):
         for i in range(7):
-            yield False, witness(i, "x")
+            yield False or witness(i, "x")
 
     result = law(None)
     assert result.checked == 7
@@ -426,13 +437,14 @@ def test_law_renders_flagged_witness():
 
     @_law("probe.flag", "flags one item")
     def law(ctx):
-        yield True, witness(probe, 1), True
-        yield True, "plain witness", True
+        yield Flag(witness(probe, 1))
+        yield Flag("plain witness")
 
     result = law(None)
-    assert result.status == "FLAGGED"
+    assert result.status == "FLAGGED" and result.checked == 2
     assert result.flagged == ["{(a)}; 1", "plain witness"]
     assert not result.failures
+    assert probe.calls == 1
 
 
 def test_passing_items_render_no_witness():
@@ -441,7 +453,7 @@ def test_passing_items_render_no_witness():
     @_law("probe.pass", "passes every item")
     def law(ctx):
         for _ in range(10):
-            yield True, witness(probe, probe)
+            yield True or witness(probe, probe)
 
     result = law(None)
     assert result.status == "PASS" and result.checked == 10
@@ -450,7 +462,7 @@ def test_passing_items_render_no_witness():
     @_law("probe.fail", "fails every item")
     def failing(ctx):
         for _ in range(10):
-            yield False, witness(probe)
+            yield False or witness(probe)
 
     assert len(failing(None).failures) == 5
     assert probe.calls == 5
@@ -459,10 +471,10 @@ def test_passing_items_render_no_witness():
 def test_grouped_laws_route_checks_and_time_the_first():
     @_laws(("probe.one", "first law"), ("probe.two", "second law"))
     def law(ctx):
-        yield "probe.two", True, "never rendered"
-        yield "probe.one", False, witness(1)
-        yield "probe.two", False, "plain", False
-        yield "probe.two", True, "flagged", True
+        yield "probe.two", True or "never rendered"
+        yield "probe.one", False or witness(1)
+        yield "probe.two", False or "plain"
+        yield "probe.two", Flag("flagged")
 
     one, two = law(None)
     assert (one.law, one.checked, one.failures, one.flagged) == ("probe.one", 1, ["1"], [])
@@ -470,3 +482,53 @@ def test_grouped_laws_route_checks_and_time_the_first():
         "probe.two", 3, ["plain"], ["flagged"]
     )
     assert one.elapsed > 0 and two.elapsed == 0.0
+
+
+@pytest.mark.parametrize("check", [False, None, 0, ("probe.ok", True)], ids=repr)
+def test_law_refuses_a_check_that_is_not_true_a_flag_or_a_witness(check):
+    @_law("probe.bare", "yields a bare verdict")
+    def law(ctx):
+        yield True
+        yield check
+
+    with pytest.raises(ViewfluxError, match="law probe.bare gave a check of type"):
+        law(None)
+
+
+def test_predicate_law_refuses_a_truthy_value_that_is_not_true():
+    # ``fn(...) or witness(...)`` passes a truthy frozenset on: it is no verdict.
+    @_law("probe.set", "returns a set", over="instances")
+    def law(ctx, a):
+        return frozenset({a})
+
+    ctx = SimpleNamespace(instances=[1, 2])
+    with pytest.raises(ViewfluxError, match="law probe.set gave a check of type frozenset"):
+        law(ctx)
+
+
+def test_grouped_law_refusal_names_the_law_of_the_check():
+    @_laws(("probe.one", "first law"), ("probe.two", "second law"))
+    def law(ctx):
+        yield "probe.one", True
+        yield "probe.two", False
+
+    with pytest.raises(ViewfluxError, match="law probe.two gave a check of type bool"):
+        law(None)
+
+
+def test_passing_checks_build_no_witness(monkeypatch):
+    # A passing check is ``True``: a witness is built only for a failure or
+    # flag that the report renders, at most five per law.
+    calls = []
+
+    def counted(*parts):
+        calls.append(parts)
+        return witness(*parts)
+
+    monkeypatch.setattr(suites, "witness", counted)
+    monkeypatch.setattr(topos, "witness", counted)
+    report = run_suite("all", UniverseConfig(domain=frozenset({"a", "b"}), k_max=1))
+    rendered = sum(len(law.failures) + len(law.flagged) for law in report.laws)
+    audit = next(law for law in report.laws if law.law == "topos.classifier-audit")
+    assert report.ok and rendered == len(audit.flagged) == 2
+    assert len(calls) == rendered

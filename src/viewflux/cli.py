@@ -6,6 +6,10 @@ canonical order.  The ``check`` command runs the property suites and exits
 nonzero exactly when a law fails; flagged entries (documented divergences)
 keep the zero exit status.  VIEWFLUX_MAX_ENUM overrides the enumeration
 bounds, and the instance cap of ``check`` unless ``--max-instances`` is given.
+One call builds only the parsers it needs: the top-level parser and that of
+the command its first argument names, or every command's when it names none
+(no arguments, ``--help``, an unknown command), so help and usage errors read
+the same either way.
 """
 
 from __future__ import annotations
@@ -85,7 +89,7 @@ def cmd_total(args) -> int:
 def cmd_binary(args) -> int:
     a, b, cfg = _load_pair(args.left, args.right, args.kmax)
     op = {"match": matching, "merge": merging, "homobj": matching, "distance": distance}
-    _print_closed(op[args.op](a, b, cfg).relations, cfg.domain)
+    _print_closed(op[args.command](a, b, cfg).relations, cfg.domain)
     return 0
 
 
@@ -163,98 +167,65 @@ def cmd_check(args) -> int:
     return 0 if report.ok else 1
 
 
+_KMAX = ("--kmax", {"type": int, "default": 1, "help": "view-arity cap (default 1)"})
+_SUITE_OPTIONS = (
+    ("--domain", {"default": "a,b", "help": "comma-separated constants"}),
+    _KMAX,
+    ("--max-relations", {"type": int, "default": DEFAULT_MAX_RELATIONS}),
+    ("--max-instances", {"type": int, "help": "instance cap (default VIEWFLUX_MAX_ENUM, "
+                         f"else {DEFAULT_MAX_INSTANCES})"}),
+    ("--timings", {"action": "store_true", "help": "append elapsed time"}),
+)
+
+# Each command's help, arguments (a name, or a name and its add_argument
+# options, in help order) and handler.
+COMMANDS = {
+    "eval": ("evaluate a query against an instance file", ("instance", "query"), cmd_eval),
+    "closure": ("print all views of an instance", ("instance", _KMAX), cmd_closure),
+    "total": ("print the total object of a configuration",
+              (("--domain", {"required": True, "help": "comma-separated constants"}), _KMAX),
+              cmd_total),
+    "match": ("intersection of the view closures", ("left", "right", _KMAX), cmd_binary),
+    "merge": ("closure of the union", ("left", "right", _KMAX), cmd_binary),
+    "homobj": ("internal hom of two instances", ("left", "right", _KMAX), cmd_binary),
+    "distance": ("distance between two instances", ("left", "right", _KMAX), cmd_binary),
+    "chain": ("iterate merging from the zero object",
+              ("instance", ("--steps", {"type": int, "default": 3}), _KMAX), cmd_chain),
+    "compose": ("compose two morphism files (first, then second)",
+                ("first", "second", _KMAX), cmd_compose),
+    "flux": ("print the information flux of a morphism file", ("morphism", _KMAX), cmd_flux),
+    "classify": ("classify a morphism file (mono/epi/iso)", ("morphism", _KMAX), cmd_classify),
+    "classify-subobject": ("characteristic arrow of a subobject inclusion",
+                           ("subobject", "ambient", _KMAX), cmd_classify_subobject),
+    "check": ("run a property suite",
+              (("suite", {"choices": SUITE_NAMES}), *_SUITE_OPTIONS), cmd_check),
+    "probe": ("run a property suite (alias of check)",
+              (("--suite", {"choices": SUITE_NAMES, "required": True}), *_SUITE_OPTIONS),
+              cmd_check),
+}
+
+
 def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
     parser = argparse.ArgumentParser(
         prog="viewflux",
         description="Finite model of the category of database instances "
         "and view-based morphisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_kmax(p):
-        p.add_argument("--kmax", type=int, default=1, help="view-arity cap (default 1)")
-
-    p = sub.add_parser("eval", help="evaluate a query against an instance file")
-    p.add_argument("instance")
-    p.add_argument("query")
-    p.set_defaults(fn=cmd_eval)
-
-    p = sub.add_parser("closure", help="print all views of an instance")
-    p.add_argument("instance")
-    add_kmax(p)
-    p.set_defaults(fn=cmd_closure)
-
-    p = sub.add_parser("total", help="print the total object of a configuration")
-    p.add_argument("--domain", required=True, help="comma-separated constants")
-    add_kmax(p)
-    p.set_defaults(fn=cmd_total)
-
-    for op, help_text in [
-        ("match", "intersection of the view closures"),
-        ("merge", "closure of the union"),
-        ("homobj", "internal hom of two instances"),
-        ("distance", "distance between two instances"),
-    ]:
-        p = sub.add_parser(op, help=help_text)
-        p.add_argument("left")
-        p.add_argument("right")
-        add_kmax(p)
-        p.set_defaults(fn=cmd_binary, op=op)
-
-    p = sub.add_parser("chain", help="iterate merging from the zero object")
-    p.add_argument("instance")
-    p.add_argument("--steps", type=int, default=3)
-    add_kmax(p)
-    p.set_defaults(fn=cmd_chain)
-
-    p = sub.add_parser("compose", help="compose two morphism files (first, then second)")
-    p.add_argument("first")
-    p.add_argument("second")
-    add_kmax(p)
-    p.set_defaults(fn=cmd_compose)
-
-    p = sub.add_parser("flux", help="print the information flux of a morphism file")
-    p.add_argument("morphism")
-    add_kmax(p)
-    p.set_defaults(fn=cmd_flux)
-
-    p = sub.add_parser("classify", help="classify a morphism file (mono/epi/iso)")
-    p.add_argument("morphism")
-    add_kmax(p)
-    p.set_defaults(fn=cmd_classify)
-
-    p = sub.add_parser(
-        "classify-subobject", help="characteristic arrow of a subobject inclusion"
-    )
-    p.add_argument("subobject")
-    p.add_argument("ambient")
-    add_kmax(p)
-    p.set_defaults(fn=cmd_classify_subobject)
-
-    for name in ("check", "probe"):
-        p = sub.add_parser(
-            name,
-            help="run a property suite"
-            + (" (alias of check)" if name == "probe" else ""),
-        )
-        if name == "check":
-            p.add_argument("suite", choices=SUITE_NAMES)
-        else:
-            p.add_argument("--suite", dest="suite", choices=SUITE_NAMES, required=True)
-        p.add_argument("--domain", default="a,b", help="comma-separated constants")
-        add_kmax(p)
-        p.add_argument("--max-relations", type=int, default=DEFAULT_MAX_RELATIONS)
-        p.add_argument(
-            "--max-instances",
-            type=int,
-            help=f"instance cap (default VIEWFLUX_MAX_ENUM, else {DEFAULT_MAX_INSTANCES})",
-        )
-        p.add_argument("--timings", action="store_true", help="append elapsed time")
-        p.set_defaults(fn=cmd_check)
-
+    # Usage lines and the invalid-choice error read the choices: every
+    # command, even when only the named command's parser is built below.
+    sub.choices = COMMANDS
+    # The parser of the command argv[0] names, or every command's if none.
+    for name in [n for n in argv[:1] if n in COMMANDS] or COMMANDS:
+        help_text, arguments, _ = COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        for arg in arguments:
+            flag, options = (arg, {}) if isinstance(arg, str) else arg
+            p.add_argument(flag, **options)
     args = parser.parse_args(argv)
     try:
-        return args.fn(args)
+        return COMMANDS[args.command][2](args)
     except (ViewfluxError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

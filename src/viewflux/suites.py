@@ -85,6 +85,7 @@ from .queries import (
 )
 from .topos import (
     classifier,
+    classifier_audit,
     closure_classes,
     combined_pullback_check,
     equalizer_check,
@@ -753,8 +754,8 @@ def law_classifier(ctx):
 @_law("topos.classifier-audit", "closing the generator set may meet the subobject (documented divergence)")
 def law_classifier_audit(ctx):
     for a, b, mono in _inclusions(ctx):
-        _, report = classifier(mono, ctx.cfg, ctx.classes)
-        yield not report.flagged or Flag(lambda a=a, b=b, audit=report.audit_intersection: (
+        _, audit = classifier_audit(mono, ctx.cfg)
+        yield audit == {BOTTOM} or Flag(lambda a=a, b=b, audit=audit: (
             f"{witness(a, b)()}: closure of generators meets the subobject in "
             f"{sorted_relations(audit)!r}"
         ))

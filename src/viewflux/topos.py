@@ -212,8 +212,7 @@ def classifier(
     if vertices is None:
         vertices = closure_classes(cfg, 1)
     ta = power_view(in_a.source, cfg).relations
-    tb = power_view(in_a.target, cfg).relations
-    generators = frozenset(tb - ta) | {BOTTOM}
+    generators, audit = classifier_audit(in_a, cfg)
     total = total_object(cfg)
     flux = meet_closed(power_view(Instance(generators, {}), cfg), matching(in_a.target, total, cfg))
     char = _morphism(in_a.target, total, _witness_trees(in_a.target, generators, cfg), flux, cfg)
@@ -229,18 +228,28 @@ def classifier(
         for s in closed_subsets(power_view(in_a.target, cfg), cfg)
     )
 
-    audit = power_view(Instance(generators, {}), cfg).relations & ta
-    flagged = audit != frozenset({BOTTOM})
     report = ClassifierReport(
         generators=generators,
         generator_commutes=gen_commutes,
         factorization_ok=equalizer_check(in_a, cfg, vertices),
         arrows_checked=len(tests),
         char_class_size=class_size,
-        audit_intersection=frozenset(audit),
-        flagged=flagged,
+        audit_intersection=audit,
+        flagged=audit != {BOTTOM},
     )
     return char, report
+
+
+def classifier_audit(
+    in_a: Morphism, cfg: UniverseConfig
+) -> tuple[frozenset[Relation], frozenset[Relation]]:
+    """The generators of the characteristic arrow of ``in_a`` (the bottom
+    view and each view of the ambient that is not a view of the subobject)
+    and the closure-level audit: the subobject's views that the closure of
+    the generators meets, flagged when that is more than the bottom view."""
+    ta = power_view(in_a.source, cfg).relations
+    generators = frozenset(power_view(in_a.target, cfg).relations - ta) | {BOTTOM}
+    return generators, power_view(Instance(generators, {}), cfg).relations & ta
 
 
 def equalizer_check(

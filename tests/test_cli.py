@@ -1,3 +1,4 @@
+import argparse
 import os
 import subprocess
 import sys
@@ -268,3 +269,87 @@ def test_python_m_viewflux_runs_the_cli():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("suite: closure")
+
+
+# --- the command line's own text --------------------------------------------
+
+GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
+COMMANDS = [
+    "eval", "closure", "total", "match", "merge", "homobj", "distance", "chain",
+    "compose", "flux", "classify", "classify-subobject", "check", "probe",
+]
+# The top-level parser's text: no arguments, help, an unknown command, an
+# option before any command, and an unknown option after a command's
+# arguments (reported with the top-level usage line).
+TOP_CASES = [[], ["-h"], ["nosuch"], ["--kmax", "2"], ["closure", "x.db", "--bogus"]]
+
+
+def _golden_cases():
+    """Each golden file's name and the argument lists whose text it holds."""
+    yield "viewflux", TOP_CASES
+    for name in COMMANDS:
+        yield name, [[name, "--help"], [name], [name, "--bogus"]]
+
+
+def _exit_status(argv) -> int:
+    try:
+        return main(list(argv))
+    except SystemExit as exc:
+        return exc.code
+
+
+def _transcript(cases, call) -> str:
+    """Exit status, standard output and standard error of each call of
+    ``main``; ``call`` runs one and returns the three."""
+    return "".join(
+        f"$ viewflux {' '.join(argv)}\n--- exit {code}\n--- stdout\n{out}--- stderr\n{err}"
+        for argv in cases
+        for code, out, err in [call(argv)]
+    )
+
+
+@pytest.mark.parametrize("name, cases", list(_golden_cases()), ids=[n for n, _ in _golden_cases()])
+def test_cli_text_matches_golden(capsys, monkeypatch, name, cases):
+    # Help is wrapped to the terminal width, which COLUMNS sets.
+    monkeypatch.setenv("COLUMNS", "80")
+    text = _transcript(cases, lambda argv: (_exit_status(argv), *capsys.readouterr()))
+    assert text == (GOLDEN_CLI / f"{name}.txt").read_text()
+
+
+@pytest.mark.parametrize("argv, code, parsers", [
+    (["closure", "A.db", "--kmax", "2"], 0, 2),
+    (["check", "all", "--domain", "a"], 0, 2),
+    (["--help"], 0, 15),
+    (["nosuch"], 2, 15),
+])
+def test_main_builds_only_the_named_commands_parser(files, capsys, monkeypatch, argv, code, parsers):
+    # The top-level parser and the named command's; every command's when
+    # the first argument names none, so that help and errors list them all.
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting)
+    argv = [str(files / arg) if arg.endswith(".db") else arg for arg in argv]
+    assert _exit_status(argv) == code
+    assert len(built) == parsers
+
+
+if __name__ == "__main__":
+    # Rewrite the golden transcripts: PYTHONPATH=src python tests/test_cli.py
+    import contextlib
+    import io
+
+    def redirected(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = _exit_status(argv)
+        return code, out.getvalue(), err.getvalue()
+
+    os.environ["COLUMNS"] = "80"
+    GOLDEN_CLI.mkdir(exist_ok=True)
+    for name, cases in _golden_cases():
+        (GOLDEN_CLI / f"{name}.txt").write_text(_transcript(cases, redirected))

@@ -1,5 +1,6 @@
 """Mutant rows: a broken operation, bound where one law reads it, must make
-that law report FAIL with the same ``checked=`` count as the golden report.
+that law report FAIL with the same ``checked=`` count as the golden report;
+a law that flags documented divergences must flag a different number.
 
 Each row names the law, its check, the module whose binding the mutant
 replaces, the attribute, the mutant and the law's ``checked=`` count.
@@ -107,6 +108,18 @@ def _mediators_over_doubled_homsets(square, vertices, arrows):
     return topos.square_mediators(square, vertices, _doubled_homsets(arrows))
 
 
+def _audit_meeting_the_ambient(in_a, cfg):
+    """A mutant closure-level audit: the closure of the generators meets the
+    ambient's views in place of the subobject's."""
+    generators, _ = topos.classifier_audit(in_a, cfg)
+    tb = power_view(in_a.target, cfg).relations
+    return generators, power_view(Instance(generators, {}), cfg).relations & tb
+
+
+def _verdict(result):
+    return result.status + (f" flagged={len(result.flagged)}" if result.flagged else "")
+
+
 # The coproduct mutant is bound where the law reads it.  Bound in ``catops``
 # it would also reach ``arrow_coproduct``, whose range check raises
 # ``FluxOutOfRange`` instead of letting the law fail.  The fold mutant sits
@@ -160,7 +173,15 @@ MUTANTS = [
                  topos, "semantic_homset", _every_flux_twice, 9, id="topos.equalizer"),
     pytest.param("topos.factorization", suites.law_factorization,
                  topos, "semantic_homset", _every_flux_twice, 25, id="topos.factorization"),
+    pytest.param("topos.classifier-audit", suites.law_classifier_audit,
+                 suites, "classifier_audit", _audit_meeting_the_ambient, 9,
+                 id="topos.classifier-audit"),
 ]
+
+
+# A law that flags documented divergences keeps its FLAGGED status under its
+# mutant, with a different number of flags (2 at the default configuration).
+FLAGGED_UNDER_MUTANT = {"topos.classifier-audit": "FLAGGED flagged=5"}
 
 
 @pytest.fixture(scope="module")
@@ -343,12 +364,21 @@ def test_merging_of_the_second_breaks_the_upper_bound(ctx):
     )
 
 
+def test_ambient_audit_meets_views_outside_the_subobject(ctx):
+    # The closure-level audit meets the subobject's views, so it lies inside them.
+    assert any(
+        not _audit_meeting_the_ambient(mono, ctx.cfg)[1] <= power_view(a, ctx.cfg).relations
+        for a, b, mono in suites._inclusions(ctx)
+    )
+
+
 @pytest.mark.parametrize("law, check, module, attr, mutant, checked", MUTANTS)
 def test_law_fails_under_its_mutant(ctx, monkeypatch, law, check, module, attr, mutant, checked):
-    assert check(ctx).status == "PASS"
+    passing = check(ctx)
+    assert passing.status == ("FLAGGED" if law in FLAGGED_UNDER_MUTANT else "PASS")
     monkeypatch.setattr(module, attr, mutant)
     result = check(ctx)
-    assert result.status == "FAIL"
+    assert _verdict(result) == FLAGGED_UNDER_MUTANT.get(law, "FAIL") != _verdict(passing)
     assert result.checked == _golden_checked(law) == checked
     # Witnesses print fluxes as instances, whose relations print sorted.
     assert not any("frozenset(" in w for w in result.failures)

@@ -59,8 +59,8 @@ def _load_pair(path_a, path_b, k_max):
     return a, b, _cfg(dom_a, k_max)
 
 
-def _print_closed(relations, domain) -> None:
-    sys.stdout.write(render_instance(Instance(frozenset(relations), {}), domain))
+def _print_closed(inst, domain) -> None:
+    sys.stdout.write(render_instance(inst, domain))
 
 
 def cmd_eval(args) -> int:
@@ -76,20 +76,20 @@ def cmd_eval(args) -> int:
 def cmd_closure(args) -> int:
     inst, domain = load_instance(args.instance)
     cfg = _cfg(domain, args.kmax)
-    _print_closed(power_view(inst, cfg).relations, domain)
+    _print_closed(power_view(inst, cfg), domain)
     return 0
 
 
 def cmd_total(args) -> int:
     cfg = _cfg(args.domain.split(","), args.kmax)
-    _print_closed(total_object(cfg).relations, cfg.domain)
+    _print_closed(total_object(cfg), cfg.domain)
     return 0
 
 
 def cmd_binary(args) -> int:
     a, b, cfg = _load_pair(args.left, args.right, args.kmax)
     op = {"match": matching, "merge": merging, "homobj": matching, "distance": distance}
-    _print_closed(op[args.command](a, b, cfg).relations, cfg.domain)
+    _print_closed(op[args.command](a, b, cfg), cfg.domain)
     return 0
 
 
@@ -98,7 +98,7 @@ def cmd_chain(args) -> int:
     cfg = _cfg(domain, args.kmax)
     for i, step in enumerate(omega_chain(inst, cfg, args.steps)):
         sys.stdout.write(f"# step {i}\n")
-        _print_closed(step.relations, domain)
+        _print_closed(step, domain)
     return 0
 
 
@@ -119,13 +119,13 @@ def cmd_compose(args) -> int:
     sys.stdout.write(f"# composite of {args.first} then {args.second}\n")
     sys.stdout.write(f"# classification: {_classification(composite)}\n")
     sys.stdout.write("# flux:\n")
-    _print_closed(composite.flux.relations, composite.cfg.domain)
+    _print_closed(composite.flux, composite.cfg.domain)
     return 0
 
 
 def cmd_flux(args) -> int:
     f = load_morphism(args.morphism, k_max=args.kmax)
-    _print_closed(f.flux.relations, f.cfg.domain)
+    _print_closed(f.flux, f.cfg.domain)
     return 0
 
 
@@ -142,7 +142,7 @@ def cmd_classify_subobject(args) -> int:
     mono = semantic_arrow(a, b, power_view(a, cfg), cfg)
     char, report = classifier(mono, cfg)
     sys.stdout.write("# characteristic arrow generators:\n")
-    _print_closed(report.generators, cfg.domain)
+    _print_closed(Instance(report.generators, {}), cfg.domain)
     sys.stdout.write(
         "generator-level: {}\n".format("PASS" if report.generator_commutes else "FAIL")
     )

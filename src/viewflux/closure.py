@@ -10,9 +10,12 @@ tag by ``_closed_form``: every non-empty relation over ``adom^n`` for each
 arity ``n <= k_max``, where ``adom`` is the component's set of constants,
 every non-empty set of its input tuples of each higher arity of its own
 relations, and the bottom.  Untagged relations belong to every component.
-It is the only closure here: the operational definition, a worklist that
-applies the operators round by round, is kept in the tests as its
-reference.  ``generating_queries`` reads each view's witness query off the
+It yields the views in canonical order (``core.sorted_relations``): the
+shapes by tag and arity, and within a shape the subsets of its sorted rows
+in lexicographic order.  A closure keeps that order as
+``ClosedInstance.views``, so printing it sorts no relations.  It is the
+only closure here: the operational definition, a worklist that applies the
+operators round by round, is kept in the tests as its reference.  ``generating_queries`` reads each view's witness query off the
 closed form too, one term per tuple of the view.
 
 An atom of a closed instance is a view of it with exactly one tuple whose
@@ -62,8 +65,26 @@ class ClosedInstance(Instance):
     closure property (saturation, verified fixed points, intersections of
     closed sets), so holding one is the certificate.  There is one object per
     relation set (``_closed`` interns them); its labels are empty and shared,
-    and it does not record the configuration it was closed under.
+    and it does not record the configuration it was closed under.  ``views``
+    holds its relations in canonical order, bottom first, and iteration reads
+    it: a closure takes it from the closed form, any other closed set sorts
+    its relations on first use.
     """
+
+    def __post_init__(self):
+        super().__post_init__()
+        # Declared on every closed set, so that all of them share one
+        # attribute layout whichever path built them.
+        object.__setattr__(self, "_views", None)
+
+    @property
+    def views(self) -> tuple[Relation, ...]:
+        if self._views is None:
+            object.__setattr__(self, "_views", tuple(sorted_relations(self.relations)))
+        return self._views
+
+    def __iter__(self) -> Iterator[Relation]:
+        return iter(self.views)
 
 
 def _closed(relations: Iterable[Relation]) -> ClosedInstance:
@@ -75,8 +96,20 @@ def _interned(relations: frozenset[Relation]) -> ClosedInstance:
     return ClosedInstance(relations, {})
 
 
+def _lex_subsets(rows: list) -> list[tuple]:
+    """The non-empty subsets of the sorted ``rows``, each a sorted tuple, in
+    lexicographic order: ``L(j) = [(r_j,)] + [(r_j,) + s for s in L(j+1)] + L(j+1)``."""
+    out: list[tuple] = []
+    for row in reversed(rows):
+        head = (row,)
+        out = [head, *map(head.__add__, out), *out]
+    return out
+
+
 def _closed_form(relations: Iterable[Relation], cfg: UniverseConfig) -> Iterator[Relation]:
-    """Yield the views but the bottom, by the closed form (module docstring)."""
+    """Yield the views but the bottom, by the closed form (module docstring),
+    in canonical order: shapes by tag and arity, each one's subsets of its
+    sorted rows in lexicographic order."""
     parts: dict[tuple[str, ...], tuple[set, dict]] = {(): (set(), {})}
     for rel in relations:  # the bottom adds no constant and no tuple
         adom, high = parts.setdefault(rel.tag, (set(), {}))
@@ -85,13 +118,14 @@ def _closed_form(relations: Iterable[Relation], cfg: UniverseConfig) -> Iterator
             high.setdefault(rel.arity, set()).update(rel.tuples)
     shared_adom, shared_high = parts[()]
     shapes = []
-    for tag, (adom, high) in parts.items():
+    for tag in sorted(parts):
+        adom, high = parts[tag]
         if not adom <= cfg.domain:
             raise UnknownConstant(f"constant {min(adom - cfg.domain)!r} is not in the domain")
         adom = sorted(adom | shared_adom)
         shapes += [(tag, n, adom, len(adom) ** n) for n in range(1, cfg.k_max + 1)]
-        for n, rows in high.items():
-            rows = sorted(rows | shared_high.get(n, set()))
+        for n in sorted(high):
+            rows = sorted(high[n] | shared_high.get(n, set()))
             shapes.append((tag, n, rows, len(rows)))
     cap = cfg.max_universe.bit_length() + 1  # count the views before building one
     if 1 + sum((1 << min(size, cap)) - 1 for *_, size in shapes) > cfg.max_universe:
@@ -99,14 +133,18 @@ def _closed_form(relations: Iterable[Relation], cfg: UniverseConfig) -> Iterator
     for tag, n, rows, size in shapes:
         if n <= cfg.k_max:
             rows = list(itertools.product(rows, repeat=n))
-        for k in range(1, size + 1):
-            yield from (Relation(n, frozenset(c), tag) for c in itertools.combinations(rows, k))
+        yield from (Relation(n, frozenset(c), tag) for c in _lex_subsets(rows))
 
 
 @lru_cache(maxsize=None)
 def _power_view_cached(relations: frozenset[Relation], cfg: UniverseConfig) -> ClosedInstance:
     inputs = {rel: rel for rel in relations}  # the cache keeps one object per input relation
-    return _closed(inputs.get(rel, rel) for rel in _closed_form(relations, cfg))
+    views = (BOTTOM, *(inputs.get(rel, rel) for rel in _closed_form(relations, cfg)))
+    held = frozenset(views)
+    closed = _interned(held)
+    if closed.relations is held:  # built just now, so it holds these very objects
+        object.__setattr__(closed, "_views", views)
+    return closed
 
 
 def power_view(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:

@@ -35,7 +35,6 @@ from .core import (
     Relation,
     UniverseConfig,
     make_relation,
-    sorted_relations,
 )
 from .errors import ArityMismatch, QuerySyntaxError, UnknownConstant, ViewfluxError
 from .morphisms import Morphism, atomic_morphism
@@ -122,7 +121,7 @@ def render_instance(inst: Instance, domain: frozenset[Constant]) -> str:
     name_of = {rel: name for name, rel in inst.labels.items()}
     lines = ["domain: " + " ".join(sorted(domain))]
     counter = 1
-    for rel in sorted_relations(inst.relations):
+    for rel in inst:
         name = name_of.get(rel)
         if name is None:
             while f"v{counter}" in inst.labels:

@@ -52,7 +52,6 @@ from .core import (
     Instance,
     Relation,
     UniverseConfig,
-    sorted_relations,
     subset_instances,
     witness,
 )
@@ -84,13 +83,12 @@ def distance(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
 def closure_classes(cfg: UniverseConfig, max_relations: int, instances=None) -> list[Instance]:
     """One representative instance per behavioral class of ``instances``
     (by default the enumeration ``subset_instances(cfg, max_relations)``)."""
-    seen: dict[frozenset[Relation], Instance] = {}
+    seen: dict[ClosedInstance, Instance] = {}
     for inst in subset_instances(cfg, max_relations) if instances is None else instances:
-        key = power_view(inst, cfg).relations
+        key = power_view(inst, cfg)
         if key not in seen:
             seen[key] = inst
-    return [seen[k] for k in sorted(seen, key=lambda rels: tuple(
-        r.sort_key() for r in sorted_relations(rels)))]
+    return [seen[k] for k in sorted(seen, key=lambda c: tuple(r.sort_key() for r in c.views))]
 
 
 def metric_suite(cfg: UniverseConfig, instances: list[Instance]):

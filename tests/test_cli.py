@@ -316,6 +316,44 @@ def test_cli_text_matches_golden(capsys, monkeypatch, name, cases):
     assert text == (GOLDEN_CLI / f"{name}.txt").read_text()
 
 
+# --- printed closed sets -------------------------------------------------------
+
+GOLDEN_CLOSED = Path(__file__).parent / "golden" / "closed"
+#: The instance files the printed-closure goldens read, written into the
+#: working directory so that each transcript names them alike.
+CLOSED_INPUTS = {
+    "path.db": "domain: a b c\n\nrelation r1/2:\na b\nb c\n",
+    "ternary.db": "domain: a b c\n\nrelation r1/2:\na b\nb c\n\n"
+                  "relation r2/3:\na b c\nb c a\nc a b\n",
+    "pair.db": "domain: a b\n\nrelation r1/2:\na b\n",
+    "left.db": "domain: a b\n\nrelation r1/1:\na\n",
+    "right.db": "domain: a b\n\nrelation s1/3:\nb a b\n",
+}
+# Closures at the view-arity cap 2: 519 views of a binary path, 526 with an
+# arity-3 relation above the cap, the total object over {a,b,c}, an omega
+# chain, and a merge that holds an arity-3 view.
+CLOSED_CASES = {
+    "closure-k2": ["closure", "path.db", "--kmax", "2"],
+    "closure-ternary-k2": ["closure", "ternary.db", "--kmax", "2"],
+    "total-k2": ["total", "--domain", "a,b,c", "--kmax", "2"],
+    "chain-k2": ["chain", "pair.db", "--steps", "2", "--kmax", "2"],
+    "merge-k2": ["merge", "left.db", "right.db", "--kmax", "2"],
+}
+
+
+def _write_closed_inputs(directory: Path) -> None:
+    for name, text in CLOSED_INPUTS.items():
+        (directory / name).write_text(text)
+
+
+@pytest.mark.parametrize("name", CLOSED_CASES)
+def test_printed_closure_matches_golden(tmp_path, capsys, monkeypatch, name):
+    _write_closed_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    text = _transcript([CLOSED_CASES[name]], lambda argv: (_exit_status(argv), *capsys.readouterr()))
+    assert text == (GOLDEN_CLOSED / f"{name}.txt").read_text()
+
+
 @pytest.mark.parametrize("argv, code, parsers", [
     (["closure", "A.db", "--kmax", "2"], 0, 2),
     (["check", "all", "--domain", "a"], 0, 2),
@@ -339,9 +377,11 @@ def test_main_builds_only_the_named_commands_parser(files, capsys, monkeypatch, 
 
 
 if __name__ == "__main__":
-    # Rewrite the golden transcripts: PYTHONPATH=src python tests/test_cli.py
+    # Rewrite the golden transcripts and printed closures:
+    # PYTHONPATH=src python tests/test_cli.py
     import contextlib
     import io
+    import tempfile
 
     def redirected(argv):
         out, err = io.StringIO(), io.StringIO()
@@ -353,3 +393,15 @@ if __name__ == "__main__":
     GOLDEN_CLI.mkdir(exist_ok=True)
     for name, cases in _golden_cases():
         (GOLDEN_CLI / f"{name}.txt").write_text(_transcript(cases, redirected))
+
+    GOLDEN_CLOSED.mkdir(exist_ok=True)
+    cwd = os.getcwd()
+    with tempfile.TemporaryDirectory() as tmp:
+        _write_closed_inputs(Path(tmp))
+        os.chdir(tmp)
+        try:
+            texts = {name: _transcript([argv], redirected) for name, argv in CLOSED_CASES.items()}
+        finally:
+            os.chdir(cwd)
+    for name, text in texts.items():
+        (GOLDEN_CLOSED / f"{name}.txt").write_text(text)

@@ -41,6 +41,7 @@ from viewflux import (
     zero_object,
 )
 from viewflux import closure as closure_module
+from viewflux.catops import tagged_flux
 from viewflux.closure import certify_closed, meet_closed
 from viewflux.topos import closure_classes
 
@@ -597,9 +598,10 @@ def test_closed_form_oracle_above_cap_and_mixed(relations, cfg):
     inst = with_default_labels(instance(*relations))
     expected = adom_oracle.oracle(inst.relations, cfg)
     assert _triples(frozen_closure._saturate(inst.relations, cfg)) == expected
-    views = power_view(inst, cfg).relations
-    assert _triples(views) == expected
-    _assert_closure_of(inst, views, generating_queries(inst, cfg), cfg)
+    closed = power_view(inst, cfg)
+    assert _triples(closed.relations) == expected
+    assert closed.views == _canonical(closed)
+    _assert_closure_of(inst, closed.relations, generating_queries(inst, cfg), cfg)
 
 
 def test_reference_saturation_matches_closed_form_oracle(cfg2):
@@ -645,3 +647,97 @@ def test_closed_form_oracle_catches_saturation_mutants(cfg2, monkeypatch, name, 
         != adom_oracle.oracle(inst.relations, cfg2)
         for inst in instances
     )
+
+
+# --- canonical order -----------------------------------------------------------
+
+
+def _canonical(closed):
+    return tuple(sorted_relations(closed.relations))
+
+
+@pytest.mark.parametrize("n", range(10))
+def test_lex_subsets_are_the_sorted_combinations(n):
+    rows = [(c, c) for c in "abcdefghi"[:n]]
+    combinations = (c for k in range(1, n + 1) for c in itertools.combinations(rows, k))
+    assert closure_module._lex_subsets(rows) == sorted(combinations)
+
+
+#: Relations of arity 1 to 3, some above the cap of the configuration drawn
+#: with them, untagged or carrying a coproduct tag.
+_ORDER_INPUTS = st.sampled_from([AB2, ABC1]).flatmap(
+    lambda cfg: st.tuples(
+        st.lists(
+            st.tuples(
+                st.integers(1, 3).flatmap(
+                    lambda n: st.frozensets(
+                        st.tuples(*[st.sampled_from(sorted(cfg.domain))] * n),
+                        min_size=1, max_size=4,
+                    )
+                ),
+                st.sampled_from([(), ("L",), ("R",), ("L", "R")]),
+            ).map(lambda drawn: Relation(len(next(iter(drawn[0]))), *drawn)),
+            min_size=1, max_size=3, unique=True,
+        ),
+        st.just(cfg),
+    )
+)
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(_ORDER_INPUTS)
+def test_closed_form_yields_the_canonical_order(drawn):
+    relations, cfg = drawn
+    for inst in (instance(*relations), coproduct(instance(*relations[:1]), instance(*relations))):
+        closed = power_view(inst, cfg)
+        assert closed.views == _canonical(closed), inst
+        assert list(closure_module._closed_form(inst.relations, cfg)) == list(closed.views[1:])
+
+
+def test_a_closure_takes_its_views_from_the_closed_form(clear_caches):
+    closed = power_view(CHAIN, ABC2)
+    assert closed._views is not None
+    assert len(closed.views) == 519 and closed.views == _canonical(closed)
+    # The very objects of the interned set, so that printing reads them.
+    assert {id(r) for r in closed.views} == {id(r) for r in closed.relations}
+
+
+def test_a_closure_interned_before_reads_its_own_relations(clear_caches):
+    # The meet is interned first; the closure of its relations is that
+    # object, whose views are sorted from its own relations on first use.
+    ab, bc = (power_view(instance(make_relation(1, rows)), ABC1) for rows in ("ab", "bc"))
+    meet = meet_closed(ab, bc)
+    closed = power_view(Instance(meet.relations, {}), ABC1)
+    assert closed is meet and closed._views is None
+    assert closed.views == _canonical(closed)
+    assert {id(r) for r in closed.views} == {id(r) for r in meet.relations}
+
+
+def _closed_sets_of_every_path(cfg0, pa, pab):
+    """A closed set built by each constructor: closure, meet, certified fixed
+    point, closed subsets, tagged flux, zero and total objects."""
+    left, right = power_view(pa, cfg0), power_view(pab, cfg0)
+    return [
+        power_view(CHAIN, ABC2),
+        meet_closed(right, power_view(Instance({make_relation(1, {("b",)})}, {}), cfg0)),
+        certify_closed(Instance(right.relations, {}), cfg0),
+        *closed_subsets(right, cfg0),
+        tagged_flux(left.relations, right.relations, cfg0),
+        zero_object(),
+        total_object(ABC1),
+    ]
+
+
+def test_every_closed_set_iterates_in_canonical_order(cfg0, pa, pab, clear_caches):
+    for closed in _closed_sets_of_every_path(cfg0, pa, pab):
+        assert closed.views == _canonical(closed) == tuple(closed), closed
+
+
+def test_every_closed_set_has_one_attribute_layout(cfg0, pa, pab, clear_caches):
+    # One layout whichever path built it, before and after its views are
+    # read: closed sets whose attributes differ slow every law that reads them.
+    built = _closed_sets_of_every_path(cfg0, pa, pab)
+    layouts = {tuple(vars(c)) for c in built}
+    for closed in built:
+        closed.views
+    assert layouts | {tuple(vars(c)) for c in built} == {("relations", "labels", "_views")}

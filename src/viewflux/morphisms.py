@@ -6,13 +6,15 @@ stages by composition).  The semantic layer is the information flux: the
 closed set of views actually transmitted, which is the identity of the
 arrow (two arrows are equivalent exactly when their fluxes are equal).
 Composition intersects fluxes; the category's laws all live at that layer,
-with trees kept as witnesses.
+with trees kept as witnesses.  An arrow built from its fluxes alone (identity,
+reversal, lift, characteristic arrow) holds a builder of its trees, run on
+first read, so the laws, which read no trees, build none.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from typing import Callable, Iterable
 
 from .closure import (
@@ -40,7 +42,7 @@ from .errors import (
     NotParallel,
     ResultNotInTarget,
 )
-from .queries import Base, Bot, QueryTerm, base_names, evaluate, parse_query
+from .queries import QueryTerm, base_names, evaluate, parse_query
 
 
 @dataclass(frozen=True)
@@ -78,14 +80,6 @@ class ViewTree:
     def result(self) -> Relation:
         return self.head.result
 
-    def leaves(self) -> tuple[ViewMap, ...]:
-        if not self.children:
-            return (self.head,)
-        out: list[ViewMap] = []
-        for child in self.children:
-            out.extend(child.leaves())
-        return tuple(out)
-
 
 @dataclass(frozen=True, eq=False, slots=True)
 class Morphism:
@@ -98,23 +92,16 @@ class Morphism:
 
     source: Instance
     target: Instance
-    trees: frozenset[ViewTree]
+    _trees: frozenset[ViewTree] | Callable[[], list[ViewTree]]
     flux: ClosedInstance
     cfg: UniverseConfig
 
     @property
-    def outputs(self) -> frozenset[Relation]:
-        """Views produced by the top-level trees (the arrow's generators)."""
-        return frozenset(t.result for t in self.trees)
-
-    @property
-    def inputs(self) -> frozenset[Relation]:
-        """Source relations consumed by the leaf view-maps."""
-        out: set[Relation] = set()
-        for tree in self.trees:
-            for leaf in tree.leaves():
-                out |= leaf.inputs
-        return frozenset(out) if out else frozenset({BOTTOM})
+    def trees(self) -> frozenset[ViewTree]:
+        """The view-map trees, built by the arrow's builder on first read."""
+        if callable(self._trees):
+            object.__setattr__(self, "_trees", frozenset(self._trees()))
+        return self._trees
 
     def __repr__(self):
         return f"Morphism({self.source!r} -> {self.target!r}, flux={self.flux!r})"
@@ -143,7 +130,7 @@ def clear_arrows() -> None:
 def _morphism(
     source: Instance,
     target: Instance,
-    trees: Iterable[ViewTree],
+    trees: Iterable[ViewTree] | Callable[[], list[ViewTree]],
     flux: ClosedInstance,
     cfg: UniverseConfig,
     check_range: bool = True,
@@ -152,7 +139,8 @@ def _morphism(
     if check_range and not flux.relations <= matching(source, target, cfg).relations:
         raise FluxOutOfRange(f"flux {flux!r} escapes the matching of the endpoints")
     if not interned:
-        return Morphism(source, target, frozenset(trees) or _NO_TREES, flux, cfg)
+        trees = trees if callable(trees) else frozenset(trees) or _NO_TREES
+        return Morphism(source, target, trees, flux, cfg)
     key = (id(source), id(target), id(flux), id(cfg))
     arrow = _interned.get(key)
     if arrow is None:
@@ -224,7 +212,7 @@ def _witness_trees(
 def identity(a: Instance, cfg: UniverseConfig) -> Morphism:
     """The identity arrow: flux is the full closure, one view-map per view."""
     closed = power_view(a, cfg)
-    return _morphism(a, a, _witness_trees(a, closed.relations, cfg), closed, cfg)
+    return _morphism(a, a, partial(_witness_trees, a, closed.relations, cfg), closed, cfg)
 
 
 def _graft(tree: ViewTree, below: list[ViewTree]) -> tuple[ViewTree, bool]:
@@ -253,7 +241,8 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
             f"cannot compose: intermediate objects differ ({f.target!r} vs {g.source!r})"
         )
     trees = []
-    if f.trees and g.trees:
+    # Test for trees without building any: a builder always yields some (its views hold the bottom).
+    if f._trees and g._trees:
         below = sorted(f.trees, key=lambda tr: tr.result.sort_key())
         for tree in g.trees:
             grafted, matched = _graft(tree, below)
@@ -295,17 +284,14 @@ def lift_arrow(f: Morphism) -> Morphism:
     """
     src = with_default_labels(power_view(f.source, f.cfg), "v")
     tgt = power_view(f.target, f.cfg)
-    name_of = {rel: name for name, rel in src.labels.items()}
-    trees = [
-        ViewTree(ViewMap(Bot() if v.is_bottom else Base(name_of[v]), src, v))
-        for v in sorted_relations(f.flux.relations)
-    ]
+    # Every view of src is labeled, so each witness query is its label (Bot for the bottom).
+    trees = partial(_witness_trees, src, f.flux.relations, f.cfg)
     return _morphism(src, tgt, trees, f.flux, f.cfg)
 
 
 def invert(f: Morphism) -> Morphism:
     """The reversed arrow with the same flux (the duality involution)."""
-    trees = _witness_trees(f.target, f.flux.relations, f.cfg)
+    trees = partial(_witness_trees, f.target, f.flux.relations, f.cfg)
     return _morphism(f.target, f.source, trees, f.flux, f.cfg)
 
 

@@ -6,10 +6,11 @@ inclusion (more shared views means smaller distance).  Pullback squares are
 built with corner the intersection of the two fluxes.  Their universal
 property is verified in the two-cell form valid for flux semantics: every
 commuting cone has exactly one mediating arrow whose full composite to the
-cospan target reproduces the cone's composite, and that arrow sits below the
-cone legs in the arrow order.  The strict one-categorical property fails in
-this semantics (a cone may have legs with different fluxes, which no single
-mediating flux can reproduce), so the strict form is deliberately not
+cospan target reproduces the cone's composite.  That arrow sits below the
+cone legs in the arrow order, which over full hom-sets follows from its
+uniqueness, so it is not tested.  The strict one-categorical property fails
+in this semantics (a cone may have legs with different fluxes, which no
+single mediating flux can reproduce), so the strict form is deliberately not
 asserted.  One law pass verifies each distinct square once, whatever its
 cospan target: the mediator table is memoized (``per_pass``) on the leg
 sources, corner and fluxes, and so is the coproduct check's step that reads
@@ -26,7 +27,9 @@ those audits are reported as flagged, never as failures.
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 from .catops import (
@@ -213,7 +216,8 @@ def classifier(
     generators, audit = classifier_audit(in_a, cfg)
     total = total_object(cfg)
     flux = meet_closed(power_view(Instance(generators, {}), cfg), matching(in_a.target, total, cfg))
-    char = _morphism(in_a.target, total, _witness_trees(in_a.target, generators, cfg), flux, cfg)
+    trees = partial(_witness_trees, in_a.target, generators, cfg)
+    char = _morphism(in_a.target, total, trees, flux, cfg)
 
     t_a = empty_arrow(in_a.source, zero_object(), cfg)
     true_composite = compose(true_arrow(cfg), t_a)
@@ -366,20 +370,19 @@ def _mediators(a, b, corner, fl_f, fl_g, fl_p1, fl_p2, vertices, arrows) -> Medi
     for v in vertices:
         # Cones indexed by their composite w: the g-legs and the arrows into
         # the corner (both legs' composites are ``composite``) that give w.
-        legs_g, into_corner = {}, {}
-        for h2 in arrows(v, b):
-            legs_g.setdefault(fl_g & h2.flux.relations, []).append(h2.flux.relations)
+        legs_g = Counter(fl_g & h2.flux.relations for h2 in arrows(v, b))
+        into_corner = {}
         for u in arrows(v, corner):
             into_corner.setdefault(composite & u.flux.relations, []).append(u.flux.relations)
         for h1 in arrows(v, a):
             w = fl_f & h1.flux.relations
-            found = into_corner.get(w, ())
-            for h2 in legs_g.get(w, ()):
-                if len(found) != 1 or not (
-                    fl_p1 & found[0] <= h1.flux.relations and fl_p2 & found[0] <= h2
-                ):
-                    return None
-                mediators.append(found[0])
+            found, cones = into_corner.get(w, []), legs_g[w]
+            # A unique mediator u lies below both legs: u & composite also gives w
+            # and is in the full hom-set into the corner, so it is u; then
+            # fl_p1 & u = u = w = fl_f & h1 <= h1, and likewise u <= h2.
+            if cones and len(found) != 1:
+                return None
+            mediators += found * cones
     return tuple(mediators)
 
 

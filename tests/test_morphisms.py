@@ -16,6 +16,7 @@ from viewflux import (
     compose,
     empty_arrow,
     equiv,
+    generating_queries,
     identity,
     instance,
     invert,
@@ -27,13 +28,15 @@ from viewflux import (
     semantic_arrow,
     semantic_arrows,
     semantic_homset,
+    sorted_relations,
     total_object,
     totalize,
     view_map,
     with_default_labels,
 )
 from viewflux import coproduct, fold_arrow, matching, morphisms
-from viewflux.morphisms import _morphism
+from viewflux.morphisms import ViewMap, ViewTree, _morphism, _witness_trees
+from viewflux.queries import Base, Bot
 
 
 @pytest.fixture(scope="module")
@@ -43,13 +46,24 @@ def classes(cfg0):
     return closure_classes(cfg0, 4)
 
 
+def _leaf_inputs(f) -> frozenset:
+    """The source relations read by the leaf view-maps of ``f``'s trees."""
+
+    def walk(tree):
+        if not tree.children:
+            return tree.head.inputs
+        return frozenset().union(*map(walk, tree.children))
+
+    return frozenset().union(*map(walk, f.trees))
+
+
 def test_atomic_morphism_flux(cfg0, ra, rb):
     src = Instance(frozenset({ra, rb}), {"r1": ra, "r2": rb})
     tgt = instance(ra)
     f = atomic_morphism(src, tgt, ["r1"], cfg0)
     assert f.flux.relations == frozenset({BOTTOM, ra})
-    assert f.outputs == frozenset({ra})
-    assert f.inputs == frozenset({ra})
+    assert {t.result for t in f.trees} == {ra}
+    assert _leaf_inputs(f) == frozenset({ra})
 
 
 def test_atomic_morphism_rejects_foreign_views(cfg0, pa, pb):
@@ -60,8 +74,7 @@ def test_atomic_morphism_rejects_foreign_views(cfg0, pa, pb):
 def test_empty_arrow(cfg0, pa, pb):
     f = empty_arrow(pa, pb, cfg0)
     assert f.flux.relations == frozenset({BOTTOM})
-    assert f.inputs == frozenset({BOTTOM})
-    assert f.outputs == frozenset()
+    assert f.trees == frozenset()  # no view-map, so nothing read and nothing produced
     g = atomic_morphism(pa, pb, [], cfg0)
     assert equiv(f, g)
 
@@ -79,7 +92,7 @@ def test_identity_is_iso(cfg0, all_instances):
         assert ida.flux.relations == power_view(a, cfg0).relations
         assert is_iso(ida)
         # syntactic witnesses cover the whole closure
-        assert ida.outputs == power_view(a, cfg0).relations
+        assert {t.result for t in ida.trees} == power_view(a, cfg0).relations
 
 
 def test_identity_zero(cfg0):
@@ -185,7 +198,7 @@ def test_compose_grafts_nested_trees_in_either_bracketing(cfg0, ra, rb, rab):
     assert _depth(tree) == 3
     (middle,) = tree.children
     assert middle.result == rab and {leaf.result for leaf in middle.children} == {ra, rb}
-    assert left.inputs == frozenset({ra, rb})
+    assert _leaf_inputs(left) == frozenset({ra, rb})
 
 
 def test_range_check_runs_on_a_warm_intern_table(cfg0, pab):
@@ -217,7 +230,7 @@ def test_compose_grafts_trees(cfg0, ra, rb, rab):
     assert tree.result == rab
     assert {child.result for child in tree.children} == {ra, rb}
     # leaves read the original source
-    assert h.inputs == frozenset({ra, rb})
+    assert _leaf_inputs(h) == frozenset({ra, rb})
 
 
 def test_compose_drops_unfed_components(cfg0, ra, rb):
@@ -379,3 +392,63 @@ def test_monad_unit_and_multiplication(cfg0, all_instances):
         ta = power_view(a, cfg0)
         assert a.relations <= ta.relations
         assert power_view(Instance(ta.relations, {}), cfg0).relations == ta.relations
+
+
+def test_lazy_trees_equal_the_eager_ones(cfg0, classes):
+    from viewflux.topos import classifier, classifier_audit
+
+    for a in classes:
+        closed = power_view(a, cfg0)
+        ida = identity(a, cfg0)
+        assert ida.trees == frozenset(_witness_trees(a, closed.relations, cfg0))
+        assert ida.trees is ida.trees  # built once, then stored
+        src = with_default_labels(closed, "v")
+        name_of = {rel: name for name, rel in src.labels.items()}
+        for b in classes:
+            for f in semantic_arrows(a, b, cfg0):
+                inv = invert(f)
+                assert inv.trees == frozenset(_witness_trees(b, f.flux.relations, cfg0))
+                assert inv.trees is inv.trees
+                lifted = lift_arrow(f)
+                assert lifted.trees == frozenset(
+                    ViewTree(ViewMap(Bot() if v.is_bottom else Base(name_of[v]), src, v))
+                    for v in f.flux.relations
+                )
+                assert lifted.trees is lifted.trees
+            if closed.relations <= power_view(b, cfg0).relations:
+                mono = semantic_arrow(a, b, closed, cfg0)
+                char, _ = classifier(mono, cfg0, classes)
+                generators, _ = classifier_audit(mono, cfg0)
+                assert char.trees == frozenset(_witness_trees(b, generators, cfg0))
+                assert char.trees is char.trees
+
+
+def test_compose_grafts_lazy_identity_trees_like_eager_ones(cfg0, classes):
+    grafted = 0
+    for a, b in itertools.product(classes, repeat=2):
+        src = with_default_labels(a)
+        witness = generating_queries(src, cfg0)
+        views = power_view(a, cfg0).relations & b.relations
+        f = atomic_morphism(src, b, [witness[v] for v in sorted_relations(views)], cfg0)
+        closed = power_view(b, cfg0)
+        eager = _morphism(b, b, _witness_trees(b, closed.relations, cfg0), closed, cfg0)
+        lazy = compose(identity(b, cfg0), f)
+        assert lazy.trees == compose(eager, f).trees
+        grafted += bool(lazy.trees)
+    assert grafted > 1
+
+
+def test_composing_with_a_witness_free_arrow_builds_no_tree(cfg0, classes, monkeypatch):
+    calls = []
+
+    def counting(*args):
+        calls.append(args)
+        return _witness_trees(*args)
+
+    monkeypatch.setattr(morphisms, "_witness_trees", counting)
+    for a, b in itertools.product(classes, repeat=2):
+        ida = identity(a, cfg0)
+        for g in semantic_arrows(a, b, cfg0):
+            h = compose(g, ida)
+            assert equiv(h, g) and h.trees == frozenset()
+    assert calls == []

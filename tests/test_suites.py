@@ -532,3 +532,21 @@ def test_passing_checks_build_no_witness(monkeypatch):
     audit = next(law for law in report.laws if law.law == "topos.classifier-audit")
     assert report.ok and rendered == len(audit.flagged) == 2
     assert len(calls) == rendered
+
+
+@pytest.mark.parametrize(
+    "domain, k_max, max_relations", [("ab", 1, 4), ("abc", 1, 2), ("ab", 2, 1)]
+)
+def test_no_law_builds_a_witness_tree(domain, k_max, max_relations, monkeypatch):
+    calls = []
+    real = morphisms._witness_trees
+
+    def counting(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(morphisms, "_witness_trees", counting)
+    monkeypatch.setattr(topos, "_witness_trees", counting)
+    cfg = UniverseConfig(domain=frozenset(domain), k_max=k_max)
+    assert run_suite("all", cfg, max_relations).ok
+    assert calls == []

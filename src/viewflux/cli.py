@@ -5,7 +5,9 @@ instances back in the same format with views auto-named v1, v2, ... in
 canonical order.  The ``check`` command runs the property suites and exits
 nonzero exactly when a law fails; flagged entries (documented divergences)
 keep the zero exit status.  VIEWFLUX_MAX_ENUM overrides the enumeration
-bounds, and the instance cap of ``check`` unless ``--max-instances`` is given.
+bounds (the views of a closure, the instances of a run, the sets of atoms a
+closed-subset enumeration closes), and the instance cap of ``check`` unless
+``--max-instances`` is given.
 One call builds only the parsers it needs: the top-level parser and that of
 the command its first argument names, or every command's when it names none
 (no arguments, ``--help``, an unknown command), so help and usage errors read

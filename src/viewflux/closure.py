@@ -15,13 +15,15 @@ shapes by tag and arity, and within a shape the subsets of its sorted rows
 in lexicographic order.  A closure keeps that order as
 ``ClosedInstance.views``, so printing it sorts no relations.  It is the
 only closure here: the operational definition, a worklist that applies the
-operators round by round, is kept in the tests as its reference.  ``generating_queries`` reads each view's witness query off the
-closed form too, one term per tuple of the view.
+operators round by round, is kept in the tests as its reference.
+``generating_queries`` reads each view's witness query off the closed form
+too, one term per tuple of the view.
 
 An atom of a closed instance is a view of it with exactly one tuple whose
 arity is 1 or above ``k_max``; a tagged atom and its untagged twin are two
 atoms.  By the closed form, a closed set is the closure of the atoms it
-holds, so ``closed_subsets`` enumerates the closures of sets of atoms.
+holds, so ``closed_subsets`` enumerates the closures of sets of atoms: it
+holds their number, ``2**atoms``, to ``max_enumeration`` before closing any.
 
 Closed sets are interned (hash-consed): ``_closed`` keeps one
 ``ClosedInstance`` per relation set, so every operation that yields a closed
@@ -46,16 +48,7 @@ from .core import (
     with_default_labels,
 )
 from .errors import EnumerationTooLarge, NotClosedDomain, UniverseTooLarge, UnknownConstant
-from .queries import (
-    Base,
-    Bot,
-    ColEqConst,
-    Join,
-    Project,
-    QueryTerm,
-    Select,
-    UnionTerm,
-)
+from .queries import Base, Bot, ColEqConst, Join, Project, QueryTerm, Select, UnionTerm
 
 
 class ClosedInstance(Instance):
@@ -85,6 +78,10 @@ class ClosedInstance(Instance):
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.views)
+
+    def sort_key(self) -> tuple:
+        """The canonical order of closed sets: by their views' keys, in order."""
+        return tuple(r.sort_key() for r in self.views)
 
 
 def _closed(relations: Iterable[Relation]) -> ClosedInstance:
@@ -296,17 +293,15 @@ def _closed_subsets_cached(
 ) -> tuple[ClosedInstance, ...]:
     if not is_closed(Instance(relations, {}), cfg):
         raise NotClosedDomain("closed_subsets needs a closed instance")
-    ground = [r for r in relations if not r.is_bottom]
-    if len(ground) > cfg.max_homset_ground:
+    atoms = [r for r in relations if len(r.tuples) == 1 and (r.arity == 1 or r.arity > cfg.k_max)]
+    if 1 << len(atoms) > cfg.max_enumeration:  # one closed form per set of atoms
         raise EnumerationTooLarge(
-            f"{len(ground)} relations exceed the closed-subset bound "
-            f"{cfg.max_homset_ground}"
+            f"2**{len(atoms)} sets of atoms exceed the enumeration bound {cfg.max_enumeration}"
         )
-    atoms = [r for r in ground if len(r.tuples) == 1 and (r.arity == 1 or r.arity > cfg.k_max)]
     inputs = {rel: rel for rel in relations}  # the cache keeps one object per input relation
     closures = {
         frozenset(inputs[rel] for rel in _closed_form(subset, cfg))
         for k in range(len(atoms) + 1)
         for subset in itertools.combinations(atoms, k)
     }
-    return tuple(sorted(map(_closed, closures), key=lambda c: tuple(r.sort_key() for r in c)))
+    return tuple(sorted(map(_closed, closures), key=ClosedInstance.sort_key))

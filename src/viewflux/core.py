@@ -220,7 +220,6 @@ class UniverseConfig:
     domain: frozenset[Constant]
     k_max: int = 1
     max_universe: int = 20000
-    max_homset_ground: int = 64
     max_enumeration: int = 200000
 
     def __post_init__(self):
@@ -236,8 +235,7 @@ class UniverseConfig:
         # Built in sorted order, so that equal domains iterate and print alike.
         object.__setattr__(self, "domain", frozenset(sorted(self.domain)))
         # Every cache lookup hashes the configuration, so hash the fields once.
-        fields = (self.domain, self.k_max, self.max_universe, self.max_homset_ground,
-                  self.max_enumeration)
+        fields = (self.domain, self.k_max, self.max_universe, self.max_enumeration)
         object.__setattr__(self, "_hash", hash(fields))
 
     def __hash__(self):
@@ -279,23 +277,27 @@ def universe_relations(cfg: UniverseConfig) -> tuple[Relation, ...]:
     return tuple(sorted_relations(out))
 
 
-def subset_instances(
-    cfg: UniverseConfig, max_relations: int
-) -> Iterator[Instance]:
+def instance_count(cfg: UniverseConfig, max_relations: int) -> int:
+    """How many instances ``subset_instances`` yields, counted without building
+    one; a count over the enumeration bound raises."""
+    if max_relations < 1:
+        raise ViewfluxError(f"max_relations must be at least 1, got {max_relations}")
+    size = len(universe_relations(cfg))
+    total = sum(math.comb(size, k) for k in range(0, max_relations + 1))
+    if total > cfg.max_enumeration:
+        raise EnumerationTooLarge(f"{total} instances requested, bound is {cfg.max_enumeration}")
+    return total
+
+
+def subset_instances(cfg: UniverseConfig, max_relations: int) -> Iterator[Instance]:
     """All instances whose relations are universe subsets of bounded size.
 
     Instances stream in canonical order (by size, then lexicographically by
     the canonical relation order) and carry auto-labels ``r1..rn``.  The
     empty subset plays the role of the zero object.
     """
-    if max_relations < 1:
-        raise ViewfluxError(f"max_relations must be at least 1, got {max_relations}")
+    instance_count(cfg, max_relations)
     universe = universe_relations(cfg)
-    total = sum(math.comb(len(universe), k) for k in range(0, max_relations + 1))
-    if total > cfg.max_enumeration:
-        raise EnumerationTooLarge(
-            f"{total} instances requested, bound is {cfg.max_enumeration}"
-        )
     for k in range(0, max_relations + 1):
         for combo in itertools.combinations(range(len(universe)), k):
             rels = [universe[i] for i in combo]

@@ -47,6 +47,7 @@ from .core import (
     Instance,
     Relation,
     UniverseConfig,
+    instance_count,
     instance_union,
     sorted_relations,
     subset_instances,
@@ -150,13 +151,13 @@ class SuiteContext:
         if max_instances < 1:
             raise ViewfluxError(f"max_instances must be at least 1, got {max_instances}")
         self.cfg = cfg
-        self.instances = list(subset_instances(cfg, max_relations))
-        if len(self.instances) > max_instances:
+        count = instance_count(cfg, max_relations)  # refuse before building an instance
+        if count > max_instances:
             raise EnumerationTooLarge(
-                f"{len(self.instances)} instances enumerated; the suites iterate "
-                f"triples, so at most {max_instances} are allowed. Lower "
-                f"max_relations (or raise max_instances)."
+                f"{count} instances enumerated; the suites iterate triples, so at most "
+                f"{max_instances} are allowed. Lower max_relations (or raise max_instances)."
             )
+        self.instances = list(subset_instances(cfg, max_relations))
         self.total = total_object(cfg)
         self.zero = zero_object()
         self.closed_objects = list(closed_subsets(self.total, cfg))

@@ -91,7 +91,7 @@ def closure_classes(cfg: UniverseConfig, max_relations: int, instances=None) -> 
         key = power_view(inst, cfg)
         if key not in seen:
             seen[key] = inst
-    return [seen[k] for k in sorted(seen, key=lambda c: tuple(r.sort_key() for r in c.views))]
+    return [seen[k] for k in sorted(seen, key=ClosedInstance.sort_key)]
 
 
 def metric_suite(cfg: UniverseConfig, instances: list[Instance]):

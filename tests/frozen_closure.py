@@ -253,11 +253,8 @@ def _closed_subsets_next_closure_cached(
     if not is_closed(x, cfg):
         raise NotClosedDomain("closed_subsets needs a closed instance")
     ground = [r for r in sorted_relations(x.relations) if not r.is_bottom]
-    if len(ground) > cfg.max_homset_ground:
-        raise EnumerationTooLarge(
-            f"{len(ground)} relations exceed the closed-subset bound "
-            f"{cfg.max_homset_ground}"
-        )
+    if len(ground) > 64:
+        raise EnumerationTooLarge(f"{len(ground)} relations exceed the closed-subset bound 64")
     index = {rel: i for i, rel in enumerate(ground)}
 
     def close(subset: frozenset[Relation]) -> frozenset[Relation]:

@@ -1,4 +1,5 @@
 import argparse
+import itertools
 import os
 import subprocess
 import sys
@@ -100,6 +101,37 @@ def test_classify_subobject_of_an_ambient_above_the_arity_cap(tmp_path, capsys):
     assert "factorization: PASS (27 arrows)" in out
     assert "characteristic arrows in class: 1" in out
     assert "closure-level audit: FLAGGED" in out
+
+
+def test_classify_subobject_at_kmax_2_over_three_constants(tmp_path, capsys):
+    # The ambient's closure is the 519-view total object, which has 3 atoms.
+    (tmp_path / "X.db").write_text("domain: a b c\n\nrelation r1/2:\na b\nb c\n")
+    (tmp_path / "Y.db").write_text("domain: a b c\n\nrelation r1/1:\na\n")
+    code, out = run(
+        capsys, "classify-subobject", str(tmp_path / "Y.db"), str(tmp_path / "X.db"),
+        "--kmax", "2",
+    )
+    assert code == 0
+    assert out.splitlines()[-4:] == [
+        "generator-level: PASS",
+        "factorization: PASS (27 arrows)",
+        "characteristic arrows in class: 1",
+        "closure-level audit: FLAGGED",
+    ]
+
+
+def test_closed_subset_bound_follows_the_env_override(tmp_path, capsys, monkeypatch):
+    # Ten ternary tuples over {a,b,c}: at k=1 the ambient has 13 atoms, and
+    # 2**13 sets of them are over the overridden bound.
+    rows = [" ".join(t) for t in itertools.product("abc", repeat=3)][:10]
+    (tmp_path / "X.db").write_text("domain: a b c\n\nrelation r1/3:\n" + "\n".join(rows) + "\n")
+    (tmp_path / "Y.db").write_text("domain: a b c\n\nrelation r1/1:\na\n")
+    monkeypatch.setenv("VIEWFLUX_MAX_ENUM", "2000")
+    code, err = _error(
+        capsys, "classify-subobject", str(tmp_path / "Y.db"), str(tmp_path / "X.db")
+    )
+    assert code == 2
+    assert "2**13 sets of atoms exceed the enumeration bound 2000" in err
 
 
 def test_classify_subobject_rejects_non_subobject(files, capsys):
@@ -251,11 +283,11 @@ def test_witness_saturation_passes_below_the_projection_bound(files, capsys):
     assert code == 0, out
 
 
-def test_check_fails_early_on_the_closed_subset_bound(files, capsys):
+def test_check_fails_early_on_the_instance_cap(files, capsys):
     argv = ["check", "all", "--domain", "a,b,c", "--kmax", "2", "--max-relations", "1"]
-    code, err = _error(capsys, *argv, "--max-instances", "600")
+    code, err = _error(capsys, *argv)
     assert code == 2
-    assert "518 relations exceed the closed-subset bound 64" in err
+    assert "520 instances enumerated" in err
 
 
 def test_python_m_viewflux_runs_the_cli():

@@ -42,11 +42,12 @@ from viewflux import (
 )
 from viewflux import closure as closure_module
 from viewflux.catops import tagged_flux
-from viewflux.closure import certify_closed, meet_closed
+from viewflux.closure import _closed_form, certify_closed, meet_closed
 from viewflux.topos import closure_classes
 
 ABC1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
 ABC2 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=2)
+AB3 = UniverseConfig(domain=frozenset({"a", "b"}), k_max=3)
 ABCD1 = UniverseConfig(domain=frozenset({"a", "b", "c", "d"}), k_max=1)
 #: The binary chain {(a,b),(b,c)}: its closure at {a,b,c}, k=2 is the whole
 #: 519-view universe, reached in five rounds.
@@ -452,12 +453,54 @@ def test_certify_closed_rejects_open_input(cfg0, pab):
     assert certify_closed(power_view(pab, cfg0), cfg0) == power_view(pab, cfg0)
 
 
-def test_closed_subsets_ground_bound(cfg0):
-    from viewflux import UniverseConfig
+def test_closed_subsets_atom_bound(monkeypatch):
+    # The total object at {a,b} k=1 has 2 atoms, so 2**2 sets of them to close.
+    built = []
 
-    tight = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_homset_ground=1)
-    with pytest.raises(EnumerationTooLarge):
-        closed_subsets(total_object(tight), tight)
+    def counting_closed_form(relations, cfg):
+        built.append(relations)
+        return _closed_form(relations, cfg)
+
+    tight = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_enumeration=3)
+    enough = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_enumeration=4)
+    totals = total_object(tight), total_object(enough)
+    monkeypatch.setattr(closure_module, "_closed_form", counting_closed_form)
+    refusal = r"2\*\*2 sets of atoms exceed the enumeration bound 3"
+    with pytest.raises(EnumerationTooLarge, match=refusal):
+        closed_subsets(totals[0], tight)
+    assert built == []
+    assert len(closed_subsets(totals[1], enough)) == 4
+    assert len(built) == 4
+
+
+#: A ternary relation of ten tuples over {a,b,c}: at k=1 its closure holds
+#: 1,030 relations but only 13 atoms (three constants, ten tuples).
+TERNARY10 = make_relation(3, list(itertools.product("abc", repeat=3))[:10])
+
+
+@pytest.mark.parametrize(
+    "cfg, relations, atoms",
+    [
+        (ABC2, CHAIN.relations, 3),  # the total object: 518 relations
+        (AB3, {make_relation(1, {("a",), ("b",)})}, 2),  # the total object: 273 relations
+        (ABC1, {TERNARY10}, 13),  # 1,030 relations
+    ],
+    ids=["abc-k2-total", "ab-k3-total", "abc-k1-ternary"],
+)
+def test_closed_subsets_past_the_old_ground_bound(cfg, relations, atoms):
+    # Each ambient holds more than 64 relations, which the closed-subset
+    # bound refused while it counted relations instead of sets of atoms.
+    x = _closure(cfg, *relations)
+    assert len(x) - 1 > 64
+    assert x == total_object(cfg) or cfg is ABC1
+    with pytest.raises(EnumerationTooLarge, match=f"2\\*\\*{atoms} sets of atoms"):
+        closed_subsets(x, UniverseConfig(cfg.domain, cfg.k_max, max_enumeration=2**atoms - 1))
+    got = closed_subsets(x, cfg)
+    assert len(got) == adom_oracle.closed_subset_count(x.relations, cfg)
+    assert len({c.relations for c in got}) == len(got)
+    for c in got:
+        assert c.relations <= x.relations
+        assert _triples(c.relations) == adom_oracle.oracle(c.relations, cfg), c
 
 
 def _all_a_tuple(k, **bounds):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 from pathlib import Path
 from types import SimpleNamespace
@@ -104,9 +105,23 @@ def test_report_mentions_status_and_counts(cfg0):
         assert "checked=" in line
 
 
-def test_suite_instance_cap(cfg0):
+def test_suite_instance_cap(cfg0, monkeypatch):
     with pytest.raises(EnumerationTooLarge):
         run_suite("closure", cfg0, max_relations=4, max_instances=8)
+    # Both bounds refuse before any instance is built.
+    built = []
+    post_init = Instance.__post_init__
+    monkeypatch.setattr(
+        Instance, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    abc2 = UniverseConfig(domain=frozenset("abc"), k_max=2)
+    # 1 + 519 + C(519, 2) instances: under the enumeration bound, over the cap
+    with pytest.raises(EnumerationTooLarge, match="134941 instances enumerated"):
+        SuiteContext(abc2, 2)
+    # over both: the enumeration bound is checked first
+    with pytest.raises(EnumerationTooLarge, match="23300160 instances requested, bound is 200000"):
+        SuiteContext(abc2, 3)
+    assert built == []
 
 
 def test_suite_names_cover_registry():
@@ -132,13 +147,28 @@ def test_abc_report_matches_the_benchmark_golden():
     assert render_report(run_suite("all", cfg, 2)) == GOLDEN_ABC.read_text()
 
 
-@pytest.mark.parametrize("n", [1, 2, 3])
-def test_arrow_law_counts_match_the_count_oracle(n):
-    expected = count_oracle.counted(n)
-    assert expected == {law: form(n) for law, form in count_oracle.CLOSED_FORMS.items()}
+@functools.cache
+def _law_counts(n):
+    """Each law's ``checked=`` count at max-relations 1 over ``n`` constants."""
     report = run_suite("all", UniverseConfig(domain=frozenset("abc"[:n]), k_max=1), 1)
     assert report.ok
-    assert {law.law: law.checked for law in report.laws if law.law in expected} == expected
+    return {law.law: law.checked for law in report.laws}
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_arrow_law_counts_match_the_count_oracle(n):
+    # Every law's count, the arrow laws' and all others'.
+    expected = count_oracle.counted(n)
+    assert expected == {law: form(n) for law, form in count_oracle.CLOSED_FORMS.items()}
+    assert _law_counts(n) == expected
+
+
+@pytest.mark.parametrize("n", [1, 2])
+def test_power_law_counts_grow_by_their_factor_per_constant(n):
+    # A metamorphic relation: one more constant multiplies each such count by c.
+    assert len(count_oracle.POWERS) == 33
+    for law, c in count_oracle.POWERS.items():
+        assert _law_counts(n + 1)[law] == c * _law_counts(n)[law], law
 
 
 def test_timings_add_elapsed_to_every_law_line(cfg0):

@@ -98,7 +98,6 @@ def tag_right(rel: Relation) -> Relation:
     return _retag(rel, "R")
 
 
-@lru_cache(maxsize=None)
 def _tagged_union(lrels: frozenset[Relation], rrels: frozenset[Relation]) -> frozenset[Relation]:
     return frozenset(map(tag_left, lrels)) | frozenset(map(tag_right, rrels))
 

@@ -4,10 +4,10 @@ Instances live in plain-text files (see formats); commands print closed
 instances back in the same format with views auto-named v1, v2, ... in
 canonical order.  The ``check`` command runs the property suites and exits
 nonzero exactly when a law fails; flagged entries (documented divergences)
-keep the zero exit status.  VIEWFLUX_MAX_ENUM overrides the enumeration
-bounds (the views of a closure, the instances of a run, the sets of atoms a
-closed-subset enumeration closes), and the instance cap of ``check`` unless
-``--max-instances`` is given.
+keep the zero exit status.  Every command builds its configuration in
+``_cfg``, where VIEWFLUX_MAX_ENUM overrides the enumeration bounds (the views
+of a closure, the instances of a run and the triples of them the suites walk,
+the sets of atoms a closed-subset enumeration closes).
 One call builds only the parsers it needs: the top-level parser and that of
 the command its first argument names, or every command's when it names none
 (no arguments, ``--help``, an unknown command), so help and usage errors read
@@ -17,8 +17,10 @@ the same either way.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
+from functools import partial
 
 from .catops import matching, merging, omega_chain
 from .closure import po_leq, power_view, total_object
@@ -27,30 +29,18 @@ from .errors import ViewfluxError
 from .formats import load_instance, load_morphism, render_instance
 from .morphisms import compose, is_epi, is_iso, is_mono, semantic_arrow
 from .queries import evaluate, parse_query
-from .suites import (
-    DEFAULT_MAX_INSTANCES,
-    DEFAULT_MAX_RELATIONS,
-    SUITE_NAMES,
-    render_report,
-    run_suite,
-)
+from .suites import DEFAULT_MAX_RELATIONS, SUITE_NAMES, render_report, run_suite
 from .topos import classifier, distance
 
 
-def _max_enum() -> int | None:
-    """The VIEWFLUX_MAX_ENUM override, or None when it is unset."""
+def _cfg(domain, k_max: int) -> UniverseConfig:
+    """Every command's configuration: default bounds, or VIEWFLUX_MAX_ENUM's when set."""
     env = os.environ.get("VIEWFLUX_MAX_ENUM")
     if not env:
-        return None
+        return UniverseConfig(domain, k_max)
     if not env.strip().isdecimal() or int(env) < 1:
         raise ViewfluxError(f"VIEWFLUX_MAX_ENUM must be a positive integer, got {env!r}")
-    return int(env)
-
-
-def _cfg(domain, k_max: int) -> UniverseConfig:
-    bound = _max_enum()
-    overrides = {} if bound is None else {"max_enumeration": bound, "max_universe": bound}
-    return UniverseConfig(domain=frozenset(domain), k_max=k_max, **overrides)
+    return UniverseConfig(domain, k_max, max_universe=int(env), max_enumeration=int(env))
 
 
 def _load_pair(path_a, path_b, k_max):
@@ -115,8 +105,8 @@ def _classification(f) -> str:
 
 
 def cmd_compose(args) -> int:
-    first = load_morphism(args.first, k_max=args.kmax)
-    second = load_morphism(args.second, k_max=args.kmax)
+    config = partial(_cfg, k_max=args.kmax)
+    first, second = load_morphism(args.first, config), load_morphism(args.second, config)
     composite = compose(second, first)  # apply first, then second
     sys.stdout.write(f"# composite of {args.first} then {args.second}\n")
     sys.stdout.write(f"# classification: {_classification(composite)}\n")
@@ -126,13 +116,13 @@ def cmd_compose(args) -> int:
 
 
 def cmd_flux(args) -> int:
-    f = load_morphism(args.morphism, k_max=args.kmax)
+    f = load_morphism(args.morphism, partial(_cfg, k_max=args.kmax))
     _print_closed(f.flux, f.cfg.domain)
     return 0
 
 
 def cmd_classify(args) -> int:
-    f = load_morphism(args.morphism, k_max=args.kmax)
+    f = load_morphism(args.morphism, partial(_cfg, k_max=args.kmax))
     sys.stdout.write(_classification(f) + "\n")
     return 0
 
@@ -161,23 +151,12 @@ def cmd_classify_subobject(args) -> int:
 
 def cmd_check(args) -> int:
     cfg = _cfg(args.domain.split(","), args.kmax)
-    max_instances = args.max_instances
-    if max_instances is None:
-        max_instances = _max_enum() or DEFAULT_MAX_INSTANCES
-    report = run_suite(args.suite, cfg, args.max_relations, max_instances)
+    report = run_suite(args.suite, cfg, args.max_relations)
     sys.stdout.write(render_report(report, timings=args.timings))
     return 0 if report.ok else 1
 
 
 _KMAX = ("--kmax", {"type": int, "default": 1, "help": "view-arity cap (default 1)"})
-_SUITE_OPTIONS = (
-    ("--domain", {"default": "a,b", "help": "comma-separated constants"}),
-    _KMAX,
-    ("--max-relations", {"type": int, "default": DEFAULT_MAX_RELATIONS}),
-    ("--max-instances", {"type": int, "help": "instance cap (default VIEWFLUX_MAX_ENUM, "
-                         f"else {DEFAULT_MAX_INSTANCES})"}),
-    ("--timings", {"action": "store_true", "help": "append elapsed time"}),
-)
 
 # Each command's help, arguments (a name, or a name and its add_argument
 # options, in help order) and handler.
@@ -200,9 +179,11 @@ COMMANDS = {
     "classify-subobject": ("characteristic arrow of a subobject inclusion",
                            ("subobject", "ambient", _KMAX), cmd_classify_subobject),
     "check": ("run a property suite",
-              (("suite", {"choices": SUITE_NAMES}), *_SUITE_OPTIONS), cmd_check),
-    "probe": ("run a property suite (alias of check)",
-              (("--suite", {"choices": SUITE_NAMES, "required": True}), *_SUITE_OPTIONS),
+              (("suite", {"choices": SUITE_NAMES}),
+               ("--domain", {"default": "a,b", "help": "comma-separated constants"}),
+               _KMAX,
+               ("--max-relations", {"type": int, "default": DEFAULT_MAX_RELATIONS}),
+               ("--timings", {"action": "store_true", "help": "append elapsed time"})),
               cmd_check),
 }
 
@@ -226,11 +207,17 @@ def main(argv: list[str] | None = None) -> int:
             flag, options = (arg, {}) if isinstance(arg, str) else arg
             p.add_argument(flag, **options)
     args = parser.parse_args(argv)
+    # The collections the command triggers skip what exists before it, the
+    # loaded modules above all: otherwise a call's time depends on whether
+    # the imports left an older-generation collection due within it.
+    gc.freeze()
     try:
         return COMMANDS[args.command][2](args)
     except (ViewfluxError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
+    finally:
+        gc.unfreeze()
 
 
 if __name__ == "__main__":

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import re
 from pathlib import Path
+from typing import Callable
 
 from .core import (
     BOTTOM,
@@ -138,8 +139,12 @@ def render_instance(inst: Instance, domain: frozenset[Constant]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def load_morphism(path: str | Path, k_max: int = 1) -> Morphism:
-    """Load an atomic morphism at arity cap ``k_max``; endpoints resolve relative to the file."""
+def load_morphism(
+    path: str | Path, config: Callable[[frozenset[Constant]], UniverseConfig] = UniverseConfig
+) -> Morphism:
+    """Load an atomic morphism under ``config(domain)``, the configuration of
+    the endpoints' domain (default bounds at arity cap 1); endpoints resolve
+    relative to the file."""
     path = Path(path)
     lines = [l for l in _read_text(path).splitlines() if l.strip()]
     if not lines or not lines[0].strip().startswith("morphism"):
@@ -151,7 +156,7 @@ def load_morphism(path: str | Path, k_max: int = 1) -> Morphism:
     tgt_inst, tgt_domain = load_instance(path.parent / m.group(2))
     if src_domain != tgt_domain:
         raise UnknownConstant("morphism endpoints declare different domains")
-    cfg = UniverseConfig(domain=src_domain, k_max=k_max)
+    cfg = config(src_domain)
     schema = {n: r.arity for n, r in src_inst.labels.items()}
     terms = [parse_query(line, schema, src_domain) for line in lines[1:]]
     return atomic_morphism(src_inst, tgt_inst, terms, cfg)

@@ -102,9 +102,6 @@ from .topos import (
 #: the default two-constant domain this yields the full sixteen-instance
 #: space.
 DEFAULT_MAX_RELATIONS = 4
-#: The suites iterate over triples of instances, so the enumeration is
-#: capped at this many instances by default.
-DEFAULT_MAX_INSTANCES = 64
 
 
 @dataclass
@@ -147,15 +144,14 @@ class SuiteReport:
 class SuiteContext:
     """Shared enumeration and caches for the law implementations."""
 
-    def __init__(self, cfg: UniverseConfig, max_relations: int, max_instances: int = DEFAULT_MAX_INSTANCES):
-        if max_instances < 1:
-            raise ViewfluxError(f"max_instances must be at least 1, got {max_instances}")
+    def __init__(self, cfg: UniverseConfig, max_relations: int):
         self.cfg = cfg
         count = instance_count(cfg, max_relations)  # refuse before building an instance
-        if count > max_instances:
+        if count**3 > cfg.max_enumeration:  # metric.triangle walks every triple
             raise EnumerationTooLarge(
-                f"{count} instances enumerated; the suites iterate triples, so at most "
-                f"{max_instances} are allowed. Lower max_relations (or raise max_instances)."
+                f"{count} instances enumerated; the suites walk their {count**3} triples, "
+                f"over the enumeration bound {cfg.max_enumeration}. "
+                "Lower max_relations (or raise max_enumeration)."
             )
         self.instances = list(subset_instances(cfg, max_relations))
         self.total = total_object(cfg)
@@ -826,7 +822,6 @@ def run_suite(
     name: str,
     cfg: UniverseConfig,
     max_relations: int = DEFAULT_MAX_RELATIONS,
-    max_instances: int = DEFAULT_MAX_INSTANCES,
 ) -> SuiteReport:
     """Run one suite (or all of them) and collect per-law results."""
     if name not in SUITE_NAMES:
@@ -835,7 +830,7 @@ def run_suite(
         itertools.chain.from_iterable(SUITES.values()) if name == "all" else SUITES[name]
     )
     started = time.perf_counter()
-    ctx = SuiteContext(cfg, max_relations, max_instances)
+    ctx = SuiteContext(cfg, max_relations)
     laws: list[LawResult] = []
     for fn in law_fns:
         outcome = fn(ctx)

@@ -219,9 +219,8 @@ def classifier(
     trees = partial(_witness_trees, in_a.target, generators, cfg)
     char = _morphism(in_a.target, total, trees, flux, cfg)
 
-    t_a = empty_arrow(in_a.source, zero_object(), cfg)
-    true_composite = compose(true_arrow(cfg), t_a)
-    gen_commutes = true_composite.flux.relations == frozenset({BOTTOM})
+    # Generator level: chi after m sends the generators in A's views, true after ! only bottom.
+    gen_commutes = generators & ta == frozenset({BOTTOM})
 
     tests = [(v, h.relations) for v in vertices for h in semantic_homset(v, in_a.target, cfg)]
     # A flux of the class meets trivially exactly the test fluxes inside the subobject's views.

@@ -194,8 +194,8 @@ def test_coproduct_memo_keeps_each_operands_labels(ra, rb):
             assert (left.tag, left.tuples) == (("L",), ra.tuples)
             assert (right.tag, right.tuples) == (("R",), rb.tuples)
             built.append(both)
-    # The tagged union is built once and shared by both namings.
-    assert built[0] is not built[1] and built[0].relations is built[1].relations
+    # Both namings tag the same relations.
+    assert built[0] is not built[1] and built[0].relations == built[1].relations
 
 
 def test_coproduct_memo_returns_the_identical_object(rb):

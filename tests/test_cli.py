@@ -1,5 +1,7 @@
 import argparse
+import gc
 import itertools
+import json
 import os
 import subprocess
 import sys
@@ -152,12 +154,6 @@ def test_check_topos_flagged_still_zero(files, capsys):
     assert "FLAGGED" in out
 
 
-def test_probe_alias(files, capsys):
-    code, out = run(capsys, "probe", "--suite", "negative")
-    assert code == 0
-    assert "negative.not-well-pointed" in out
-
-
 def test_check_determinism(files, capsys):
     _, first = run(capsys, "check", "metric")
     _, second = run(capsys, "check", "metric")
@@ -186,13 +182,37 @@ def test_env_override_rejects_bad_value(files, capsys, monkeypatch, value):
         assert err.startswith("error: VIEWFLUX_MAX_ENUM"), err
 
 
-def test_explicit_max_instances_beats_env(files, capsys, monkeypatch):
-    # 93 instances at {a,b,c} with up to three relations: within the
-    # environment's bound of 100, but over the explicit cap of 64
-    monkeypatch.setenv("VIEWFLUX_MAX_ENUM", "100")
+def test_env_override_bounds_the_triples_a_run_walks(files, capsys, monkeypatch):
+    # 93 instances at {a,b,c} with up to three relations: 93**3 = 804357
+    # triples, over the default bound of 200000 and within an override of
+    # exactly that many.
     argv = ["check", "closure", "--domain", "a,b,c", "--max-relations", "3"]
-    assert main(argv + ["--max-instances", "64"]) == 2
-    assert "93 instances enumerated" in capsys.readouterr().err
+    code, err = _error(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: 93 instances enumerated; ") and " 804357 triples" in err, err
+    monkeypatch.setenv("VIEWFLUX_MAX_ENUM", "804356")
+    assert _error(capsys, *argv)[0] == 2
+    monkeypatch.setenv("VIEWFLUX_MAX_ENUM", "804357")
+    code, out = run(capsys, *argv)
+    assert code == 0, out
+    assert "result: PASS" in out
+
+
+@pytest.mark.parametrize(
+    "argv", [["flux", "f.morph"], ["classify", "f.morph"], ["compose", "f.morph", "g.morph"]],
+    ids=lambda argv: argv[0],
+)
+def test_morphism_commands_read_the_env_override(files, capsys, monkeypatch, argv):
+    monkeypatch.chdir(files)
+    monkeypatch.setenv("VIEWFLUX_MAX_ENUM", "abc")
+    code, err = _error(capsys, *argv)
+    assert code == 2
+    assert err == "error: VIEWFLUX_MAX_ENUM must be a positive integer, got 'abc'\n"
+    # The closure of B has four views, over the overridden bound of 2.
+    monkeypatch.setenv("VIEWFLUX_MAX_ENUM", "2")
+    code, err = _error(capsys, *argv)
+    assert code == 2
+    assert err == "error: saturation produced more than 2 views\n", err
 
 
 def _error(capsys, *argv):
@@ -263,12 +283,6 @@ def test_chain_rejects_negative_steps(files, capsys):
     assert "steps must be at least 0, got -1" in err
 
 
-def test_check_rejects_max_instances_below_one(files, capsys):
-    code, err = _error(capsys, "check", "all", "--max-instances", "0")
-    assert code == 2
-    assert "max_instances must be at least 1, got 0" in err
-
-
 def test_check_all_at_kmax_9_passes(files, capsys):
     # Witness queries are read off the closed form, so no saturation tries
     # the 9 + 9**2 + ... + 9**9 projections of a relation of arity 9.
@@ -290,17 +304,45 @@ def test_check_fails_early_on_the_instance_cap(files, capsys):
     assert "520 instances enumerated" in err
 
 
-def test_python_m_viewflux_runs_the_cli():
+def _run_with_src(*argv):
+    """Run ``python *argv`` with this checkout's ``src`` on ``PYTHONPATH``."""
     src = str(Path(viewflux.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "viewflux", "check", "closure"],
+    return subprocess.run(
+        [sys.executable, *argv],
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
     )
+
+
+def test_main_unfreezes_the_objects_it_froze(files, capsys):
+    for argv in (["closure", str(files / "A.db")], ["closure", str(files / "missing.db")]):
+        main(argv)
+        assert gc.get_freeze_count() == 0
+
+
+def test_python_m_viewflux_runs_the_cli():
+    proc = _run_with_src("-m", "viewflux", "check", "closure")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("suite: closure")
+
+
+BENCH = Path(__file__).parents[1] / "bench"
+
+
+def test_benchmark_worker_sets_up_and_runs_check_abc():
+    # The benchmark's worker builds the suite context itself and runs the
+    # workload through `main`, each in a fresh interpreter; its last line
+    # is a JSON object.
+    results = []
+    for mode in ("setup", "pass"):
+        proc = _run_with_src(str(BENCH / "worker.py"), mode, "check-abc")
+        assert proc.returncode == 0, proc.stderr
+        results.append(json.loads(proc.stdout.splitlines()[-1]))
+    assert results[0]["setup_s"] > 0
+    assert results[1]["statuses"] == [0]
+    assert results[1]["outputs"] == [(BENCH / "golden" / "check-abc.txt").read_text()]
 
 
 # --- the command line's own text --------------------------------------------
@@ -308,7 +350,7 @@ def test_python_m_viewflux_runs_the_cli():
 GOLDEN_CLI = Path(__file__).parent / "golden" / "cli"
 COMMANDS = [
     "eval", "closure", "total", "match", "merge", "homobj", "distance", "chain",
-    "compose", "flux", "classify", "classify-subobject", "check", "probe",
+    "compose", "flux", "classify", "classify-subobject", "check",
 ]
 # The top-level parser's text: no arguments, help, an unknown command, an
 # option before any command, and an unknown option after a command's
@@ -389,8 +431,8 @@ def test_printed_closure_matches_golden(tmp_path, capsys, monkeypatch, name):
 @pytest.mark.parametrize("argv, code, parsers", [
     (["closure", "A.db", "--kmax", "2"], 0, 2),
     (["check", "all", "--domain", "a"], 0, 2),
-    (["--help"], 0, 15),
-    (["nosuch"], 2, 15),
+    (["--help"], 0, 14),
+    (["nosuch"], 2, 14),
 ])
 def test_main_builds_only_the_named_commands_parser(files, capsys, monkeypatch, argv, code, parsers):
     # The top-level parser and the named command's; every command's when

@@ -32,7 +32,6 @@ PROCESS = {
     "viewflux.closure._closed_subsets_cached",
     "viewflux.catops._merging_cached",
     "viewflux.catops._retag",
-    "viewflux.catops._tagged_union",
     "viewflux.catops._coproduct_cached",
     "viewflux.catops.tagged_flux",
 }
@@ -57,5 +56,5 @@ def test_per_pass_registry_is_the_arrow_constructors_and_pullback_steps():
 
 
 def test_every_memo_is_per_pass_or_per_process():
-    assert len(PROCESS) == 11 and not PROCESS & PER_PASS
+    assert len(PROCESS) == 10 and not PROCESS & PER_PASS
     assert _memos() == PER_PASS | PROCESS

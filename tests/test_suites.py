@@ -1,5 +1,6 @@
 import functools
 import itertools
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -106,22 +107,25 @@ def test_report_mentions_status_and_counts(cfg0):
 
 
 def test_suite_instance_cap(cfg0, monkeypatch):
-    with pytest.raises(EnumerationTooLarge):
-        run_suite("closure", cfg0, max_relations=4, max_instances=8)
     # Both bounds refuse before any instance is built.
     built = []
     post_init = Instance.__post_init__
     monkeypatch.setattr(
         Instance, "__post_init__", lambda self: built.append(self) or post_init(self)
     )
+    # 16 instances at {a,b} with up to four relations walk 16**3 = 4096 triples.
+    with pytest.raises(EnumerationTooLarge, match="16 instances enumerated; .* 4096 triples, "
+                       "over the enumeration bound 4095"):
+        run_suite("closure", replace(cfg0, max_enumeration=4095), max_relations=4)
     abc2 = UniverseConfig(domain=frozenset("abc"), k_max=2)
-    # 1 + 519 + C(519, 2) instances: under the enumeration bound, over the cap
+    # 1 + 519 + C(519, 2) instances: under the enumeration bound, their triples over it
     with pytest.raises(EnumerationTooLarge, match="134941 instances enumerated"):
         SuiteContext(abc2, 2)
-    # over both: the enumeration bound is checked first
+    # over both: the bound on the instances is checked first
     with pytest.raises(EnumerationTooLarge, match="23300160 instances requested, bound is 200000"):
         SuiteContext(abc2, 3)
     assert built == []
+    assert len(SuiteContext(replace(cfg0, max_enumeration=4096), 4).instances) == 16
 
 
 def test_suite_names_cover_registry():

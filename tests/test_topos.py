@@ -268,6 +268,23 @@ def test_classifier_example(cfg0, pa, pab, ra, rb, rab, classes):
     assert char.target.relations == total_object(cfg0).relations
 
 
+def test_generator_level_square_reads_the_generators(cfg0, pa, pab, classes, monkeypatch):
+    # A mutant generator set that also holds one view of the subobject: chi
+    # after m then transmits more than the bottom, which true after ! does not.
+    audit = topos.classifier_audit
+
+    def generators_meeting_the_subobject(in_a, cfg):
+        generators, met = audit(in_a, cfg)
+        views = power_view(in_a.source, cfg).relations - {BOTTOM}
+        return generators | set(sorted(views, key=repr)[:1]), met
+
+    monkeypatch.setattr(topos, "classifier_audit", generators_meeting_the_subobject)
+    mono = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    _, report = classifier(mono, cfg0, classes)
+    assert not report.generator_commutes
+    assert suites.law_classifier(suites.SuiteContext(cfg0, 4)).status == "FAIL"
+
+
 def test_classifier_full_subobject(cfg0, pa, classes):
     mono = semantic_arrow(pa, pa, power_view(pa, cfg0), cfg0)
     char, report = classifier(mono, cfg0, classes)

@@ -29,6 +29,13 @@ Closed sets are interned (hash-consed): ``_closed`` keeps one
 ``ClosedInstance`` per relation set, so every operation that yields a closed
 set hands back that one object, and ``meet_closed`` and ``matching`` are
 memoized on the relation sets.  Their labels stay empty and shared.
+
+A closed set's ``mask`` encodes its relations as a bit vector (Ganter &
+Wille, *Formal Concept Analysis*, 1999): the OR of one bit per relation,
+each relation's bit its index in ``_serial``, a table that only grows, so a
+closed set rebuilt after its caches are emptied gets the same mask.  Meet,
+equality and inclusion of closed sets are then ``&``, ``==`` and
+``x & ~y == 0`` on masks.  A mask is computed on first read.
 """
 
 from __future__ import annotations
@@ -61,7 +68,7 @@ class ClosedInstance(Instance):
     and it does not record the configuration it was closed under.  ``views``
     holds its relations in canonical order, bottom first, and iteration reads
     it: a closure takes it from the closed form, any other closed set sorts
-    its relations on first use.
+    its relations on first use.  ``mask`` (module docstring) is built on first use.
     """
 
     def __post_init__(self):
@@ -69,6 +76,15 @@ class ClosedInstance(Instance):
         # Declared on every closed set, so that all of them share one
         # attribute layout whichever path built them.
         object.__setattr__(self, "_views", None)
+        object.__setattr__(self, "_mask", None)
+
+    @property
+    def mask(self) -> int:
+        if self._mask is None:
+            for r in self.relations.difference(_serial):
+                _serial.setdefault(r, next(_serials))  # atomic, so threads agree on each bit
+            object.__setattr__(self, "_mask", sum(1 << _serial[r] for r in self.relations))
+        return self._mask
 
     @property
     def views(self) -> tuple[Relation, ...]:
@@ -82,6 +98,11 @@ class ClosedInstance(Instance):
     def sort_key(self) -> tuple:
         """The canonical order of closed sets: by their views' keys, in order."""
         return tuple(r.sort_key() for r in self.views)
+
+
+#: The bit of each relation in a mask, numbered in order of first use.
+_serial: dict[Relation, int] = {}
+_serials = itertools.count()
 
 
 def _closed(relations: Iterable[Relation]) -> ClosedInstance:
@@ -156,7 +177,7 @@ def power_view(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
 
 
 def is_closed(inst: Instance, cfg: UniverseConfig) -> bool:
-    return BOTTOM in inst.relations and power_view(inst, cfg).relations == inst.relations
+    return BOTTOM in inst.relations and power_view(inst, cfg) == inst
 
 
 def certify_closed(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:

@@ -88,6 +88,8 @@ class Morphism:
     Equality of morphisms is deliberately not structural; use ``equiv`` for
     the semantic equivalence (flux equality) the laws are stated in.  A law
     pass interns its witness-free arrows; beyond one pass identity means nothing.
+    ``mask`` is the flux's mask (``closure`` module docstring), copied when the
+    arrow is built, so that the laws' flux equations read a plain attribute.
     """
 
     source: Instance
@@ -95,6 +97,7 @@ class Morphism:
     _trees: frozenset[ViewTree] | Callable[[], list[ViewTree]]
     flux: ClosedInstance
     cfg: UniverseConfig
+    mask: int
 
     @property
     def trees(self) -> frozenset[ViewTree]:
@@ -108,8 +111,9 @@ class Morphism:
 
 
 #: Witness-free arrows of one law pass, keyed by the identity of their endpoint, flux and cfg
-#: objects (equal instances may differ in labels), and the memos that ``per_pass`` registers.
-_interned, _pass_memos = {}, []
+#: objects (equal instances may differ in labels); the arrows among them that ``semantic_arrow``
+#: verified, keyed alike; and the memos that ``per_pass`` registers.
+_interned, _verified, _pass_memos = {}, {}, []
 _NO_TREES = frozenset()  # shared by every witness-free arrow
 
 
@@ -123,6 +127,7 @@ def per_pass(fn: Callable) -> Callable:
 def clear_arrows() -> None:
     """Empty the arrow tables; each law pass starts with them empty."""
     _interned.clear()
+    _verified.clear()
     for memo in _pass_memos:
         memo.cache_clear()
 
@@ -140,11 +145,11 @@ def _morphism(
         raise FluxOutOfRange(f"flux {flux!r} escapes the matching of the endpoints")
     if not interned:
         trees = trees if callable(trees) else frozenset(trees) or _NO_TREES
-        return Morphism(source, target, trees, flux, cfg)
+        return Morphism(source, target, trees, flux, cfg, flux.mask)
     key = (id(source), id(target), id(flux), id(cfg))
     arrow = _interned.get(key)
     if arrow is None:
-        arrow = _interned[key] = Morphism(source, target, _NO_TREES, flux, cfg)
+        arrow = _interned[key] = Morphism(source, target, _NO_TREES, flux, cfg, flux.mask)
     return arrow
 
 
@@ -184,10 +189,16 @@ def semantic_arrow(
 ) -> Morphism:
     """A morphism with a prescribed flux and no syntactic witnesses.
 
-    The flux must be a closed set inside the matching of the endpoints,
-    checked on every call.  Every equivalence class of arrows contains such
-    a representative, so the exhaustive suites quantify over these.
+    The flux must be a closed set inside the matching of the endpoints.
+    That is checked once per law pass for each set of endpoint, flux and
+    ``cfg`` objects: an arrow that passed is kept in ``_verified``, and a later
+    call with the same objects returns it.  Every equivalence class of arrows
+    contains such a representative, so the exhaustive suites quantify over these.
     """
+    key = (id(source), id(target), id(flux), id(cfg))
+    arrow = _verified.get(key)
+    if arrow is not None:
+        return arrow
     if not isinstance(flux, Instance):
         flux = Instance(frozenset(flux), {})
     closed = power_view(flux, cfg)
@@ -196,7 +207,10 @@ def semantic_arrow(
         raise FluxOutOfRange(
             f"prescribed flux {sorted_relations(flux.relations | {BOTTOM})!r} is not closed"
         )
-    return _morphism(source, target, (), closed, cfg, interned=True)
+    arrow = _morphism(source, target, (), closed, cfg, interned=True)
+    if closed is flux:  # the arrow holds the key's objects, so their ids stay theirs
+        _verified[key] = arrow
+    return arrow
 
 
 def _witness_trees(
@@ -254,7 +268,7 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 def equiv(f: Morphism, g: Morphism) -> bool:
     """Semantic equality of arrows: equal fluxes."""
-    return f.flux.relations == g.flux.relations
+    return f.mask == g.mask
 
 
 def arrow_po_leq(f: Morphism, g: Morphism) -> bool:
@@ -265,11 +279,11 @@ def arrow_po_leq(f: Morphism, g: Morphism) -> bool:
 
 
 def is_mono(f: Morphism) -> bool:
-    return f.flux.relations == power_view(f.source, f.cfg).relations
+    return f.mask == power_view(f.source, f.cfg).mask
 
 
 def is_epi(f: Morphism) -> bool:
-    return f.flux.relations == power_view(f.target, f.cfg).relations
+    return f.mask == power_view(f.target, f.cfg).mask
 
 
 def is_iso(f: Morphism) -> bool:

@@ -27,7 +27,6 @@ those audits are reported as flagged, never as failures.
 from __future__ import annotations
 
 import itertools
-from collections import Counter
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable
@@ -100,13 +99,13 @@ def metric_suite(cfg: UniverseConfig, instances: list[Instance]):
     Each check is ``(law, True)`` or ``(law, lazy witness)``; within a law the
     checks come in canonical order (instances, then pairs, then triples).
     """
-    total = total_object(cfg).relations
-    # One distance per ordered pair (interned, so equal values share one frozenset)
-    # and one isomorphism test per ordered pair; every law below reads these tables.
-    d = [[distance(a, b, cfg).relations for b in instances] for a in instances]
+    total, zero = total_object(cfg).mask, zero_object().mask  # the zero's one bit is the bottom
+    # One distance mask per ordered pair and one isomorphism test per ordered
+    # pair; every law below reads these tables.
+    d = [[distance(a, b, cfg).mask for b in instances] for a in instances]
     iso = [[isomorphic(a, b, cfg) for b in instances] for a in instances]
-    top = [power_view(a, cfg).relations == total for a in instances]
-    zero = [isomorphic(a, ZERO, cfg) for a in instances]
+    top = [power_view(a, cfg).mask == total for a in instances]
+    is_zero = [isomorphic(a, ZERO, cfg) for a in instances]
     idx = range(len(instances))
     # The top is at distance T(k) from every k, so it separates a from b
     # whenever a is not below b, even with no other k inequivalent to a.
@@ -114,20 +113,20 @@ def metric_suite(cfg: UniverseConfig, instances: list[Instance]):
 
     for i, a in enumerate(instances):
         yield "metric.self-distance", d[i][i] == total or witness(a)
-        own = {h.relations for h in semantic_homset(a, a, cfg)}
+        own = {h.mask for h in semantic_homset(a, a, cfg)}
         others = {d[i][j] for j in idx if not iso[i][j]}
         yield "metric.locally-closed", others <= own or witness(a)
     for i, j in itertools.product(idx, repeat=2):
         a, b, dij = instances[i], instances[j], d[i][j]
         yield "metric.symmetry", dij == d[j][i] or witness(a, b)
         yield "metric.indiscernible", dij != total or iso[i][j] or witness(a, b)
-        refines = all(d[i][k] <= d[j][k] for k in separating[i])
+        refines = all(d[i][k] & ~d[j][k] == 0 for k in separating[i])
         yield "metric.order", po_leq(a, b, cfg) == refines or witness(a, b)
         # d(a, b) is the bottom alone when b is the zero object and a is not.
-        far = iso[i][j] or not zero[j] or dij == ZERO.relations
-        yield "metric.infinite-distance", BOTTOM in dij and far or witness(a, b)
+        far = iso[i][j] or not is_zero[j] or dij == zero
+        yield "metric.infinite-distance", dij & zero and far or witness(a, b)
     for i, j, k in itertools.product(idx, repeat=3):
-        ok = d[i][j] & d[j][k] <= d[i][k]
+        ok = d[i][j] & d[j][k] & ~d[i][k] == 0
         yield "metric.triangle", ok or witness(instances[i], instances[j], instances[k])
 
 
@@ -351,12 +350,13 @@ def square_mediators(
 
     ``arrows(v, x)`` gives one arrow per flux from ``v`` to ``x``.  The table is
     memoized per law pass on what it reads: the two leg sources, the corner,
-    the four fluxes, the vertices and ``arrows``; not on the cospan target.
+    the masks of the four fluxes, the vertices and ``arrows``; not on the
+    cospan target.
     """
     f, g, left, right = square.f, square.g, square.left, square.right
     return _mediators(
-        f.source, g.source, square.corner, f.flux.relations, g.flux.relations,
-        left.flux.relations, right.flux.relations, tuple(vertices), arrows,
+        f.source, g.source, square.corner, f.mask, g.mask, left.mask, right.mask,
+        tuple(vertices), arrows,
     )
 
 
@@ -367,15 +367,17 @@ def _mediators(a, b, corner, fl_f, fl_g, fl_p1, fl_p2, vertices, arrows) -> Medi
         return None
     mediators = []
     for v in vertices:
-        # Cones indexed by their composite w: the g-legs and the arrows into
-        # the corner (both legs' composites are ``composite``) that give w.
-        legs_g = Counter(fl_g & h2.flux.relations for h2 in arrows(v, b))
+        # Cones indexed by the mask of their composite w: the number of g-legs and
+        # the arrows into the corner (both legs' composites are ``composite``) giving w.
+        legs_g = {}
+        for w in (fl_g & h2.mask for h2 in arrows(v, b)):
+            legs_g[w] = legs_g.get(w, 0) + 1
         into_corner = {}
         for u in arrows(v, corner):
-            into_corner.setdefault(composite & u.flux.relations, []).append(u.flux.relations)
+            into_corner.setdefault(composite & u.mask, []).append(u.flux.relations)
         for h1 in arrows(v, a):
-            w = fl_f & h1.flux.relations
-            found, cones = into_corner.get(w, []), legs_g[w]
+            w = fl_f & h1.mask
+            found, cones = into_corner.get(w, []), legs_g.get(w, 0)
             # A unique mediator u lies below both legs: u & composite also gives w
             # and is in the full hom-set into the corner, so it is u; then
             # fl_p1 & u = u = w = fl_f & h1 <= h1, and likewise u <= h2.
@@ -421,9 +423,8 @@ def combined_pullback_check(
 
     # Combined square commutes componentwise: a plain flux is lifted to both
     # components when it crosses into the tagged space.
-    k_lifted = tagged_flux(shared.flux.relations, shared.flux.relations, cfg).relations
-    lhs = k_lifted & left_pair.flux.relations
-    return lhs == bottom_pair.flux.relations & right_pair.flux.relations
+    k_lifted = tagged_flux(shared.flux.relations, shared.flux.relations, cfg).mask
+    return k_lifted & left_pair.mask == bottom_pair.mask & right_pair.mask
 
 
 @per_pass
@@ -432,20 +433,20 @@ def _combined_legs(corner1, left1, mediators1, corner2, left2, mediators2, cfg) 
     expected_corner = tagged_flux(
         power_view(corner1, cfg).relations, power_view(corner2, cfg).relations, cfg
     )
-    if power_view(coproduct(corner1, corner2), cfg).relations != expected_corner.relations:
+    if power_view(coproduct(corner1, corner2), cfg).mask != expected_corner.mask:
         return False
     # Copairing flux is the tagged sum of the component fluxes.
     legs = tagged_flux(left1.flux.relations, left2.flux.relations, cfg)
-    left_pair = copair(left1, left2).flux.relations
-    if left_pair != legs.relations:
+    left_pair = copair(left1, left2).mask
+    if left_pair != legs.mask:
         return False
 
     # Universal property: component mediators reassemble into the unique
     # tagged mediator for every pair of component cones.  A step reads only
     # (u1, u2), so each distinct pair is checked once.
     for u1, u2 in itertools.product(dict.fromkeys(mediators1), dict.fromkeys(mediators2)):
-        combined = tagged_flux(u1, u2, cfg).relations
-        expected = tagged_flux(left1.flux.relations & u1, left2.flux.relations & u2, cfg).relations
+        combined = tagged_flux(u1, u2, cfg).mask
+        expected = tagged_flux(left1.flux.relations & u1, left2.flux.relations & u2, cfg).mask
         if left_pair & combined != expected:
             return False
     return True

@@ -549,6 +549,18 @@ def test_meet_closed_is_the_interned_intersection(flux_pairs):
     assert len(meets) > 8
 
 
+def test_masks_are_the_flux_algebra(flux_pairs, clear_caches):
+    for x, y, cfg in flux_pairs:
+        assert x.mask & y.mask == meet_closed(x, y).mask, (x, y)
+        assert (x.mask == y.mask) == (x.relations == y.relations), (x, y)
+        assert (x.mask & ~y.mask == 0) == (x.relations <= y.relations), (x, y)
+    masks = {x.relations: (x, x.mask) for x, _, _ in flux_pairs}
+    clear_caches()
+    for relations, (x, mask) in masks.items():
+        rebuilt = closure_module._closed(relations)
+        assert rebuilt is not x and rebuilt.mask == mask, x
+
+
 def test_closed_subsets_hold_the_inputs_relations(closed_subset_inputs, clear_caches):
     # Cold, the enumeration keeps the input's own relation objects, one per relation.
     for x, cfg in closed_subset_inputs:
@@ -777,10 +789,11 @@ def test_every_closed_set_iterates_in_canonical_order(cfg0, pa, pab, clear_cache
 
 
 def test_every_closed_set_has_one_attribute_layout(cfg0, pa, pab, clear_caches):
-    # One layout whichever path built it, before and after its views are
-    # read: closed sets whose attributes differ slow every law that reads them.
+    # One layout whichever path built it, before and after its views and mask
+    # are read: closed sets whose attributes differ slow every law that reads them.
     built = _closed_sets_of_every_path(cfg0, pa, pab)
     layouts = {tuple(vars(c)) for c in built}
     for closed in built:
-        closed.views
-    assert layouts | {tuple(vars(c)) for c in built} == {("relations", "labels", "_views")}
+        closed.views, closed.mask
+    layouts |= {tuple(vars(c)) for c in built}
+    assert layouts == {("relations", "labels", "_views", "_mask")}

@@ -201,9 +201,15 @@ def test_compose_grafts_nested_trees_in_either_bracketing(cfg0, ra, rb, rab):
     assert _leaf_inputs(left) == frozenset({ra, rb})
 
 
-def test_range_check_runs_on_a_warm_intern_table(cfg0, pab):
-    # fold_arrow and compose skip the range check, so compose interns an
-    # arrow whose flux escapes the matching of its endpoints.
+def test_range_check_runs_on_a_warm_intern_table(cfg0, pa, pb, pab):
+    # An arrow interned without the range check, whose flux escapes the
+    # matching of its endpoints (the bottom alone), is not taken as verified.
+    morphisms.clear_arrows()
+    flux = power_view(pa, cfg0)
+    assert _morphism(pa, pb, (), flux, cfg0, check_range=False, interned=True).flux is flux
+    with pytest.raises(FluxOutOfRange, match="escapes the matching"):
+        semantic_arrow(pa, pb, flux, cfg0)
+    # fold_arrow and compose skip the range check, so compose interns such an arrow too.
     doubled = coproduct(pab, pab)
     whole = power_view(doubled, cfg0)
     fold = fold_arrow(pab, cfg0)
@@ -252,10 +258,30 @@ def test_semantic_arrow_validation(cfg0, pa, pb, rab):
 
 
 def test_semantic_arrow_rechecks_a_flux_closed_under_another_configuration(cfg0, cfg2, pa):
+    # A set closed at k=2 holds every relation over its constants up to arity
+    # 2, so it is closed at k=1 as well: a flux closed under one of the two
+    # configurations and not the other is closed at k=1.
     flux = power_view(pa, cfg0)  # closed at k=1; at k=2 it lacks {(a,a)}
     assert power_view(flux, cfg2) != flux
+    morphisms.clear_arrows()
+    # Verified under k=1 earlier in the pass, and still checked under k=2.
+    assert semantic_arrow(pa, pa, flux, cfg0).flux is flux
     with pytest.raises(FluxOutOfRange, match="is not closed"):
         semantic_arrow(pa, pa, flux, cfg2)
+
+
+def test_semantic_arrow_checks_once_per_pass(cfg0, pa, pab, monkeypatch):
+    calls = []
+    for name in ("power_view", "matching"):
+        real = getattr(morphisms, name)
+        monkeypatch.setattr(morphisms, name, lambda *args, real=real: calls.append(1) or real(*args))
+    morphisms.clear_arrows()
+    flux = power_view(pa, cfg0)
+    f = semantic_arrow(pa, pab, flux, cfg0)
+    assert len(calls) == 2
+    assert semantic_arrow(pa, pab, flux, cfg0) is f and len(calls) == 2
+    morphisms.clear_arrows()  # a new pass checks again
+    assert semantic_arrow(pa, pab, flux, cfg0) is not f and len(calls) == 4
 
 
 def test_mono_epi_iso(cfg0, pa, pab):

@@ -417,7 +417,8 @@ def test_each_law_pass_starts_with_empty_arrow_tables(cfg0, pa, pab):
     mediators = topos.square_mediators(sq, [pa, pab], lambda v, x: semantic_arrows(v, x, cfg0))
     assert topos.combined_pullback_check(sq, mediators, sq, mediators, cfg0)
     memos = morphisms._pass_memos
-    assert morphisms._interned and all(memo.cache_info().currsize for memo in memos)
+    assert morphisms._interned and morphisms._verified
+    assert all(memo.cache_info().currsize for memo in memos)
     # A process memo keeps its entries across passes.
     kept = closure._power_view_cached.cache_info().currsize
     assert kept
@@ -425,13 +426,13 @@ def test_each_law_pass_starts_with_empty_arrow_tables(cfg0, pa, pab):
 
     @_law("probe", "the arrow tables are empty when a pass starts")
     def probe(ctx):
-        sizes.append(len(morphisms._interned))
+        sizes.extend([len(morphisms._interned), len(morphisms._verified)])
         sizes.extend(memo.cache_info().currsize for memo in memos)
         sizes.append(closure._power_view_cached.cache_info().currsize)
         yield True
 
     probe(None)
-    assert sizes == [0] * (1 + len(memos)) + [kept]
+    assert sizes == [0] * (2 + len(memos)) + [kept]
     assert {topos._mediators, topos._combined_legs} <= set(memos)
 
 

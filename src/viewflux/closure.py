@@ -5,30 +5,34 @@ and join (results capped at the view arity ``k_max``): the set of all views.
 It is extensive, monotone and idempotent, so closed instances (fixed points)
 form a closure system; their sublattices drive the semantic hom-sets.
 Queries select on every constant of the domain, so the closure has a closed
-form (BP-completeness; Bancilhon 1978, Paredaens 1978), built per coproduct
-tag by ``_closed_form``: every non-empty relation over ``adom^n`` for each
-arity ``n <= k_max``, where ``adom`` is the component's set of constants,
-every non-empty set of its input tuples of each higher arity of its own
-relations, and the bottom.  Untagged relations belong to every component.
-It yields the views in canonical order (``core.sorted_relations``): the
-shapes by tag and arity, and within a shape the subsets of its sorted rows
-in lexicographic order.  A closure keeps that order as
-``ClosedInstance.views``, so printing it sorts no relations.  It is the
-only closure here: the operational definition, a worklist that applies the
-operators round by round, is kept in the tests as its reference.
-``generating_queries`` reads each view's witness query off the closed form
-too, one term per tuple of the view.
+form (BP-completeness; Bancilhon 1978, Paredaens 1978): per coproduct tag,
+every non-empty relation over ``adom^n`` for each arity ``n <= k_max``,
+where ``adom`` is the component's set of constants, every non-empty set of
+its input tuples of each higher arity of its own relations, and the bottom.
+Untagged relations belong to every component.  It is the only closure here
+(the tests keep the operational worklist as its reference), and
+``generating_queries`` reads each view's witness query off it.
+
+So a closure is fixed by its support, which ``_support`` computes before it
+builds a view: per tag and arity, in order, the sorted rows its views draw
+on (every row over the tag's constants up to the cap, the tag's input rows
+above it).  The closed set is the bottom and each shape's non-empty subsets
+of its rows in lexicographic order, which is the canonical order
+(``core.sorted_relations``), kept as ``ClosedInstance.views``.  A closed set
+holds each of its rows as a one-row view, so its support can be read off it.
+``_closure`` is the one table that builds closed sets, one object per
+support (hash-consing), reusing the relation objects its caller holds; so
+equal closures, meets, closed subsets, certified fixed points, zero and
+total objects are one object, whatever path or cap built it first (``{a}``
+with the row ``(a,a)`` above cap 1 and ``{a}`` at cap 2 have one support).
+``power_view``, ``meet_closed`` and ``matching`` are memoized on relation
+sets in front of the table.
 
 An atom of a closed instance is a view of it with exactly one tuple whose
 arity is 1 or above ``k_max``; a tagged atom and its untagged twin are two
-atoms.  By the closed form, a closed set is the closure of the atoms it
-holds, so ``closed_subsets`` enumerates the closures of sets of atoms: it
-holds their number, ``2**atoms``, to ``max_enumeration`` before closing any.
-
-Closed sets are interned (hash-consed): ``_closed`` keeps one
-``ClosedInstance`` per relation set, so every operation that yields a closed
-set hands back that one object, and ``meet_closed`` and ``matching`` are
-memoized on the relation sets.  Their labels stay empty and shared.
+atoms.  A closed set is the closure of the atoms it holds, so
+``closed_subsets`` closes the sets of atoms of its input, their number,
+``2**atoms``, held to ``max_enumeration`` first.
 
 A closed set's ``mask`` encodes its relations as a bit vector (Ganter &
 Wille, *Formal Concept Analysis*, 1999): the OR of one bit per relation,
@@ -41,8 +45,9 @@ equality and inclusion of closed sets are then ``&``, ``==`` and
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 from functools import cache, lru_cache, reduce
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     BOTTOM,
@@ -58,24 +63,19 @@ from .errors import EnumerationTooLarge, NotClosedDomain, UniverseTooLarge, Unkn
 from .queries import Base, Bot, ColEqConst, Join, Project, QueryTerm, Select, UnionTerm
 
 
+@dataclass(frozen=True, eq=False, repr=False)
 class ClosedInstance(Instance):
     """An instance certified equal to its own power view.
 
-    Instances of this type are only built by operations that establish the
-    closure property (saturation, verified fixed points, intersections of
-    closed sets), so holding one is the certificate.  There is one object per
-    relation set (``_closed`` interns them); its labels are empty and shared,
-    and it does not record the configuration it was closed under.  ``views``
-    holds its relations in canonical order, bottom first, and iteration reads
-    it: a closure takes it from the closed form, any other closed set sorts
-    its relations on first use.  ``mask`` (module docstring) is built on first use.
+    Only the table ``_closure`` builds one, one per support, so holding one is
+    the certificate; its labels are empty and it does not record its cap.
+    ``views``, set when it is built, holds its relations in canonical order.
     """
+
+    views: tuple[Relation, ...] = ()
 
     def __post_init__(self):
         super().__post_init__()
-        # Declared on every closed set, so that all of them share one
-        # attribute layout whichever path built them.
-        object.__setattr__(self, "_views", None)
         object.__setattr__(self, "_mask", None)
 
     @property
@@ -85,12 +85,6 @@ class ClosedInstance(Instance):
                 _serial.setdefault(r, next(_serials))  # atomic, so threads agree on each bit
             object.__setattr__(self, "_mask", sum(1 << _serial[r] for r in self.relations))
         return self._mask
-
-    @property
-    def views(self) -> tuple[Relation, ...]:
-        if self._views is None:
-            object.__setattr__(self, "_views", tuple(sorted_relations(self.relations)))
-        return self._views
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.views)
@@ -105,15 +99,6 @@ _serial: dict[Relation, int] = {}
 _serials = itertools.count()
 
 
-def _closed(relations: Iterable[Relation]) -> ClosedInstance:
-    return _interned(frozenset(relations) | {BOTTOM})
-
-
-@lru_cache(maxsize=None)
-def _interned(relations: frozenset[Relation]) -> ClosedInstance:
-    return ClosedInstance(relations, {})
-
-
 def _lex_subsets(rows: list) -> list[tuple]:
     """The non-empty subsets of the sorted ``rows``, each a sorted tuple, in
     lexicographic order: ``L(j) = [(r_j,)] + [(r_j,) + s for s in L(j+1)] + L(j+1)``."""
@@ -124,10 +109,10 @@ def _lex_subsets(rows: list) -> list[tuple]:
     return out
 
 
-def _closed_form(relations: Iterable[Relation], cfg: UniverseConfig) -> Iterator[Relation]:
-    """Yield the views but the bottom, by the closed form (module docstring),
-    in canonical order: shapes by tag and arity, each one's subsets of its
-    sorted rows in lexicographic order."""
+def _support(relations: Iterable[Relation], cfg: UniverseConfig) -> list[tuple]:
+    """The shapes ``(tag, arity, rows)`` of the support of the closure of
+    ``relations``; a constant outside the domain, then a closure of more than
+    ``max_universe`` views, is refused before a row is formed."""
     parts: dict[tuple[str, ...], tuple[set, dict]] = {(): (set(), {})}
     for rel in relations:  # the bottom adds no constant and no tuple
         adom, high = parts.setdefault(rel.tag, (set(), {}))
@@ -148,21 +133,43 @@ def _closed_form(relations: Iterable[Relation], cfg: UniverseConfig) -> Iterator
     cap = cfg.max_universe.bit_length() + 1  # count the views before building one
     if 1 + sum((1 << min(size, cap)) - 1 for *_, size in shapes) > cfg.max_universe:
         raise UniverseTooLarge(f"saturation produced more than {cfg.max_universe} views")
-    for tag, n, rows, size in shapes:
-        if n <= cfg.k_max:
-            rows = list(itertools.product(rows, repeat=n))
-        yield from (Relation(n, frozenset(c), tag) for c in _lex_subsets(rows))
+    return [
+        (tag, n, tuple(itertools.product(rows, repeat=n)) if n <= cfg.k_max else tuple(rows))
+        for tag, n, rows, size in shapes if size
+    ]
+
+
+class _Support(tuple):
+    """The key of ``_closure``; ``held``, outside the key, maps objects to reuse to themselves."""
+
+    def __new__(cls, shapes: Iterable[tuple], held: Mapping[Relation, Relation]):
+        key = super().__new__(cls, shapes)
+        key.held = held
+        return key
+
+
+@lru_cache(maxsize=None)
+def _closure(support: _Support) -> ClosedInstance:
+    """The closed set of a support (module docstring), views in canonical order."""
+    views = [BOTTOM]
+    for tag, n, rows in support:
+        views += (Relation(n, frozenset(subset), tag) for subset in _lex_subsets(rows))
+    views = tuple(map(support.held.get, views, views))
+    return ClosedInstance(frozenset(views), {}, views)
+
+
+def _closed_set(views: Iterable[Relation]) -> ClosedInstance:
+    """The closed set of the closed ``views``, its support read off its one-row views."""
+    held, rows = {view: view for view in views}, {}
+    for view in held:
+        if len(view.tuples) == 1:
+            rows.setdefault((view.tag, view.arity), set()).update(view.tuples)
+    return _closure(_Support([(*k, tuple(sorted(r))) for k, r in sorted(rows.items())], held))
 
 
 @lru_cache(maxsize=None)
 def _power_view_cached(relations: frozenset[Relation], cfg: UniverseConfig) -> ClosedInstance:
-    inputs = {rel: rel for rel in relations}  # the cache keeps one object per input relation
-    views = (BOTTOM, *(inputs.get(rel, rel) for rel in _closed_form(relations, cfg)))
-    held = frozenset(views)
-    closed = _interned(held)
-    if closed.relations is held:  # built just now, so it holds these very objects
-        object.__setattr__(closed, "_views", views)
-    return closed
+    return _closure(_Support(_support(relations, cfg), {rel: rel for rel in relations}))
 
 
 def power_view(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
@@ -181,10 +188,10 @@ def is_closed(inst: Instance, cfg: UniverseConfig) -> bool:
 
 
 def certify_closed(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
-    """Wrap an instance after verifying it is a fixed point of power_view."""
+    """The closure of an instance verified to be a fixed point of power_view."""
     if not is_closed(inst, cfg):
         raise NotClosedDomain(f"instance {inst!r} is not closed")
-    return _closed(inst.relations)
+    return power_view(inst, cfg)
 
 
 def meet_closed(a: Instance, b: Instance) -> ClosedInstance:
@@ -195,7 +202,7 @@ def meet_closed(a: Instance, b: Instance) -> ClosedInstance:
 
 @lru_cache(maxsize=None)
 def _meet_cached(a: frozenset[Relation], b: frozenset[Relation]) -> ClosedInstance:
-    return _closed(a & b)
+    return _closed_set(a & b)
 
 
 def matching(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
@@ -272,15 +279,9 @@ def generating_queries(inst: Instance, cfg: UniverseConfig) -> dict[Relation, Qu
 
 
 def total_object(cfg: UniverseConfig) -> ClosedInstance:
-    """The local total object: every relation over the domain up to the cap.
-
-    Verified to be a fixed point of power_view before being returned.
-    """
-    candidate = Instance(frozenset(universe_relations(cfg)), {})
-    result = power_view(candidate, cfg)
-    if result.relations != candidate.relations:
-        raise UniverseTooLarge("universe enumeration is not closed; cap too small")
-    return result
+    """The local total object: the universe, every relation over the domain
+    up to the cap, which is closed; one over ``max_universe`` is refused."""
+    return _closed_set(universe_relations(cfg))
 
 
 def po_leq(a: Instance, b: Instance, cfg: UniverseConfig) -> bool:
@@ -294,16 +295,15 @@ def isomorphic(a: Instance, b: Instance, cfg: UniverseConfig) -> bool:
 
 
 def zero_object() -> ClosedInstance:
-    return _closed(ZERO.relations)
+    return _closed_set(ZERO.relations)
 
 
 def closed_subsets(x: Instance, cfg: UniverseConfig) -> tuple[ClosedInstance, ...]:
     """All bottom-containing subsets of a closed instance that are themselves closed.
 
     Each one is the closure of the atoms it holds (module docstring), so the
-    lattice is enumerated as the closures of the sets of atoms of ``x``, one
-    closed form per set, with repeats dropped.  Results are in canonical
-    order and memoized.
+    lattice is enumerated as the closures of the sets of atoms of ``x``, with
+    repeats dropped.  Results are in canonical order and memoized.
     """
     return _closed_subsets_cached(frozenset(x.relations), cfg)
 
@@ -315,14 +315,14 @@ def _closed_subsets_cached(
     if not is_closed(Instance(relations, {}), cfg):
         raise NotClosedDomain("closed_subsets needs a closed instance")
     atoms = [r for r in relations if len(r.tuples) == 1 and (r.arity == 1 or r.arity > cfg.k_max)]
-    if 1 << len(atoms) > cfg.max_enumeration:  # one closed form per set of atoms
+    if 1 << len(atoms) > cfg.max_enumeration:  # one support per set of atoms
         raise EnumerationTooLarge(
             f"2**{len(atoms)} sets of atoms exceed the enumeration bound {cfg.max_enumeration}"
         )
-    inputs = {rel: rel for rel in relations}  # the cache keeps one object per input relation
+    held = {rel: rel for rel in relations}
     closures = {
-        frozenset(inputs[rel] for rel in _closed_form(subset, cfg))
+        _closure(_Support(_support(subset, cfg), held))
         for k in range(len(atoms) + 1)
         for subset in itertools.combinations(atoms, k)
     }
-    return tuple(sorted(map(_closed, closures), key=ClosedInstance.sort_key))
+    return tuple(sorted(closures, key=ClosedInstance.sort_key))

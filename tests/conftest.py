@@ -100,7 +100,7 @@ def clear_caches():
     def clear():
         morphisms.clear_arrows()
         for cache in (
-            closure._interned,
+            closure._closure,
             closure._power_view_cached,
             closure._meet_cached,
             closure._matching_cached,

@@ -33,7 +33,13 @@ from viewflux.core import (
     sorted_relations,
     with_default_labels,
 )
-from viewflux.closure import ClosedInstance, _closed, _closed_form, is_closed
+from viewflux.closure import ClosedInstance, is_closed, power_view
+from viewflux.closure import _closed_set as _closed
+
+
+def _closed_form(relations, cfg):
+    """The library's closure of ``relations``, the bottom left out."""
+    return power_view(Instance(relations, {}), cfg).relations - {BOTTOM}
 from viewflux.errors import EnumerationTooLarge, NotClosedDomain, UniverseTooLarge
 from viewflux.queries import (
     Base,

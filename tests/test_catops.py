@@ -265,6 +265,22 @@ def test_copair_rejects_mixed_configurations_before_the_zero_shortcut(cfg0, cfg2
             copair(left, right)
 
 
+def test_copair_needs_a_common_target(cfg0, pa, pb, pab):
+    f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pb, pb, power_view(pb, cfg0), cfg0)
+    with pytest.raises(DomainMismatch, match="copairing needs a common target"):
+        copair(f, g)
+
+
+def test_arrow_tensor_and_coproduct_reject_mixed_configurations(cfg0, cfg2, pa, pab):
+    f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pa, pab, power_view(pa, cfg2), cfg2)
+    for op in (tensor_arrow, arrow_coproduct):
+        for left, right in ((f, g), (g, f)):
+            with pytest.raises(DomainMismatch, match="different configurations"):
+                op(left, right)
+
+
 def test_copair_and_arrow_coproduct_are_memoized_per_law_pass(cfg0, pa, pb, pab):
     f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
     g = semantic_arrow(pb, pab, power_view(pb, cfg0), cfg0)

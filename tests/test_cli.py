@@ -81,6 +81,28 @@ def test_compose_flux_classify(files, capsys):
     assert out.strip() == "mono"
 
 
+def test_classify_iso_epi_general(files, capsys):
+    (files / "iso.morph").write_text("morphism A.db -> A.db\nr1\n")
+    (files / "epi.morph").write_text("morphism B.db -> A.db\ns1\n")
+    (files / "general.morph").write_text("morphism B.db -> B.db\ns1\n")
+    for kind in ("iso", "epi", "general"):
+        code, out = run(capsys, "classify", str(files / f"{kind}.morph"))
+        assert code == 0 and out.strip() == kind
+
+
+def test_check_reports_a_failing_law_and_exits_1(capsys, monkeypatch):
+    # A closure of the first relation alone is not extensive.
+    first_only = lambda a, cfg: viewflux.power_view(
+        viewflux.Instance(frozenset(viewflux.sorted_relations(a.relations)[:1]), {}), cfg
+    )
+    monkeypatch.setattr(viewflux.suites, "power_view", first_only)
+    code, out = run(capsys, "check", "closure")
+    assert code == 1
+    lines = out.splitlines()
+    assert lines[2] == "FAIL    closure.extensive            checked=16 first_failure={bot, {(a)}/1}"
+    assert lines[-1] == "result: FAIL (8 laws, 6 failed, 0 flagged)"
+
+
 def test_classify_subobject(files, capsys):
     code, out = run(capsys, "classify-subobject", str(files / "A.db"), str(files / "C.db"))
     assert code == 0

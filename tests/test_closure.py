@@ -42,7 +42,7 @@ from viewflux import (
 )
 from viewflux import closure as closure_module
 from viewflux.catops import tagged_flux
-from viewflux.closure import _closed_form, certify_closed, meet_closed
+from viewflux.closure import certify_closed, meet_closed
 from viewflux.topos import closure_classes
 
 ABC1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
@@ -453,29 +453,66 @@ def test_certify_closed_rejects_open_input(cfg0, pab):
     assert certify_closed(power_view(pab, cfg0), cfg0) == power_view(pab, cfg0)
 
 
-def test_closed_subsets_atom_bound(monkeypatch):
+def test_closed_subsets_atom_bound(clear_caches):
     # The total object at {a,b} k=1 has 2 atoms, so 2**2 sets of them to close.
-    built = []
-
-    def counting_closed_form(relations, cfg):
-        built.append(relations)
-        return _closed_form(relations, cfg)
-
     tight = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_enumeration=3)
     enough = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_enumeration=4)
     totals = total_object(tight), total_object(enough)
-    monkeypatch.setattr(closure_module, "_closed_form", counting_closed_form)
+    info = closure_module._closure.cache_info
+    built = info().misses
     refusal = r"2\*\*2 sets of atoms exceed the enumeration bound 3"
     with pytest.raises(EnumerationTooLarge, match=refusal):
         closed_subsets(totals[0], tight)
-    assert built == []
+    assert info().misses == built  # no closure is built before the refusal
+    lookups = info().hits + info().misses
     assert len(closed_subsets(totals[1], enough)) == 4
-    assert len(built) == 4
+    # One lookup for the fixed-point test, then one per set of atoms; a closure
+    # is built for each closed set but the total object, built before.
+    assert info().hits + info().misses == lookups + 1 + 4
+    assert info().misses == built + 3
 
 
 #: A ternary relation of ten tuples over {a,b,c}: at k=1 its closure holds
 #: 1,030 relations but only 13 atoms (three constants, ten tuples).
 TERNARY10 = make_relation(3, list(itertools.product("abc", repeat=3))[:10])
+
+
+def test_closed_subsets_build_one_closure_per_closed_set(clear_caches):
+    # 2**13 sets of atoms close to 1,078 closed sets, the ambient among them:
+    # the table builds each once.
+    x = power_view(instance(TERNARY10), ABC1)
+    got = closed_subsets(x, ABC1)
+    assert len(got) == 1078 == closure_module._closure.cache_info().misses
+    assert x in got
+
+
+def test_inputs_with_one_support_close_to_one_object(cfg0, cfg2):
+    a, b = make_relation(1, {("a",)}), make_relation(1, {("b",)})
+    ab = make_relation(1, {("a",), ("b",)})
+    for cfg in (cfg0, cfg2):
+        assert power_view(instance(ab), cfg) is power_view(instance(a, b), cfg)
+    # At k=2 a binary tuple over {a,b} makes both constants selectable too.
+    assert power_view(instance(make_relation(2, {("a", "b")})), cfg2) is power_view(instance(ab), cfg2)
+    left = coproduct(instance(ab), instance(a))
+    assert power_view(left, cfg0) is power_view(coproduct(instance(a, b), instance(a)), cfg0)
+
+
+def test_a_set_closed_under_two_caps_is_one_closed_set():
+    # {a} with the row (a,a) above cap 1, and {a} at cap 2: one support.
+    a, aa = make_relation(1, {("a",)}), make_relation(2, {("a", "a")})
+    cap1, cap2 = (UniverseConfig(domain=frozenset({"a"}), k_max=k) for k in (1, 2))
+    one, two = power_view(instance(a, aa), cap1), power_view(instance(a), cap2)
+    assert one == two and one.relations == {BOTTOM, a, aa}
+    assert one is two
+    assert is_closed(one, cap1) and is_closed(one, cap2)
+
+
+@pytest.mark.parametrize("cfg", [ABC1, ABC2, AB3, ABCD1], ids=["abc-k1", "abc-k2", "ab-k3", "abcd-k1"])
+def test_total_object_is_the_universe(cfg):
+    total = total_object(cfg)
+    assert total.views == universe_relations(cfg)
+    assert total.relations == frozenset(universe_relations(cfg))
+    assert total_object(cfg) is total
 
 
 @pytest.mark.parametrize(
@@ -554,11 +591,11 @@ def test_masks_are_the_flux_algebra(flux_pairs, clear_caches):
         assert x.mask & y.mask == meet_closed(x, y).mask, (x, y)
         assert (x.mask == y.mask) == (x.relations == y.relations), (x, y)
         assert (x.mask & ~y.mask == 0) == (x.relations <= y.relations), (x, y)
-    masks = {x.relations: (x, x.mask) for x, _, _ in flux_pairs}
+    masks = {x.relations: (x, x.mask, cfg) for x, _, cfg in flux_pairs}
     clear_caches()
-    for relations, (x, mask) in masks.items():
-        rebuilt = closure_module._closed(relations)
-        assert rebuilt is not x and rebuilt.mask == mask, x
+    for relations, (x, mask, cfg) in masks.items():
+        for rebuilt in (power_view(Instance(relations, {}), cfg), meet_closed(x, x)):
+            assert rebuilt is not x and rebuilt.mask == mask, x
 
 
 def test_closed_subsets_hold_the_inputs_relations(closed_subset_inputs, clear_caches):
@@ -746,26 +783,30 @@ def test_closed_form_yields_the_canonical_order(drawn):
     for inst in (instance(*relations), coproduct(instance(*relations[:1]), instance(*relations))):
         closed = power_view(inst, cfg)
         assert closed.views == _canonical(closed), inst
-        assert list(closure_module._closed_form(inst.relations, cfg)) == list(closed.views[1:])
+        assert len(closed.views) == len(closed.relations) and set(closed.views) == closed.relations
 
 
-def test_a_closure_takes_its_views_from_the_closed_form(clear_caches):
+def test_a_closure_takes_its_views_from_the_closed_form(clear_caches, monkeypatch):
+    keys = []
+    monkeypatch.setattr(Relation, "sort_key", lambda r, key=Relation.sort_key: keys.append(r) or key(r))
     closed = power_view(CHAIN, ABC2)
-    assert closed._views is not None
-    assert len(closed.views) == 519 and closed.views == _canonical(closed)
+    views = closed.views
+    assert keys == []  # built in canonical order: no relation is sorted
+    monkeypatch.undo()
+    assert len(views) == 519 and views == _canonical(closed)
     # The very objects of the interned set, so that printing reads them.
     assert {id(r) for r in closed.views} == {id(r) for r in closed.relations}
 
 
 def test_a_closure_interned_before_reads_its_own_relations(clear_caches):
-    # The meet is interned first; the closure of its relations is that
-    # object, whose views are sorted from its own relations on first use.
+    # The meet is built first, with its views in canonical order and the
+    # operands' relation objects; the closure of its relations is that object.
     ab, bc = (power_view(instance(make_relation(1, rows)), ABC1) for rows in ("ab", "bc"))
     meet = meet_closed(ab, bc)
+    assert meet.views == _canonical(meet)
+    assert {id(r) for r in meet.views} <= {id(r) for x in (ab, bc) for r in x.relations}
     closed = power_view(Instance(meet.relations, {}), ABC1)
-    assert closed is meet and closed._views is None
-    assert closed.views == _canonical(closed)
-    assert {id(r) for r in closed.views} == {id(r) for r in meet.relations}
+    assert closed is meet
 
 
 def _closed_sets_of_every_path(cfg0, pa, pab):
@@ -796,4 +837,4 @@ def test_every_closed_set_has_one_attribute_layout(cfg0, pa, pab, clear_caches):
     for closed in built:
         closed.views, closed.mask
     layouts |= {tuple(vars(c)) for c in built}
-    assert layouts == {("relations", "labels", "_views", "_mask")}
+    assert layouts == {("relations", "labels", "views", "_mask")}

@@ -25,7 +25,7 @@ PER_PASS = {
 
 PROCESS = {
     "viewflux.core.universe_relations",
-    "viewflux.closure._interned",
+    "viewflux.closure._closure",
     "viewflux.closure._power_view_cached",
     "viewflux.closure._meet_cached",
     "viewflux.closure._matching_cached",

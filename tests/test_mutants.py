@@ -36,6 +36,7 @@ from viewflux import (
     sorted_relations,
     suites,
     topos,
+    total_object,
     zero_object,
 )
 from viewflux.catops import tag_left, tagged_flux
@@ -59,6 +60,16 @@ def _left_only_fold(d, cfg):
 def _closure_of_the_first_relation(a, cfg):
     """A mutant closure: the closure of the first relation of ``a`` alone."""
     return power_view(Instance(frozenset(sorted_relations(a.relations)[:1]), {}), cfg)
+
+
+def _closure_less_the_inputs(a, cfg):
+    """A mutant closure: the views of ``a`` but its own relations, the bottom kept."""
+    return Instance(power_view(a, cfg).relations - a.relations | {BOTTOM}, {})
+
+
+def _total_for_no_relation(a, cfg):
+    """A mutant closure: an instance with no relation but the bottom observes everything."""
+    return total_object(cfg) if a.relations <= ZERO.relations else power_view(a, cfg)
 
 
 def _closed_but_not_zero(inst, cfg):
@@ -155,6 +166,14 @@ MUTANTS = [
     pytest.param("closure.extensive", suites.law_closure_extensive,
                  suites, "power_view", _closure_of_the_first_relation, 16,
                  id="closure.extensive"),
+    pytest.param("closure.monotone", suites.law_closure_monotone,
+                 suites, "power_view", _closure_of_the_first_relation, 65, id="closure.monotone"),
+    pytest.param("closure.idempotent", suites.law_closure_idempotent,
+                 suites, "power_view", _closure_less_the_inputs, 16, id="closure.idempotent"),
+    pytest.param("closure.bottom", suites.law_closure_bottom,
+                 suites, "power_view", _total_for_no_relation, 2, id="closure.bottom"),
+    pytest.param("closure.total-fixpoint", suites.law_closure_total,
+                 suites, "power_view", _closure_less_the_inputs, 1, id="closure.total-fixpoint"),
     pytest.param("closure.intersections", suites.law_closure_intersections,
                  suites, "is_closed", _closed_but_not_zero, 16, id="closure.intersections"),
     pytest.param("monoidal.commutative", suites.law_tensor_commutative,
@@ -249,6 +268,31 @@ def test_first_relation_closure_breaks_extensiveness(ctx):
         not a.relations <= _closure_of_the_first_relation(a, ctx.cfg).relations
         for a in ctx.instances
     )
+
+
+def test_first_relation_closure_breaks_monotonicity(ctx):
+    assert any(
+        a.relations <= b.relations
+        and not _closure_of_the_first_relation(a, ctx.cfg).relations
+        <= _closure_of_the_first_relation(b, ctx.cfg).relations
+        for a, b in itertools.product(ctx.instances, repeat=2)
+    )
+
+
+def test_closure_less_the_inputs_breaks_idempotence(ctx):
+    assert any(
+        _closure_less_the_inputs(ta, ctx.cfg).relations != ta.relations
+        for a in ctx.instances
+        for ta in [_closure_less_the_inputs(a, ctx.cfg)]
+    )
+
+
+def test_closure_less_the_inputs_moves_the_total_object(ctx):
+    assert _closure_less_the_inputs(ctx.total, ctx.cfg).relations != ctx.total.relations
+
+
+def test_total_for_no_relation_breaks_the_closure_of_the_zero_object(ctx):
+    assert _total_for_no_relation(ctx.zero, ctx.cfg).relations != {BOTTOM}
 
 
 def test_zero_blind_closedness_breaks_a_closed_meet(ctx):

@@ -35,6 +35,7 @@ from viewflux.topos import closure_classes
 GOLDEN_DEFAULT = Path(__file__).parent / "golden" / "check-all-default.txt"
 GOLDEN_K2 = Path(__file__).parent / "golden" / "check-all-k2.txt"
 GOLDEN_ABC = Path(__file__).parents[1] / "bench" / "golden" / "check-abc.txt"
+GOLDEN_ABCD = Path(__file__).parent / "golden" / "check-all-abcd.txt"
 
 
 def test_enumeration_counts(cfg0, cfg_single):
@@ -149,6 +150,14 @@ def test_abc_report_matches_the_benchmark_golden():
     # a,b,c --max-relations 2` with this file; it is read, never written.
     cfg = UniverseConfig(domain=frozenset("abc"), k_max=1)
     assert render_report(run_suite("all", cfg, 2)) == GOLDEN_ABC.read_text()
+
+
+def test_stretch_report_matches_golden():
+    # The golden file is the output of `viewflux check all --domain a,b,c,d
+    # --max-relations 1`, the four-constant stretch configuration (3,785,506
+    # checks).  The five-constant report is compared by tests/check_stretch.py.
+    cfg = UniverseConfig(domain=frozenset("abcd"), k_max=1)
+    assert render_report(run_suite("all", cfg, 1)) == GOLDEN_ABCD.read_text()
 
 
 @functools.cache

@@ -214,6 +214,13 @@ def test_pullback_rejects_mixed_configurations(cfg0, cfg2, pa, pab):
             pullback(left, right)
 
 
+def test_pullback_needs_a_common_target(cfg0, pa, pab):
+    f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pa, pa, power_view(pa, cfg0), cfg0)
+    with pytest.raises(DomainMismatch, match="pullback needs a cospan with a common target"):
+        pullback(f, g)
+
+
 def test_pullback_rejects_wrong_corners(cfg0, pa, pb, pab, classes):
     f = semantic_arrow(pab, pa, power_view(pa, cfg0), cfg0)
     g = semantic_arrow(pb, pa, [BOTTOM], cfg0)

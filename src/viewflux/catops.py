@@ -264,7 +264,7 @@ def ret_category_probe(a: Instance, cfg: UniverseConfig) -> bool:
     endos = semantic_homset(a, a, cfg)
     return all(
         len(semantic_homset(f_flux, g_flux, cfg))
-        == sum(k.relations <= f_flux.relations & g_flux.relations for k in endos)
+        == sum(k.mask & ~(f_flux.mask & g_flux.mask) == 0 for k in endos)
         for f_flux, g_flux in itertools.product(endos, repeat=2)
     )
 

@@ -34,12 +34,14 @@ atoms.  A closed set is the closure of the atoms it holds, so
 ``closed_subsets`` closes the sets of atoms of its input, their number,
 ``2**atoms``, held to ``max_enumeration`` first.
 
-A closed set's ``mask`` encodes its relations as a bit vector (Ganter &
-Wille, *Formal Concept Analysis*, 1999): the OR of one bit per relation,
-each relation's bit its index in ``_serial``, a table that only grows, so a
-closed set rebuilt after its caches are emptied gets the same mask.  Meet,
-equality and inclusion of closed sets are then ``&``, ``==`` and
-``x & ~y == 0`` on masks.  A mask is computed on first read.
+A closed set's ``mask``, set by ``_closure``, encodes its support as a bit
+vector (Ganter & Wille, *Formal Concept Analysis*, 1999): bit 0 for the
+bottom and, per support row ``(tag, arity, row)``, its index in ``_serial``,
+a table that only grows, so a closed set rebuilt after its caches are
+emptied gets the same mask.  A shape's views are the non-empty subsets of
+its rows, so meet, equality and inclusion of closed sets are ``&``, ``==``
+and ``x & ~y == 0`` on masks.  The rows do not depend on the cap (a set
+closed under two caps has one mask); at k=1 they are the atoms.
 """
 
 from __future__ import annotations
@@ -69,22 +71,12 @@ class ClosedInstance(Instance):
 
     Only the table ``_closure`` builds one, one per support, so holding one is
     the certificate; its labels are empty and it does not record its cap.
-    ``views``, set when it is built, holds its relations in canonical order.
+    ``views``, set when it is built, holds its relations in canonical order
+    and ``mask`` its support rows as bits (module docstring).
     """
 
     views: tuple[Relation, ...] = ()
-
-    def __post_init__(self):
-        super().__post_init__()
-        object.__setattr__(self, "_mask", None)
-
-    @property
-    def mask(self) -> int:
-        if self._mask is None:
-            for r in self.relations.difference(_serial):
-                _serial.setdefault(r, next(_serials))  # atomic, so threads agree on each bit
-            object.__setattr__(self, "_mask", sum(1 << _serial[r] for r in self.relations))
-        return self._mask
+    mask: int = 1
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.views)
@@ -94,9 +86,9 @@ class ClosedInstance(Instance):
         return tuple(r.sort_key() for r in self.views)
 
 
-#: The bit of each relation in a mask, numbered in order of first use.
-_serial: dict[Relation, int] = {}
-_serials = itertools.count()
+#: The bit of each support row in a mask, numbered from 1 in order of first use.
+_serial: dict[tuple, int] = {}
+_serials = itertools.count(1)
 
 
 def _lex_subsets(rows: list) -> list[tuple]:
@@ -150,12 +142,17 @@ class _Support(tuple):
 
 @lru_cache(maxsize=None)
 def _closure(support: _Support) -> ClosedInstance:
-    """The closed set of a support (module docstring), views in canonical order."""
-    views = [BOTTOM]
+    """The closed set of a support, its views in canonical order and its mask (module docstring)."""
+    views, mask = [BOTTOM], 1
     for tag, n, rows in support:
         views += (Relation(n, frozenset(subset), tag) for subset in _lex_subsets(rows))
+        for row in rows:
+            key = (tag, n, row)
+            if key not in _serial:
+                _serial.setdefault(key, next(_serials))  # atomic, so threads agree on each bit
+            mask |= 1 << _serial[key]
     views = tuple(map(support.held.get, views, views))
-    return ClosedInstance(frozenset(views), {}, views)
+    return ClosedInstance(frozenset(views), {}, views, mask)
 
 
 def _closed_set(views: Iterable[Relation]) -> ClosedInstance:
@@ -286,12 +283,12 @@ def total_object(cfg: UniverseConfig) -> ClosedInstance:
 
 def po_leq(a: Instance, b: Instance, cfg: UniverseConfig) -> bool:
     """Behavioral inclusion: every view of a is a view of b."""
-    return power_view(a, cfg).relations <= power_view(b, cfg).relations
+    return power_view(a, cfg).mask & ~power_view(b, cfg).mask == 0
 
 
 def isomorphic(a: Instance, b: Instance, cfg: UniverseConfig) -> bool:
     """Behavioral equivalence: a and b have the same views."""
-    return power_view(a, cfg).relations == power_view(b, cfg).relations
+    return power_view(a, cfg).mask == power_view(b, cfg).mask
 
 
 def zero_object() -> ClosedInstance:

@@ -88,8 +88,7 @@ class Morphism:
     Equality of morphisms is deliberately not structural; use ``equiv`` for
     the semantic equivalence (flux equality) the laws are stated in.  A law
     pass interns its witness-free arrows; beyond one pass identity means nothing.
-    ``mask`` is the flux's mask (``closure`` module docstring), copied when the
-    arrow is built, so that the laws' flux equations read a plain attribute.
+    The laws' flux equations read the flux's mask (``closure`` module docstring).
     """
 
     source: Instance
@@ -97,7 +96,6 @@ class Morphism:
     _trees: frozenset[ViewTree] | Callable[[], list[ViewTree]]
     flux: ClosedInstance
     cfg: UniverseConfig
-    mask: int
 
     @property
     def trees(self) -> frozenset[ViewTree]:
@@ -141,15 +139,15 @@ def _morphism(
     check_range: bool = True,
     interned: bool = False,
 ) -> Morphism:
-    if check_range and not flux.relations <= matching(source, target, cfg).relations:
+    if check_range and flux.mask & ~matching(source, target, cfg).mask:
         raise FluxOutOfRange(f"flux {flux!r} escapes the matching of the endpoints")
     if not interned:
         trees = trees if callable(trees) else frozenset(trees) or _NO_TREES
-        return Morphism(source, target, trees, flux, cfg, flux.mask)
+        return Morphism(source, target, trees, flux, cfg)
     key = (id(source), id(target), id(flux), id(cfg))
     arrow = _interned.get(key)
     if arrow is None:
-        arrow = _interned[key] = Morphism(source, target, _NO_TREES, flux, cfg, flux.mask)
+        arrow = _interned[key] = Morphism(source, target, _NO_TREES, flux, cfg)
     return arrow
 
 
@@ -268,22 +266,22 @@ def compose(g: Morphism, f: Morphism) -> Morphism:
 
 def equiv(f: Morphism, g: Morphism) -> bool:
     """Semantic equality of arrows: equal fluxes."""
-    return f.mask == g.mask
+    return f.flux.mask == g.flux.mask
 
 
 def arrow_po_leq(f: Morphism, g: Morphism) -> bool:
     """The two-cell order on parallel arrows: flux inclusion."""
     if f.source != g.source or f.target != g.target:
         raise NotParallel("arrow order is defined for parallel arrows only")
-    return f.flux.relations <= g.flux.relations
+    return f.flux.mask & ~g.flux.mask == 0
 
 
 def is_mono(f: Morphism) -> bool:
-    return f.mask == power_view(f.source, f.cfg).mask
+    return f.flux.mask == power_view(f.source, f.cfg).mask
 
 
 def is_epi(f: Morphism) -> bool:
-    return f.mask == power_view(f.target, f.cfg).mask
+    return f.flux.mask == power_view(f.target, f.cfg).mask
 
 
 def is_iso(f: Morphism) -> bool:

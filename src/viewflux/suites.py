@@ -338,7 +338,7 @@ def law_associativity(ctx):
             for g in gs:
                 gf = compose(g, f)
                 for h in hs:
-                    yield compose(h, gf).mask == compose(compose(h, g), f).mask or witness(f.flux, g.flux, h.flux)
+                    yield compose(h, gf).flux.mask == compose(compose(h, g), f).flux.mask or witness(f.flux, g.flux, h.flux)
 
 
 @_law("category.identity", "identities are neutral for composition")
@@ -356,7 +356,7 @@ def law_identity(ctx):
 def _cancels(f: Morphism, homsets: Iterable[tuple[Morphism, ...]]) -> bool:
     """Whether meeting with the flux of ``f`` is injective on each hom-set
     (whose fluxes are distinct): ``f`` cancels against the arrows of each."""
-    return all(len({f.flux.relations & g.flux.relations for g in hs}) == len(hs) for hs in homsets)
+    return all(len({f.flux.mask & g.flux.mask for g in hs}) == len(hs) for hs in homsets)
 
 
 @_arrow_law("category.mono-cancellation", "an arrow is monic exactly when it cancels on the left")
@@ -502,7 +502,7 @@ def law_arrow_tensor(ctx):
             gs = ctx.arrows(c, d)
             for f in ctx.arrows(a, b):
                 for g in gs:
-                    ok = tensor_arrow(f, g).mask == f.mask & g.mask
+                    ok = tensor_arrow(f, g).flux.mask == f.flux.mask & g.flux.mask
                     yield ok or witness(f.flux, g.flux)
 
 
@@ -669,7 +669,7 @@ def law_merge_functor(ctx):
         for f in ctx.arrows(b, c):
             af = merge_arrow(a, f)
             for g in gs:
-                ok = merge_arrow(a, compose(g, f)).mask == compose(merge_arrow(a, g), af).mask
+                ok = merge_arrow(a, compose(g, f)).flux.mask == compose(merge_arrow(a, g), af).flux.mask
                 yield ok or witness(a, f.flux, g.flux)
 
 
@@ -728,7 +728,7 @@ def law_pullback(ctx):
             for f in ctx.arrows(a, c):
                 for g in gs:
                     sq = pullback(f, g)
-                    ok = sq.corner.mask == f.mask & g.mask
+                    ok = sq.corner.mask == f.flux.mask & g.flux.mask
                     ok = ok and is_closed(sq.corner, ctx.cfg)
                     ok = ok and is_mono(sq.left) and is_mono(sq.right)
                     ok = ok and square_mediators(sq, ctx.classes, ctx.arrows) is not None

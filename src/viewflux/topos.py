@@ -99,7 +99,7 @@ def metric_suite(cfg: UniverseConfig, instances: list[Instance]):
     Each check is ``(law, True)`` or ``(law, lazy witness)``; within a law the
     checks come in canonical order (instances, then pairs, then triples).
     """
-    total, zero = total_object(cfg).mask, zero_object().mask  # the zero's one bit is the bottom
+    total, zero = total_object(cfg).mask, zero_object().mask  # the zero's mask is bit 0, the bottom
     # One distance mask per ordered pair and one isomorphism test per ordered
     # pair; every law below reads these tables.
     d = [[distance(a, b, cfg).mask for b in instances] for a in instances]
@@ -211,7 +211,7 @@ def classifier(
         raise NotMonic("classifier needs a monomorphism")
     if vertices is None:
         vertices = closure_classes(cfg, 1)
-    ta = power_view(in_a.source, cfg).relations
+    source = power_view(in_a.source, cfg)
     generators, audit = classifier_audit(in_a, cfg)
     total = total_object(cfg)
     flux = meet_closed(power_view(Instance(generators, {}), cfg), matching(in_a.target, total, cfg))
@@ -219,12 +219,13 @@ def classifier(
     char = _morphism(in_a.target, total, trees, flux, cfg)
 
     # Generator level: chi after m sends the generators in A's views, true after ! only bottom.
-    gen_commutes = generators & ta == frozenset({BOTTOM})
+    gen_commutes = generators & source.relations == frozenset({BOTTOM})
 
-    tests = [(v, h.relations) for v in vertices for h in semantic_homset(v, in_a.target, cfg)]
+    tests = [h.mask for v in vertices for h in semantic_homset(v, in_a.target, cfg)]
     # A flux of the class meets trivially exactly the test fluxes inside the subobject's views.
+    zero, ta = zero_object().mask, source.mask
     class_size = sum(
-        all((s.relations & h == ZERO.relations) == (h <= ta) for _, h in tests)
+        all((s.mask & h == zero) == (h & ~ta == 0) for h in tests)
         for s in closed_subsets(power_view(in_a.target, cfg), cfg)
     )
 
@@ -264,23 +265,23 @@ def equalizer_check(
         raise NotMonic("equalizer_check needs a monomorphism")
     if vertices is None:
         vertices = closure_classes(cfg, 1)
-    ta = power_view(f.source, cfg).relations
-    proper_gens = (power_view(f.target, cfg).relations - ta) - {BOTTOM}
+    source = power_view(f.source, cfg)
+    proper_gens = (power_view(f.target, cfg).relations - source.relations) - {BOTTOM}
+    ta = source.mask
     # f itself equalizes: its flux ta misses every generator, each outside ta.
     return all(
         h.relations & proper_gens
-        or (h.relations <= ta and _unique_mediator(v, f.source, ta, h.relations, cfg))
+        or (h.mask & ~ta == 0 and _unique_mediator(v, f.source, ta, h.mask, cfg))
         for v in vertices
         for h in semantic_homset(v, f.target, cfg)
     )
 
 
 def _unique_mediator(
-    v: Instance, x: Instance, views: frozenset[Relation], flux: frozenset[Relation],
-    cfg: UniverseConfig,
+    v: Instance, x: Instance, views: int, flux: int, cfg: UniverseConfig
 ) -> bool:
-    """Whether exactly one arrow from ``v`` to ``x`` meets ``views`` in ``flux``."""
-    return sum(views & k.relations == flux for k in semantic_homset(v, x, cfg)) == 1
+    """Whether exactly one arrow from ``v`` to ``x`` meets ``views`` in ``flux``, both masks."""
+    return sum(views & k.mask == flux for k in semantic_homset(v, x, cfg)) == 1
 
 
 def epi_mono_factorize(f: Morphism) -> tuple[Morphism, Morphism]:
@@ -302,13 +303,14 @@ def factorization_minimal(
         return False
     if not equiv(compose(tau_inv, tau), f):
         return False
+    target, flux = power_view(f.target, cfg).mask, f.flux.mask
     for c in candidates:
-        tc = power_view(c, cfg).relations
-        if not tc <= power_view(f.target, cfg).relations:
+        tc = power_view(c, cfg).mask
+        if tc & ~target:
             continue  # not a subobject of the target
-        if not f.flux.relations <= tc:
+        if flux & ~tc:
             continue  # the arrow does not factor through this subobject
-        if not _unique_mediator(f.flux, c, tc, f.flux.relations, cfg):
+        if not _unique_mediator(f.flux, c, tc, flux, cfg):
             return False
     return True
 
@@ -355,7 +357,7 @@ def square_mediators(
     """
     f, g, left, right = square.f, square.g, square.left, square.right
     return _mediators(
-        f.source, g.source, square.corner, f.mask, g.mask, left.mask, right.mask,
+        f.source, g.source, square.corner, f.flux.mask, g.flux.mask, left.flux.mask, right.flux.mask,
         tuple(vertices), arrows,
     )
 
@@ -370,13 +372,13 @@ def _mediators(a, b, corner, fl_f, fl_g, fl_p1, fl_p2, vertices, arrows) -> Medi
         # Cones indexed by the mask of their composite w: the number of g-legs and
         # the arrows into the corner (both legs' composites are ``composite``) giving w.
         legs_g = {}
-        for w in (fl_g & h2.mask for h2 in arrows(v, b)):
+        for w in (fl_g & h2.flux.mask for h2 in arrows(v, b)):
             legs_g[w] = legs_g.get(w, 0) + 1
         into_corner = {}
         for u in arrows(v, corner):
-            into_corner.setdefault(composite & u.mask, []).append(u.flux.relations)
+            into_corner.setdefault(composite & u.flux.mask, []).append(u.flux.relations)
         for h1 in arrows(v, a):
-            w = fl_f & h1.mask
+            w = fl_f & h1.flux.mask
             found, cones = into_corner.get(w, []), legs_g.get(w, 0)
             # A unique mediator u lies below both legs: u & composite also gives w
             # and is in the full hom-set into the corner, so it is u; then
@@ -424,7 +426,7 @@ def combined_pullback_check(
     # Combined square commutes componentwise: a plain flux is lifted to both
     # components when it crosses into the tagged space.
     k_lifted = tagged_flux(shared.flux.relations, shared.flux.relations, cfg).mask
-    return k_lifted & left_pair.mask == bottom_pair.mask & right_pair.mask
+    return k_lifted & left_pair.flux.mask == bottom_pair.flux.mask & right_pair.flux.mask
 
 
 @per_pass
@@ -437,7 +439,7 @@ def _combined_legs(corner1, left1, mediators1, corner2, left2, mediators2, cfg) 
         return False
     # Copairing flux is the tagged sum of the component fluxes.
     legs = tagged_flux(left1.flux.relations, left2.flux.relations, cfg)
-    left_pair = copair(left1, left2).mask
+    left_pair = copair(left1, left2).flux.mask
     if left_pair != legs.mask:
         return False
 
@@ -464,7 +466,7 @@ def negative_probes(cfg: UniverseConfig, classes: list[Instance]):
         for c in classes
         for a in classes
         for h in semantic_homset(a, c, cfg)
-        if h.relations == power_view(c, cfg).relations
+        if h.mask == power_view(c, cfg).mask
     )
     non_epic_leg = any(
         not is_epi(pullback(f, semantic_arrow(b, f.target, g, cfg)).right)
@@ -495,7 +497,7 @@ def negative_probes(cfg: UniverseConfig, classes: list[Instance]):
     )
     collapsed = any(
         not equiv(f, g) and all(
-            f.flux.relations & pt.relations == g.flux.relations & pt.relations
+            f.flux.mask & pt.mask == g.flux.mask & pt.mask
             for pt in semantic_homset(ZERO, f.source, cfg)
         )
         for f, g in pairs

@@ -79,12 +79,20 @@ def coproduct_inputs(cfg2):
 
 
 @pytest.fixture(scope="session")
-def flux_pairs(coproduct_inputs):
+def flux_pairs(coproduct_inputs, cfg0, cfg2):
     """(x, y, cfg) for every ordered pair of closed sets at one configuration:
-    the closed subsets of the total object at {a,b,c} k=1, and the distinct
-    closures of ``coproduct_inputs`` (tagged fluxes) at each configuration."""
+    the closed subsets of the total objects at {a,b,c} k=1, and at {a,b} and
+    {a,b,c} k=2, where most support rows are not atoms; those of the closure
+    of {(a,a),(a,b)}/2 at {a,b} k=1, among them the set closed under caps 1
+    and 2 (the bottom, {(a)}/1 and {(a,a)}/2); and the distinct closures of
+    ``coproduct_inputs`` (tagged fluxes) at each configuration."""
     abc1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
-    groups = [(abc1, closure.closed_subsets(closure.total_object(abc1), abc1))]
+    abc2 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=2)
+    groups = [
+        (cfg, closure.closed_subsets(closure.total_object(cfg), cfg)) for cfg in (abc1, cfg2, abc2)
+    ]
+    two_rows = closure.power_view(instance(make_relation(2, {("a", "a"), ("a", "b")})), cfg0)
+    groups.append((cfg0, closure.closed_subsets(two_rows, cfg0)))
     for cfg in dict.fromkeys(cfg for _, cfg in coproduct_inputs):
         tagged = {closure.power_view(inst, cfg) for inst, c in coproduct_inputs if c == cfg}
         groups.append((cfg, sorted(tagged, key=repr)))

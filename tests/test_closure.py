@@ -505,6 +505,8 @@ def test_a_set_closed_under_two_caps_is_one_closed_set():
     assert one == two and one.relations == {BOTTOM, a, aa}
     assert one is two
     assert is_closed(one, cap1) and is_closed(one, cap2)
+    # Its mask has the bottom's bit and one per row, (a) and (a,a), at either cap.
+    assert one.mask.bit_count() == 3
 
 
 @pytest.mark.parametrize("cfg", [ABC1, ABC2, AB3, ABCD1], ids=["abc-k1", "abc-k2", "ab-k3", "abcd-k1"])
@@ -596,6 +598,36 @@ def test_masks_are_the_flux_algebra(flux_pairs, clear_caches):
     for relations, (x, mask, cfg) in masks.items():
         for rebuilt in (power_view(Instance(relations, {}), cfg), meet_closed(x, x)):
             assert rebuilt is not x and rebuilt.mask == mask, x
+
+
+def test_a_mask_has_one_bit_per_support_row_and_the_bottom(flux_pairs):
+    # A support row is a one-row view; at k=2 most of them are not atoms.
+    closed = {x for x, _, _ in flux_pairs}
+    for x in closed:
+        rows = sum(len(view.tuples) == 1 for view in x.relations)
+        assert x.mask & 1 and x.mask.bit_count() == 1 + rows, x
+    # 519 views: the bottom, 3 unary and 9 binary rows.
+    assert total_object(ABC2).mask.bit_count() == 13
+    # The pairs hold the set closed under caps 1 and 2, whose row (a,a) is an atom at cap 1 only.
+    a, aa = make_relation(1, {("a",)}), make_relation(2, {("a", "a")})
+    assert {BOTTOM, a, aa} in [x.relations for x in closed]
+
+
+def test_order_and_equivalence_match_the_oracle_at_k2():
+    # The first 40 of the 520 one-relation instances at {a,b,c} k=2 in
+    # canonical order (each of the 8 closures), then every 13th, against
+    # inclusion and equality of the oracle's view sets, each of the 8
+    # compared once and numbered.
+    instances = list(subset_instances(ABC2, 1))
+    sample = instances[:40] + instances[40::13]
+    views = {a: adom_oracle.oracle(a.relations, ABC2) for a in sample}
+    closures = {x: i for i, x in enumerate(dict.fromkeys(views.values()))}
+    assert len(closures) == 8
+    leq = [[x <= y for y in closures] for x in closures]
+    number = {a: closures[views[a]] for a in sample}
+    for a, b in itertools.product(sample, repeat=2):
+        assert po_leq(a, b, ABC2) == leq[number[a]][number[b]], (a, b)
+        assert isomorphic(a, b, ABC2) == (number[a] == number[b]), (a, b)
 
 
 def test_closed_subsets_hold_the_inputs_relations(closed_subset_inputs, clear_caches):
@@ -832,9 +864,10 @@ def test_every_closed_set_iterates_in_canonical_order(cfg0, pa, pab, clear_cache
 def test_every_closed_set_has_one_attribute_layout(cfg0, pa, pab, clear_caches):
     # One layout whichever path built it, before and after its views and mask
     # are read: closed sets whose attributes differ slow every law that reads them.
+    # Both are fields set at build, so there is no lazy state to add an attribute.
     built = _closed_sets_of_every_path(cfg0, pa, pab)
     layouts = {tuple(vars(c)) for c in built}
     for closed in built:
         closed.views, closed.mask
     layouts |= {tuple(vars(c)) for c in built}
-    assert layouts == {("relations", "labels", "views", "_mask")}
+    assert layouts == {("relations", "labels", "views", "mask")}

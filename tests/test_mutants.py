@@ -20,6 +20,7 @@ from viewflux import (
     arrow_coproduct,
     catops,
     coproduct,
+    distance,
     empty_arrow,
     fold_arrow,
     instance_union,
@@ -78,7 +79,8 @@ def _closed_but_not_zero(inst, cfg):
 
 
 def _strictly_below(a, b, cfg):
-    """A mutant isomorphism test: the closure of a is strictly inside that of b."""
+    """A mutant isomorphism test or behavioral order (``po_leq``): the closure
+    of a is strictly inside that of b."""
     return power_view(a, cfg).relations < power_view(b, cfg).relations
 
 
@@ -125,6 +127,11 @@ def _audit_meeting_the_ambient(in_a, cfg):
     generators, _ = topos.classifier_audit(in_a, cfg)
     tb = power_view(in_a.target, cfg).relations
     return generators, power_view(Instance(generators, {}), cfg).relations & tb
+
+
+def _metric_order(ctx):
+    """The ``metric.order`` result of the pass that checks the metric laws together."""
+    return next(result for result in suites.law_metric(ctx) if result.law == "metric.order")
 
 
 def _verdict(result):
@@ -174,6 +181,12 @@ MUTANTS = [
                  suites, "power_view", _total_for_no_relation, 2, id="closure.bottom"),
     pytest.param("closure.total-fixpoint", suites.law_closure_total,
                  suites, "power_view", _closure_less_the_inputs, 1, id="closure.total-fixpoint"),
+    pytest.param("closure.order", suites.law_closure_order,
+                 suites, "po_leq", _strictly_below, 256, id="closure.order"),
+    pytest.param("lattice.bounds", suites.law_bounds,
+                 suites, "po_leq", _strictly_below, 16, id="lattice.bounds"),
+    pytest.param("metric.order", _metric_order,
+                 topos, "po_leq", _strictly_below, 256, id="metric.order"),
     pytest.param("closure.intersections", suites.law_closure_intersections,
                  suites, "is_closed", _closed_but_not_zero, 16, id="closure.intersections"),
     pytest.param("monoidal.commutative", suites.law_tensor_commutative,
@@ -332,6 +345,34 @@ def test_merging_of_the_second_breaks_federation(ctx):
 def test_strict_inclusion_breaks_isomorphic_endpoints_of_an_iso(ctx):
     assert any(
         is_iso(f) and not _strictly_below(f.source, f.target, ctx.cfg) for f in _arrows(ctx)
+    )
+
+
+def test_strict_inclusion_breaks_closure_inclusion(ctx):
+    assert any(
+        _strictly_below(a, b, ctx.cfg)
+        != (power_view(a, ctx.cfg).relations <= power_view(b, ctx.cfg).relations)
+        for a, b in itertools.product(ctx.instances, repeat=2)
+    )
+
+
+def test_strict_inclusion_breaks_the_zero_bottom(ctx):
+    # The zero object is below every instance, itself included.
+    assert any(not _strictly_below(ctx.zero, a, ctx.cfg) for a in ctx.instances)
+
+
+def test_strict_inclusion_breaks_distance_refinement(ctx):
+    # a is below b exactly when d(a, k) is inside d(b, k) for the top and for
+    # every k not equivalent to a, each read off the views.
+    views = {a: power_view(a, ctx.cfg).relations for a in ctx.instances}
+    d = {(a, b): distance(a, b, ctx.cfg).relations for a in views for b in views}
+    separating = {
+        a: [k for k in views if views[k] == ctx.total.relations or views[k] != views[a]]
+        for a in views
+    }
+    assert any(
+        _strictly_below(a, b, ctx.cfg) != all(d[a, k] <= d[b, k] for k in separating[a])
+        for a, b in itertools.product(views, repeat=2)
     )
 
 

@@ -18,30 +18,32 @@ builds a view: per tag and arity, in order, the sorted rows its views draw
 on (every row over the tag's constants up to the cap, the tag's input rows
 above it).  The closed set is the bottom and each shape's non-empty subsets
 of its rows in lexicographic order, which is the canonical order
-(``core.sorted_relations``), kept as ``ClosedInstance.views``.  A closed set
-holds each of its rows as a one-row view, so its support can be read off it.
-``_closure`` is the one table that builds closed sets, one object per
-support (hash-consing), reusing the relation objects its caller holds; so
-equal closures, meets, closed subsets, certified fixed points, zero and
-total objects are one object, whatever path or cap built it first (``{a}``
-with the row ``(a,a)`` above cap 1 and ``{a}`` at cap 2 have one support).
-``power_view``, ``meet_closed`` and ``matching`` are memoized on relation
-sets in front of the table.
+(``core.sorted_relations``), kept as ``ClosedInstance.views``.
+
+A closed set's ``mask`` encodes its support as a bit vector (Ganter & Wille,
+*Formal Concept Analysis*, 1999): bit 0 for the bottom and, per support row
+``(tag, arity, row)``, its index in ``_serial``, a table that only grows, so
+a closed set rebuilt after its caches are emptied gets the same mask.  A
+shape's views are the non-empty subsets of its rows, so meet, equality and
+inclusion of closed sets are ``&``, ``==`` and ``x & ~y == 0`` on masks.
+The rows do not depend on the cap (a set closed under two caps has one
+mask); at k=1 they are the atoms.
+
+``_closed`` is the one table of closed sets, keyed on the mask, so equal
+closures, meets, closed subsets, certified fixed points, zero and total
+objects are one object (hash-consing), whatever path or cap built it first
+(``{a}`` with the row ``(a,a)`` above cap 1 and ``{a}`` at cap 2 have one
+support).  ``_closure`` looks up the mask of a support and on a miss builds
+its views, reusing the relation objects its caller holds; ``meet_closed``
+looks up the AND of two masks and on a miss keeps the views of its first
+operand that the second holds.  ``power_view`` and ``matching`` are
+memoized on relation sets in front of the table.
 
 An atom of a closed instance is a view of it with exactly one tuple whose
 arity is 1 or above ``k_max``; a tagged atom and its untagged twin are two
 atoms.  A closed set is the closure of the atoms it holds, so
 ``closed_subsets`` closes the sets of atoms of its input, their number,
 ``2**atoms``, held to ``max_enumeration`` first.
-
-A closed set's ``mask``, set by ``_closure``, encodes its support as a bit
-vector (Ganter & Wille, *Formal Concept Analysis*, 1999): bit 0 for the
-bottom and, per support row ``(tag, arity, row)``, its index in ``_serial``,
-a table that only grows, so a closed set rebuilt after its caches are
-emptied gets the same mask.  A shape's views are the non-empty subsets of
-its rows, so meet, equality and inclusion of closed sets are ``&``, ``==``
-and ``x & ~y == 0`` on masks.  The rows do not depend on the cap (a set
-closed under two caps has one mask); at k=1 they are the atoms.
 """
 
 from __future__ import annotations
@@ -56,7 +58,6 @@ from .core import (
     Instance,
     Relation,
     UniverseConfig,
-    ZERO,
     sorted_relations,
     universe_relations,
     with_default_labels,
@@ -69,10 +70,11 @@ from .queries import Base, Bot, ColEqConst, Join, Project, QueryTerm, Select, Un
 class ClosedInstance(Instance):
     """An instance certified equal to its own power view.
 
-    Only the table ``_closure`` builds one, one per support, so holding one is
-    the certificate; its labels are empty and it does not record its cap.
-    ``views``, set when it is built, holds its relations in canonical order
-    and ``mask`` its support rows as bits (module docstring).
+    Only ``_closure`` and ``meet_closed`` build one, stored in the table
+    ``_closed`` under its mask, so holding one is the certificate; its labels
+    are empty and it does not record its cap.  ``views``, set when it is
+    built, holds its relations in canonical order and ``mask`` its support
+    rows as bits (module docstring).
     """
 
     views: tuple[Relation, ...] = ()
@@ -131,42 +133,32 @@ def _support(relations: Iterable[Relation], cfg: UniverseConfig) -> list[tuple]:
     ]
 
 
-class _Support(tuple):
-    """The key of ``_closure``; ``held``, outside the key, maps objects to reuse to themselves."""
-
-    def __new__(cls, shapes: Iterable[tuple], held: Mapping[Relation, Relation]):
-        key = super().__new__(cls, shapes)
-        key.held = held
-        return key
+#: The one table of closed sets, keyed on their masks (module docstring).
+_closed: dict[int, ClosedInstance] = {}
 
 
-@lru_cache(maxsize=None)
-def _closure(support: _Support) -> ClosedInstance:
-    """The closed set of a support, its views in canonical order and its mask (module docstring)."""
-    views, mask = [BOTTOM], 1
+def _closure(support: list[tuple], held: Mapping[Relation, Relation]) -> ClosedInstance:
+    """The closed set of a support: its mask looked up, or its views built in
+    canonical order, reusing the objects that ``held`` maps to themselves."""
+    mask = 1
     for tag, n, rows in support:
-        views += (Relation(n, frozenset(subset), tag) for subset in _lex_subsets(rows))
         for row in rows:
             key = (tag, n, row)
             if key not in _serial:
                 _serial.setdefault(key, next(_serials))  # atomic, so threads agree on each bit
             mask |= 1 << _serial[key]
-    views = tuple(map(support.held.get, views, views))
-    return ClosedInstance(frozenset(views), {}, views, mask)
-
-
-def _closed_set(views: Iterable[Relation]) -> ClosedInstance:
-    """The closed set of the closed ``views``, its support read off its one-row views."""
-    held, rows = {view: view for view in views}, {}
-    for view in held:
-        if len(view.tuples) == 1:
-            rows.setdefault((view.tag, view.arity), set()).update(view.tuples)
-    return _closure(_Support([(*k, tuple(sorted(r))) for k, r in sorted(rows.items())], held))
+    if mask in _closed:
+        return _closed[mask]
+    views = [BOTTOM]
+    for tag, n, rows in support:
+        views += (Relation(n, frozenset(subset), tag) for subset in _lex_subsets(rows))
+    views = tuple(map(held.get, views, views))
+    return _closed.setdefault(mask, ClosedInstance(frozenset(views), {}, views, mask))
 
 
 @lru_cache(maxsize=None)
 def _power_view_cached(relations: frozenset[Relation], cfg: UniverseConfig) -> ClosedInstance:
-    return _closure(_Support(_support(relations, cfg), {rel: rel for rel in relations}))
+    return _closure(_support(relations, cfg), {rel: rel for rel in relations})
 
 
 def power_view(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
@@ -174,8 +166,9 @@ def power_view(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
 
     Built from the closed form, so its constants must be in the domain.
     Extensive (A is contained in the result), monotone, and idempotent.
-    Results are memoized; the cache is read-mostly and safe to share between
-    threads because every value is immutable.
+    Memoized on the relation set in front of ``_closed``, the table keyed on
+    masks; both are read-mostly and safe to share between threads because
+    every value is immutable.
     """
     return _power_view_cached(inst.relations, cfg)
 
@@ -191,15 +184,16 @@ def certify_closed(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
     return power_view(inst, cfg)
 
 
-def meet_closed(a: Instance, b: Instance) -> ClosedInstance:
-    """Intersection of two closed instances; closed because the system is
-    closed under arbitrary intersections.  Memoized on the two relation sets."""
-    return _meet_cached(a.relations, b.relations)
-
-
-@lru_cache(maxsize=None)
-def _meet_cached(a: frozenset[Relation], b: frozenset[Relation]) -> ClosedInstance:
-    return _closed_set(a & b)
+def meet_closed(a: ClosedInstance, b: ClosedInstance) -> ClosedInstance:
+    """Intersection of two closed sets, closed because the system is closed
+    under arbitrary intersections: the AND of their masks, looked up in the
+    table.  Built on a miss from the views of ``a`` that ``b`` holds, in
+    ``a``'s order, which is canonical since a subsequence of it is."""
+    mask = a.mask & b.mask
+    if mask in _closed:
+        return _closed[mask]
+    views = tuple(view for view in a.views if view in b.relations)
+    return _closed.setdefault(mask, ClosedInstance(frozenset(views), {}, views, mask))
 
 
 def matching(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
@@ -277,8 +271,11 @@ def generating_queries(inst: Instance, cfg: UniverseConfig) -> dict[Relation, Qu
 
 def total_object(cfg: UniverseConfig) -> ClosedInstance:
     """The local total object: the universe, every relation over the domain
-    up to the cap, which is closed; one over ``max_universe`` is refused."""
-    return _closed_set(universe_relations(cfg))
+    up to the cap, which is closed; one over ``max_universe`` is refused.
+    Closed through the table alone, so that the front memo of ``power_view``
+    is keyed on the closed set's own relations when it is read."""
+    relations = universe_relations(cfg)
+    return _closure(_support(relations, cfg), dict(zip(relations, relations)))
 
 
 def po_leq(a: Instance, b: Instance, cfg: UniverseConfig) -> bool:
@@ -292,7 +289,8 @@ def isomorphic(a: Instance, b: Instance, cfg: UniverseConfig) -> bool:
 
 
 def zero_object() -> ClosedInstance:
-    return _closed_set(ZERO.relations)
+    """The closed set of the bottom alone, mask 1."""
+    return _closure([], {})
 
 
 def closed_subsets(x: Instance, cfg: UniverseConfig) -> tuple[ClosedInstance, ...]:
@@ -318,7 +316,7 @@ def _closed_subsets_cached(
         )
     held = {rel: rel for rel in relations}
     closures = {
-        _closure(_Support(_support(subset, cfg), held))
+        _closure(_support(subset, cfg), held)
         for k in range(len(atoms) + 1)
         for subset in itertools.combinations(atoms, k)
     }

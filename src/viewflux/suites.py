@@ -314,7 +314,7 @@ def law_closure_order(ctx, a, b):
     tb = power_view(b, ctx.cfg).relations
     ok = po_leq(a, b, ctx.cfg) == (ta <= tb)
     ok = ok and isomorphic(a, b, ctx.cfg) == (ta == tb)
-    return ok and isomorphic(a, Instance(ta, {}), ctx.cfg)
+    return ok and isomorphic(a, power_view(a, ctx.cfg), ctx.cfg)
 
 
 # --- category laws --------------------------------------------------------

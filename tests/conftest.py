@@ -107,10 +107,9 @@ def clear_caches():
 
     def clear():
         morphisms.clear_arrows()
+        closure._closed.clear()
         for cache in (
-            closure._closure,
             closure._power_view_cached,
-            closure._meet_cached,
             closure._matching_cached,
             closure._closed_subsets_cached,
             catops._merging_cached,

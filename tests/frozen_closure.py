@@ -34,7 +34,6 @@ from viewflux.core import (
     with_default_labels,
 )
 from viewflux.closure import ClosedInstance, is_closed, power_view
-from viewflux.closure import _closed_set as _closed
 
 
 def _closed_form(relations, cfg):
@@ -282,5 +281,5 @@ def _closed_subsets_next_closure_cached(
                 break
         else:
             break
-    closed_list = [_closed(rels) for rels in results]
+    closed_list = [power_view(Instance(rels | {BOTTOM}, {}), cfg) for rels in results]
     return tuple(sorted(closed_list, key=lambda c: tuple(r.sort_key() for r in c)))

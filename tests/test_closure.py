@@ -453,23 +453,32 @@ def test_certify_closed_rejects_open_input(cfg0, pab):
     assert certify_closed(power_view(pab, cfg0), cfg0) == power_view(pab, cfg0)
 
 
-def test_closed_subsets_atom_bound(clear_caches):
+def _counting_closures(monkeypatch):
+    """A list that gets one entry per lookup of a support in the table."""
+    lookups = []
+    real = closure_module._closure
+    monkeypatch.setattr(
+        closure_module, "_closure", lambda *args: lookups.append(args) or real(*args)
+    )
+    return lookups
+
+
+def test_closed_subsets_atom_bound(clear_caches, monkeypatch):
     # The total object at {a,b} k=1 has 2 atoms, so 2**2 sets of them to close.
     tight = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_enumeration=3)
     enough = UniverseConfig(domain=frozenset({"a", "b"}), k_max=1, max_enumeration=4)
     totals = total_object(tight), total_object(enough)
-    info = closure_module._closure.cache_info
-    built = info().misses
+    built = len(closure_module._closed)
     refusal = r"2\*\*2 sets of atoms exceed the enumeration bound 3"
     with pytest.raises(EnumerationTooLarge, match=refusal):
         closed_subsets(totals[0], tight)
-    assert info().misses == built  # no closure is built before the refusal
-    lookups = info().hits + info().misses
+    assert len(closure_module._closed) == built  # no closure is built before the refusal
+    lookups = _counting_closures(monkeypatch)
     assert len(closed_subsets(totals[1], enough)) == 4
     # One lookup for the fixed-point test, then one per set of atoms; a closure
     # is built for each closed set but the total object, built before.
-    assert info().hits + info().misses == lookups + 1 + 4
-    assert info().misses == built + 3
+    assert len(lookups) == 1 + 4
+    assert len(closure_module._closed) == built + 3
 
 
 #: A ternary relation of ten tuples over {a,b,c}: at k=1 its closure holds
@@ -477,13 +486,15 @@ def test_closed_subsets_atom_bound(clear_caches):
 TERNARY10 = make_relation(3, list(itertools.product("abc", repeat=3))[:10])
 
 
-def test_closed_subsets_build_one_closure_per_closed_set(clear_caches):
+def test_closed_subsets_build_one_closure_per_closed_set(clear_caches, monkeypatch):
     # 2**13 sets of atoms close to 1,078 closed sets, the ambient among them:
     # the table builds each once.
     x = power_view(instance(TERNARY10), ABC1)
+    lookups = _counting_closures(monkeypatch)
     got = closed_subsets(x, ABC1)
-    assert len(got) == 1078 == closure_module._closure.cache_info().misses
-    assert x in got
+    assert len(got) == 1078 == len(closure_module._closed)
+    # One lookup for the fixed-point test, then one per set of atoms.
+    assert len(lookups) == 1 + 2**13 and x in got
 
 
 def test_inputs_with_one_support_close_to_one_object(cfg0, cfg2):
@@ -839,6 +850,21 @@ def test_a_closure_interned_before_reads_its_own_relations(clear_caches):
     assert {id(r) for r in meet.views} <= {id(r) for x in (ab, bc) for r in x.relations}
     closed = power_view(Instance(meet.relations, {}), ABC1)
     assert closed is meet
+
+
+def test_a_cold_meet_keeps_the_first_operands_views(clear_caches, monkeypatch):
+    # The meet is the AND of the masks; built on a miss from the views of the
+    # first operand that the second holds, so it constructs no relation.
+    ab, bc = (power_view(instance(make_relation(2, {tuple(pair)})), ABC2) for pair in ("ab", "bc"))
+    built = []
+    init = Relation.__post_init__
+    monkeypatch.setattr(Relation, "__post_init__", lambda r: built.append(r) or init(r))
+    meet = meet_closed(ab, bc)
+    monkeypatch.undo()
+    assert built == [] and meet.mask == ab.mask & bc.mask
+    assert len(meet.views) == 3 and meet.views == _canonical(meet)  # bot, {(b)}/1, {(b b)}/2
+    assert {id(r) for r in meet.views} <= {id(r) for r in ab.views}
+    assert power_view(Instance(meet.relations, {}), ABC2) is meet
 
 
 def _closed_sets_of_every_path(cfg0, pa, pab):

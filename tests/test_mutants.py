@@ -11,7 +11,7 @@ classes of the default configuration.
 import itertools
 
 import pytest
-from test_suites import _golden_checked, _merging_of_the_second
+from test_suites import _golden_checked, _meet_losing_a_lone_view, _merging_of_the_second
 
 from viewflux import (
     BOTTOM,
@@ -29,6 +29,8 @@ from viewflux import (
     is_iso,
     is_mono,
     isomorphic,
+    matching,
+    merging,
     po_leq,
     power_view,
     pullback,
@@ -97,6 +99,16 @@ def _lift_transmitting_nothing(f):
 def _closure_of_the_first(a, b, cfg):
     """A mutant matching: the closure of the first operand alone."""
     return power_view(a, cfg)
+
+
+def _zero_against_the_total(a, b, cfg):
+    """A mutant matching: matching with the total object on the right gives the zero object."""
+    return zero_object() if power_view(b, cfg) == total_object(cfg) else matching(a, b, cfg)
+
+
+def _matching_losing_a_lone_view(a, b, cfg):
+    """A mutant matching: the meet of the closures, losing a lone view (``test_suites``)."""
+    return _meet_losing_a_lone_view(power_view(a, cfg), power_view(b, cfg))
 
 
 def _every_flux_twice(a, b, cfg):
@@ -191,6 +203,10 @@ MUTANTS = [
                  suites, "is_closed", _closed_but_not_zero, 16, id="closure.intersections"),
     pytest.param("monoidal.commutative", suites.law_tensor_commutative,
                  suites, "matching", _closure_of_the_first, 256, id="monoidal.commutative"),
+    pytest.param("monoidal.associative", suites.law_tensor_associative,
+                 suites, "matching", _zero_against_the_total, 64, id="monoidal.associative"),
+    pytest.param("lattice.distributive", suites.law_distributive,
+                 suites, "matching", _matching_losing_a_lone_view, 64, id="lattice.distributive"),
     pytest.param("monoidal.hom-counting", suites.law_hom_counting,
                  suites, "matching", _closure_of_the_first, 64, id="monoidal.hom-counting"),
     pytest.param("lattice.federation", suites.law_federation,
@@ -322,6 +338,26 @@ def test_closure_of_the_first_breaks_commutativity(ctx):
         _closure_of_the_first(a, b, ctx.cfg).relations
         != _closure_of_the_first(b, a, ctx.cfg).relations
         for a, b in itertools.product(ctx.instances, repeat=2)
+    )
+
+
+def test_zero_against_the_total_breaks_associativity(ctx):
+    # (a . total) . a is the zero object, a . (total . a) the closure of a.
+    mutant = lambda x, y: _zero_against_the_total(x, y, ctx.cfg)
+    assert any(
+        mutant(mutant(a, b), c).relations != mutant(a, mutant(b, c)).relations
+        for a, b, c in itertools.product(ctx.classes, repeat=3)
+    )
+
+
+def test_lone_view_loss_breaks_distributivity(ctx):
+    # Matching the merging of {a} and {b} with the total object gives the
+    # total object; matching each alone gives one view, which the mutant loses.
+    mutant = lambda x, y: _matching_losing_a_lone_view(x, y, ctx.cfg)
+    assert any(
+        mutant(merging(a, b, ctx.cfg), c).relations
+        != merging(mutant(a, c), mutant(b, c), ctx.cfg).relations
+        for a, b, c in itertools.product(ctx.classes, repeat=3)
     )
 
 

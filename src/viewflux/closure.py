@@ -18,7 +18,7 @@ builds a view: per tag and arity, in order, the sorted rows its views draw
 on (every row over the tag's constants up to the cap, the tag's input rows
 above it).  The closed set is the bottom and each shape's non-empty subsets
 of its rows in lexicographic order, which is the canonical order
-(``core.sorted_relations``), kept as ``ClosedInstance.views``.
+(``core.sorted_relations``), kept as ``ClosedInstance.views`` once read.
 
 A closed set's ``mask`` encodes its support as a bit vector (Ganter & Wille,
 *Formal Concept Analysis*, 1999): bit 0 for the bottom and, per support row
@@ -33,11 +33,15 @@ mask); at k=1 they are the atoms.
 closures, meets, closed subsets, certified fixed points, zero and total
 objects are one object (hash-consing), whatever path or cap built it first
 (``{a}`` with the row ``(a,a)`` above cap 1 and ``{a}`` at cap 2 have one
-support).  ``_closure`` looks up the mask of a support and on a miss builds
-its views, reusing the relation objects its caller holds; ``meet_closed``
-looks up the AND of two masks and on a miss keeps the views of its first
-operand that the second holds.  ``power_view`` and ``matching`` are
-memoized on relation sets in front of the table.
+support).  ``_closure`` looks up the mask of a support and on a miss stores
+the closed set with that support; ``meet_closed`` looks up the AND of two
+masks and on a miss stores the rows of its first operand's support that the
+AND keeps.  Neither builds a view: a closed set's views are built when first
+read (``_Unread``), from the relation objects a closure's caller held, or
+as the views of a meet's first operand that the second holds.  Its sort key
+and its printed form (``formats.render_instance``) read the support rows.
+``power_view`` and ``matching`` are memoized on relation sets in front of
+the table.
 
 An atom of a closed instance is a view of it with exactly one tuple whose
 arity is 1 or above ``k_max``; a tagged atom and its untagged twin are two
@@ -49,9 +53,9 @@ atoms.  A closed set is the closure of the atoms it holds, so
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from functools import cache, lru_cache, reduce
-from typing import Iterable, Iterator, Mapping
+from dataclasses import dataclass, field
+from functools import cache, lru_cache, partial, reduce
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .core import (
     BOTTOM,
@@ -70,22 +74,45 @@ from .queries import Base, Bot, ColEqConst, Join, Project, QueryTerm, Select, Un
 class ClosedInstance(Instance):
     """An instance certified equal to its own power view.
 
-    Only ``_closure`` and ``meet_closed`` build one, stored in the table
-    ``_closed`` under its mask, so holding one is the certificate; its labels
-    are empty and it does not record its cap.  ``views``, set when it is
-    built, holds its relations in canonical order and ``mask`` its support
-    rows as bits (module docstring).
+    Only ``_intern`` builds one, stored in the table ``_closed`` under its
+    mask, so holding one is the certificate; its labels are empty and it does
+    not record its cap.  ``mask`` holds its support rows as bits and
+    ``support`` the rows themselves (module docstring).  ``views``, its
+    relations in canonical order, and ``relations`` are built by ``build``
+    when first read (``_Unread``).
     """
 
-    views: tuple[Relation, ...] = ()
-    mask: int = 1
+    mask: int = field(init=False)
+    support: list[tuple] = field(init=False)
+    build: Callable[[], tuple[Relation, ...]] = field(init=False)
+    views: tuple[Relation, ...] = field(init=False)
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.views)
 
     def sort_key(self) -> tuple:
-        """The canonical order of closed sets: by their views' keys, in order."""
-        return tuple(r.sort_key() for r in self.views)
+        """The canonical order of closed sets: by their views' keys, in order,
+        read off the support (a view's key is ``Relation.sort_key``)."""
+        return ((0,), *((1, tag, n, s) for tag, n, rows in self.support for s in lex_subsets(rows)))
+
+
+class _Unread(ClosedInstance):
+    """A closed set whose views are not built yet.  The first read of
+    ``views`` or ``relations`` builds them and makes it a plain
+    ``ClosedInstance`` with a dict of its own, as the laws read closed sets'
+    attributes in their innermost loops: CPython 3.11 specializes no
+    attribute read on a class with ``__getattr__``, and misses on every
+    specialized read of the dict that assigning ``__class__`` leaves, which
+    shares its keys with the old class."""
+
+    def __getattr__(self, name: str):
+        if name != "views" and name != "relations":
+            raise AttributeError(name)
+        views = self.build()
+        object.__setattr__(self, "__class__", ClosedInstance)
+        layout = {**vars(self), "relations": frozenset(views), "views": views}
+        object.__setattr__(self, "__dict__", layout)
+        return getattr(self, name)
 
 
 #: The bit of each support row in a mask, numbered from 1 in order of first use.
@@ -93,7 +120,7 @@ _serial: dict[tuple, int] = {}
 _serials = itertools.count(1)
 
 
-def _lex_subsets(rows: list) -> list[tuple]:
+def lex_subsets(rows: list) -> list[tuple]:
     """The non-empty subsets of the sorted ``rows``, each a sorted tuple, in
     lexicographic order: ``L(j) = [(r_j,)] + [(r_j,) + s for s in L(j+1)] + L(j+1)``."""
     out: list[tuple] = []
@@ -137,9 +164,20 @@ def _support(relations: Iterable[Relation], cfg: UniverseConfig) -> list[tuple]:
 _closed: dict[int, ClosedInstance] = {}
 
 
+def _intern(mask: int, support: list[tuple], build: Callable[[], tuple]) -> ClosedInstance:
+    """The closed set of ``mask`` stored in the table, with its support and
+    what builds its views when they are first read; ``setdefault`` is atomic,
+    so threads agree on one object."""
+    closed = object.__new__(_Unread)
+    for name, value in (("labels", {}), ("mask", mask), ("support", support), ("build", build)):
+        object.__setattr__(closed, name, value)
+    return _closed.setdefault(mask, closed)
+
+
 def _closure(support: list[tuple], held: Mapping[Relation, Relation]) -> ClosedInstance:
-    """The closed set of a support: its mask looked up, or its views built in
-    canonical order, reusing the objects that ``held`` maps to themselves."""
+    """The closed set of a support: its mask looked up, or stored with its
+    views to be built in canonical order, reusing the objects that ``held``
+    maps to themselves."""
     mask = 1
     for tag, n, rows in support:
         for row in rows:
@@ -149,11 +187,15 @@ def _closure(support: list[tuple], held: Mapping[Relation, Relation]) -> ClosedI
             mask |= 1 << _serial[key]
     if mask in _closed:
         return _closed[mask]
+    return _intern(mask, support, partial(_views, support, held))
+
+
+def _views(support: list[tuple], held: Mapping[Relation, Relation]) -> tuple[Relation, ...]:
+    """The views of a support in canonical order, ``held``'s objects reused."""
     views = [BOTTOM]
     for tag, n, rows in support:
-        views += (Relation(n, frozenset(subset), tag) for subset in _lex_subsets(rows))
-    views = tuple(map(held.get, views, views))
-    return _closed.setdefault(mask, ClosedInstance(frozenset(views), {}, views, mask))
+        views += (Relation(n, frozenset(subset), tag) for subset in lex_subsets(rows))
+    return tuple(map(held.get, views, views))
 
 
 @lru_cache(maxsize=None)
@@ -187,13 +229,28 @@ def certify_closed(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
 def meet_closed(a: ClosedInstance, b: ClosedInstance) -> ClosedInstance:
     """Intersection of two closed sets, closed because the system is closed
     under arbitrary intersections: the AND of their masks, looked up in the
-    table.  Built on a miss from the views of ``a`` that ``b`` holds, in
+    table.  Stored on a miss with the rows of ``a``'s support that the AND
+    keeps; its views, when read, are those of ``a`` that ``b`` holds, in
     ``a``'s order, which is canonical since a subsequence of it is."""
     mask = a.mask & b.mask
     if mask in _closed:
         return _closed[mask]
-    views = tuple(view for view in a.views if view in b.relations)
-    return _closed.setdefault(mask, ClosedInstance(frozenset(views), {}, views, mask))
+    return _intern(mask, _kept_rows(a.support, mask), partial(_kept_views, a, b))
+
+
+def _kept_rows(support: list[tuple], mask: int) -> list[tuple]:
+    """The shapes of ``support`` cut to the rows whose bits ``mask`` sets
+    (a function of its own, so that ``meet_closed`` holds no cell)."""
+    shapes = (
+        (tag, n, tuple(row for row in rows if mask >> _serial[tag, n, row] & 1))
+        for tag, n, rows in support
+    )
+    return [shape for shape in shapes if shape[2]]
+
+
+def _kept_views(a: ClosedInstance, b: ClosedInstance) -> tuple[Relation, ...]:
+    """The views of the meet of ``a`` and ``b``: those of ``a`` that ``b`` holds."""
+    return tuple(view for view in a.views if view in b.relations)
 
 
 def matching(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
@@ -315,9 +372,9 @@ def _closed_subsets_cached(
             f"2**{len(atoms)} sets of atoms exceed the enumeration bound {cfg.max_enumeration}"
         )
     held = {rel: rel for rel in relations}
-    closures = {
-        _closure(_support(subset, cfg), held)
-        for k in range(len(atoms) + 1)
-        for subset in itertools.combinations(atoms, k)
-    }
-    return tuple(sorted(closures, key=ClosedInstance.sort_key))
+    closures = {}  # keyed on masks, so that no closed set builds its views to be hashed
+    for k in range(len(atoms) + 1):
+        for subset in itertools.combinations(atoms, k):
+            closed = _closure(_support(subset, cfg), held)
+            closures[closed.mask] = closed
+    return tuple(sorted(closures.values(), key=ClosedInstance.sort_key))

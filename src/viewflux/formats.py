@@ -25,10 +25,12 @@ line::
 
 from __future__ import annotations
 
+import itertools
 import re
 from pathlib import Path
 from typing import Callable
 
+from .closure import ClosedInstance, lex_subsets
 from .core import (
     BOTTOM,
     Constant,
@@ -117,10 +119,20 @@ def render_instance(inst: Instance, domain: frozenset[Constant]) -> str:
     """Render an instance in the text format.
 
     Relations keep their labels; unlabeled ones are named ``v1, v2, ...`` in
-    canonical order, so closures print deterministically.
+    canonical order, so closures print deterministically.  A closed set, whose
+    labels are empty, is written from its support rows, building no view: its
+    views are the bottom and, per shape, the subsets of the shape's sorted
+    rows in lexicographic order, each listing its rows in order.
     """
-    name_of = {rel: name for name, rel in inst.labels.items()}
     lines = ["domain: " + " ".join(sorted(domain))]
+    if isinstance(inst, ClosedInstance):
+        lines += ("", "relation v1/1: empty")
+        names = itertools.count(2)
+        for _, n, rows in inst.support:
+            for subset in lex_subsets([" ".join(row) for row in rows]):
+                lines += ("", f"relation v{next(names)}/{n}:", *subset)
+        return "\n".join(lines) + "\n"
+    name_of = {rel: name for name, rel in inst.labels.items()}
     counter = 1
     for rel in inst:
         name = name_of.get(rel)

@@ -85,12 +85,11 @@ def distance(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
 def closure_classes(cfg: UniverseConfig, max_relations: int, instances=None) -> list[Instance]:
     """One representative instance per behavioral class of ``instances``
     (by default the enumeration ``subset_instances(cfg, max_relations)``)."""
-    seen: dict[ClosedInstance, Instance] = {}
+    seen: dict[int, tuple[ClosedInstance, Instance]] = {}  # keyed on masks: no view is built
     for inst in subset_instances(cfg, max_relations) if instances is None else instances:
-        key = power_view(inst, cfg)
-        if key not in seen:
-            seen[key] = inst
-    return [seen[k] for k in sorted(seen, key=ClosedInstance.sort_key)]
+        closed = power_view(inst, cfg)
+        seen.setdefault(closed.mask, (closed, inst))
+    return [inst for _, inst in sorted(seen.values(), key=lambda pair: pair[0].sort_key())]
 
 
 def metric_suite(cfg: UniverseConfig, instances: list[Instance]):

@@ -450,6 +450,20 @@ def test_printed_closure_matches_golden(tmp_path, capsys, monkeypatch, name):
     assert text == (GOLDEN_CLOSED / f"{name}.txt").read_text()
 
 
+def test_closure_command_builds_no_view(tmp_path, capsys, monkeypatch, clear_caches):
+    # The 519 views of the binary path print from the support rows of its
+    # closed set, so the one relation built is the file's own.
+    _write_closed_inputs(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    built = []
+    init = viewflux.Relation.__post_init__
+    monkeypatch.setattr(viewflux.Relation, "__post_init__", lambda r: built.append(r) or init(r))
+    text = _transcript([CLOSED_CASES["closure-k2"]], lambda argv: (_exit_status(argv), *capsys.readouterr()))
+    monkeypatch.undo()
+    assert [r.tuples for r in built] == [{("a", "b"), ("b", "c")}]
+    assert text == (GOLDEN_CLOSED / "closure-k2.txt").read_text()
+
+
 @pytest.mark.parametrize("argv, code, parsers", [
     (["closure", "A.db", "--kmax", "2"], 0, 2),
     (["check", "all", "--domain", "a"], 0, 2),

@@ -42,7 +42,7 @@ from viewflux import (
 )
 from viewflux import closure as closure_module
 from viewflux.catops import tagged_flux
-from viewflux.closure import certify_closed, meet_closed
+from viewflux.closure import ClosedInstance, certify_closed, meet_closed
 from viewflux.topos import closure_classes
 
 ABC1 = UniverseConfig(domain=frozenset({"a", "b", "c"}), k_max=1)
@@ -795,7 +795,7 @@ def _canonical(closed):
 def test_lex_subsets_are_the_sorted_combinations(n):
     rows = [(c, c) for c in "abcdefghi"[:n]]
     combinations = (c for k in range(1, n + 1) for c in itertools.combinations(rows, k))
-    assert closure_module._lex_subsets(rows) == sorted(combinations)
+    assert closure_module.lex_subsets(rows) == sorted(combinations)
 
 
 #: Relations of arity 1 to 3, some above the cap of the configuration drawn
@@ -839,6 +839,24 @@ def test_a_closure_takes_its_views_from_the_closed_form(clear_caches, monkeypatc
     assert len(views) == 519 and views == _canonical(closed)
     # The very objects of the interned set, so that printing reads them.
     assert {id(r) for r in closed.views} == {id(r) for r in closed.relations}
+
+
+def test_closed_sets_sort_without_sorting_a_view(clear_caches, monkeypatch):
+    # A closed set's key is read off its support rows, so neither
+    # ``closed_subsets`` nor ``closure_classes`` calls ``Relation.sort_key``.
+    total, instances = total_object(ABC2), list(subset_instances(ABC2, 1))
+    keys = []
+    monkeypatch.setattr(Relation, "sort_key", lambda r, key=Relation.sort_key: keys.append(r) or key(r))
+    subsets = closed_subsets(total, ABC2)
+    classes = closure_classes(ABC2, 1, instances)
+    assert keys == [] and len(subsets) == 8 and len(classes) == 8
+    monkeypatch.undo()
+    assert [power_view(c, ABC2) for c in classes] == list(subsets)
+
+
+def test_a_closed_sets_key_is_its_views_keys(flux_pairs):
+    for x in {id(x): x for x, _, _ in flux_pairs}.values():
+        assert x.sort_key() == tuple(r.sort_key() for r in x.views), x
 
 
 def test_a_closure_interned_before_reads_its_own_relations(clear_caches):
@@ -888,12 +906,18 @@ def test_every_closed_set_iterates_in_canonical_order(cfg0, pa, pab, clear_cache
 
 
 def test_every_closed_set_has_one_attribute_layout(cfg0, pa, pab, clear_caches):
-    # One layout whichever path built it, before and after its views and mask
-    # are read: closed sets whose attributes differ slow every law that reads them.
-    # Both are fields set at build, so there is no lazy state to add an attribute.
+    # One layout whichever path built it: closed sets whose attributes differ
+    # slow every law that reads them.  A closed set is built with its mask,
+    # support and builder; the first read of its views or relations adds both
+    # and makes it a plain ClosedInstance, whose reads the interpreter specializes.
     built = _closed_sets_of_every_path(cfg0, pa, pab)
-    layouts = {tuple(vars(c)) for c in built}
+    unread = [c for c in built if type(c) is not ClosedInstance]
+    assert unread and {tuple(vars(c)) for c in unread} == {("labels", "mask", "support", "build")}
     for closed in built:
-        closed.views, closed.mask
-    layouts |= {tuple(vars(c)) for c in built}
-    assert layouts == {("relations", "labels", "views", "mask")}
+        closed.mask, closed.support, closed.sort_key()
+    assert all(type(c) is not ClosedInstance for c in unread)  # none of these builds a view
+    for i, closed in enumerate(built):
+        closed.views if i % 2 else closed.relations
+    assert {type(c) for c in built} == {ClosedInstance}
+    layouts = {tuple(vars(c)) for c in built}
+    assert layouts == {("labels", "mask", "support", "build", "relations", "views")}

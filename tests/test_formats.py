@@ -79,6 +79,13 @@ def test_render_is_deterministic(cfg0, pab):
     assert a == b
 
 
+def test_a_closed_set_prints_as_the_instance_of_its_views(flux_pairs):
+    # Written from its support rows, a closed set (tagged ones among them)
+    # prints as the plain instance of its relations, in canonical order.
+    for x, _, cfg in {id(x): (x, y, cfg) for x, y, cfg in flux_pairs}.values():
+        assert render_instance(x, cfg.domain) == render_instance(Instance(x.relations, {}), cfg.domain), x
+
+
 def render_morphism(f, src_name, tgt_name):
     """The text of an atomic morphism: one query per top-level tree."""
     queries = sorted(format_query(t.head.query) for t in f.trees)

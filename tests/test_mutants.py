@@ -97,7 +97,7 @@ def _lift_transmitting_nothing(f):
 
 
 def _closure_of_the_first(a, b, cfg):
-    """A mutant matching: the closure of the first operand alone."""
+    """A mutant matching or merging: the closure of the first operand alone."""
     return power_view(a, cfg)
 
 
@@ -109,6 +109,13 @@ def _zero_against_the_total(a, b, cfg):
 def _matching_losing_a_lone_view(a, b, cfg):
     """A mutant matching: the meet of the closures, losing a lone view (``test_suites``)."""
     return _meet_losing_a_lone_view(power_view(a, cfg), power_view(b, cfg))
+
+
+def _chain_a_step_late(a, cfg, steps):
+    """A mutant omega chain: the zero object repeated, so the chain reaches
+    the closure at the second step."""
+    chain = catops.omega_chain(a, cfg, steps)
+    return chain[:1] + chain[:-1]
 
 
 def _every_flux_twice(a, b, cfg):
@@ -215,6 +222,10 @@ MUTANTS = [
                  suites, "matching", _closure_of_the_first, 20, id="monoidal.hom-object"),
     pytest.param("lattice.inf-sup", suites.law_inf_sup,
                  suites, "merging", _merging_of_the_second, 16, id="lattice.inf-sup"),
+    pytest.param("lattice.sup-all", suites.law_sup_all,
+                 suites, "merging", _closure_of_the_first, 1, id="lattice.sup-all"),
+    pytest.param("lattice.omega-chain", suites.law_omega_chain,
+                 suites, "omega_chain", _chain_a_step_late, 16, id="lattice.omega-chain"),
     pytest.param("topos.classifier", suites.law_classifier,
                  topos, "semantic_homset", _every_flux_twice, 9, id="topos.classifier"),
     pytest.param("topos.equalizer", suites.law_equalizer,
@@ -482,6 +493,20 @@ def test_merging_of_the_second_breaks_the_upper_bound(ctx):
     assert any(
         not po_leq(a, _merging_of_the_second(a, b, ctx.cfg), ctx.cfg)
         for a, b in itertools.product(ctx.classes, repeat=2)
+    )
+
+
+def test_merging_into_the_first_never_reaches_the_total_object(ctx):
+    merged = ctx.zero
+    for a in ctx.instances:
+        merged = _closure_of_the_first(merged, a, ctx.cfg)
+    assert merged.relations != ctx.total.relations
+
+
+def test_a_chain_a_step_late_misses_the_closure_at_the_first_step(ctx):
+    assert any(
+        _chain_a_step_late(a, ctx.cfg, 3)[1].relations != power_view(a, ctx.cfg).relations
+        for a in ctx.instances
     )
 
 

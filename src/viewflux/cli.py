@@ -23,10 +23,10 @@ import sys
 from functools import partial
 
 from .catops import matching, merging, omega_chain
-from .closure import po_leq, power_view, total_object
+from .closure import po_leq, power_view, support, total_object
 from .core import Instance, UniverseConfig
 from .errors import ViewfluxError
-from .formats import load_instance, load_morphism, render_instance
+from .formats import load_instance, load_morphism, render_closed, render_instance
 from .morphisms import compose, is_epi, is_iso, is_mono, semantic_arrow
 from .queries import evaluate, parse_query
 from .suites import DEFAULT_MAX_RELATIONS, SUITE_NAMES, render_report, run_suite
@@ -68,7 +68,7 @@ def cmd_eval(args) -> int:
 def cmd_closure(args) -> int:
     inst, domain = load_instance(args.instance)
     cfg = _cfg(domain, args.kmax)
-    _print_closed(power_view(inst, cfg), domain)
+    sys.stdout.write(render_closed(support(inst.relations, cfg), domain))
     return 0
 
 

@@ -13,12 +13,12 @@ Untagged relations belong to every component.  It is the only closure here
 (the tests keep the operational worklist as its reference), and
 ``generating_queries`` reads each view's witness query off it.
 
-So a closure is fixed by its support, which ``_support`` computes before it
+So a closure is fixed by its support, which ``support`` computes before it
 builds a view: per tag and arity, in order, the sorted rows its views draw
 on (every row over the tag's constants up to the cap, the tag's input rows
 above it).  The closed set is the bottom and each shape's non-empty subsets
 of its rows in lexicographic order, which is the canonical order
-(``core.sorted_relations``), kept as ``ClosedInstance.views`` once read.
+(``core.sorted_relations``), kept as ``ClosedInstance.views``.
 
 A closed set's ``mask`` encodes its support as a bit vector (Ganter & Wille,
 *Formal Concept Analysis*, 1999): bit 0 for the bottom and, per support row
@@ -33,13 +33,16 @@ mask); at k=1 they are the atoms.
 closures, meets, closed subsets, certified fixed points, zero and total
 objects are one object (hash-consing), whatever path or cap built it first
 (``{a}`` with the row ``(a,a)`` above cap 1 and ``{a}`` at cap 2 have one
-support).  ``_closure`` looks up the mask of a support and on a miss stores
-the closed set with that support; ``meet_closed`` looks up the AND of two
-masks and on a miss stores the rows of its first operand's support that the
-AND keeps.  Neither builds a view: a closed set's views are built when first
-read (``_Unread``), from the relation objects a closure's caller held, or
-as the views of a meet's first operand that the second holds.  Its sort key
-and its printed form (``formats.render_instance``) read the support rows.
+support).  ``_closure`` looks up the mask of a support and on a miss builds
+the closed set's views from the support, reusing the relation objects its
+caller held; ``meet_closed`` looks up the AND of two masks and on a miss
+cuts its first operand's support to the rows the AND keeps and its views to
+those the second operand holds.  Each stores the closed set with its views
+through ``_intern``: the laws read the views of every closed set they
+build, and a plain object with one attribute layout is the one whose reads
+the interpreter specializes.  A closed set's sort key reads its support
+rows, and ``formats.render_closed`` prints a support, so the ``closure``
+command prints the support it computes without building a closed set.
 ``power_view`` and ``matching`` are memoized on relation sets in front of
 the table.
 
@@ -54,8 +57,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
-from functools import cache, lru_cache, partial, reduce
-from typing import Callable, Iterable, Iterator, Mapping
+from functools import cache, lru_cache, reduce
+from typing import Iterable, Iterator, Mapping
 
 from .core import (
     BOTTOM,
@@ -76,16 +79,14 @@ class ClosedInstance(Instance):
 
     Only ``_intern`` builds one, stored in the table ``_closed`` under its
     mask, so holding one is the certificate; its labels are empty and it does
-    not record its cap.  ``mask`` holds its support rows as bits and
-    ``support`` the rows themselves (module docstring).  ``views``, its
-    relations in canonical order, and ``relations`` are built by ``build``
-    when first read (``_Unread``).
+    not record its cap.  ``mask`` holds its support rows as bits, ``support``
+    the rows themselves (module docstring) and ``views`` its relations in
+    canonical order, all set when it is built.
     """
 
-    mask: int = field(init=False)
-    support: list[tuple] = field(init=False)
-    build: Callable[[], tuple[Relation, ...]] = field(init=False)
-    views: tuple[Relation, ...] = field(init=False)
+    mask: int = field(kw_only=True)
+    support: list[tuple] = field(kw_only=True)
+    views: tuple[Relation, ...] = field(kw_only=True)
 
     def __iter__(self) -> Iterator[Relation]:
         return iter(self.views)
@@ -94,25 +95,6 @@ class ClosedInstance(Instance):
         """The canonical order of closed sets: by their views' keys, in order,
         read off the support (a view's key is ``Relation.sort_key``)."""
         return ((0,), *((1, tag, n, s) for tag, n, rows in self.support for s in lex_subsets(rows)))
-
-
-class _Unread(ClosedInstance):
-    """A closed set whose views are not built yet.  The first read of
-    ``views`` or ``relations`` builds them and makes it a plain
-    ``ClosedInstance`` with a dict of its own, as the laws read closed sets'
-    attributes in their innermost loops: CPython 3.11 specializes no
-    attribute read on a class with ``__getattr__``, and misses on every
-    specialized read of the dict that assigning ``__class__`` leaves, which
-    shares its keys with the old class."""
-
-    def __getattr__(self, name: str):
-        if name != "views" and name != "relations":
-            raise AttributeError(name)
-        views = self.build()
-        object.__setattr__(self, "__class__", ClosedInstance)
-        layout = {**vars(self), "relations": frozenset(views), "views": views}
-        object.__setattr__(self, "__dict__", layout)
-        return getattr(self, name)
 
 
 #: The bit of each support row in a mask, numbered from 1 in order of first use.
@@ -130,7 +112,7 @@ def lex_subsets(rows: list) -> list[tuple]:
     return out
 
 
-def _support(relations: Iterable[Relation], cfg: UniverseConfig) -> list[tuple]:
+def support(relations: Iterable[Relation], cfg: UniverseConfig) -> list[tuple]:
     """The shapes ``(tag, arity, rows)`` of the support of the closure of
     ``relations``; a constant outside the domain, then a closure of more than
     ``max_universe`` views, is refused before a row is formed."""
@@ -164,20 +146,17 @@ def _support(relations: Iterable[Relation], cfg: UniverseConfig) -> list[tuple]:
 _closed: dict[int, ClosedInstance] = {}
 
 
-def _intern(mask: int, support: list[tuple], build: Callable[[], tuple]) -> ClosedInstance:
-    """The closed set of ``mask`` stored in the table, with its support and
-    what builds its views when they are first read; ``setdefault`` is atomic,
-    so threads agree on one object."""
-    closed = object.__new__(_Unread)
-    for name, value in (("labels", {}), ("mask", mask), ("support", support), ("build", build)):
-        object.__setattr__(closed, name, value)
+def _intern(mask: int, support: list[tuple], views: tuple[Relation, ...]) -> ClosedInstance:
+    """The closed set of ``mask`` stored in the table, built with its support
+    and views; ``setdefault`` is atomic, so threads agree on one object."""
+    closed = ClosedInstance(frozenset(views), {}, mask=mask, support=support, views=views)
     return _closed.setdefault(mask, closed)
 
 
 def _closure(support: list[tuple], held: Mapping[Relation, Relation]) -> ClosedInstance:
     """The closed set of a support: its mask looked up, or stored with its
-    views to be built in canonical order, reusing the objects that ``held``
-    maps to themselves."""
+    views built in canonical order, reusing the objects that ``held`` maps to
+    themselves."""
     mask = 1
     for tag, n, rows in support:
         for row in rows:
@@ -187,7 +166,7 @@ def _closure(support: list[tuple], held: Mapping[Relation, Relation]) -> ClosedI
             mask |= 1 << _serial[key]
     if mask in _closed:
         return _closed[mask]
-    return _intern(mask, support, partial(_views, support, held))
+    return _intern(mask, support, _views(support, held))
 
 
 def _views(support: list[tuple], held: Mapping[Relation, Relation]) -> tuple[Relation, ...]:
@@ -200,7 +179,7 @@ def _views(support: list[tuple], held: Mapping[Relation, Relation]) -> tuple[Rel
 
 @lru_cache(maxsize=None)
 def _power_view_cached(relations: frozenset[Relation], cfg: UniverseConfig) -> ClosedInstance:
-    return _closure(_support(relations, cfg), {rel: rel for rel in relations})
+    return _closure(support(relations, cfg), {rel: rel for rel in relations})
 
 
 def power_view(inst: Instance, cfg: UniverseConfig) -> ClosedInstance:
@@ -230,12 +209,12 @@ def meet_closed(a: ClosedInstance, b: ClosedInstance) -> ClosedInstance:
     """Intersection of two closed sets, closed because the system is closed
     under arbitrary intersections: the AND of their masks, looked up in the
     table.  Stored on a miss with the rows of ``a``'s support that the AND
-    keeps; its views, when read, are those of ``a`` that ``b`` holds, in
-    ``a``'s order, which is canonical since a subsequence of it is."""
+    keeps and the views of ``a`` that ``b`` holds, in ``a``'s order, which is
+    canonical since a subsequence of it is."""
     mask = a.mask & b.mask
     if mask in _closed:
         return _closed[mask]
-    return _intern(mask, _kept_rows(a.support, mask), partial(_kept_views, a, b))
+    return _intern(mask, _kept_rows(a.support, mask), _kept_views(a, b))
 
 
 def _kept_rows(support: list[tuple], mask: int) -> list[tuple]:
@@ -249,7 +228,8 @@ def _kept_rows(support: list[tuple], mask: int) -> list[tuple]:
 
 
 def _kept_views(a: ClosedInstance, b: ClosedInstance) -> tuple[Relation, ...]:
-    """The views of the meet of ``a`` and ``b``: those of ``a`` that ``b`` holds."""
+    """The views of the meet of ``a`` and ``b``: those of ``a`` that ``b`` holds
+    (a function of its own, so that ``meet_closed`` holds no cell)."""
     return tuple(view for view in a.views if view in b.relations)
 
 
@@ -332,7 +312,7 @@ def total_object(cfg: UniverseConfig) -> ClosedInstance:
     Closed through the table alone, so that the front memo of ``power_view``
     is keyed on the closed set's own relations when it is read."""
     relations = universe_relations(cfg)
-    return _closure(_support(relations, cfg), dict(zip(relations, relations)))
+    return _closure(support(relations, cfg), dict(zip(relations, relations)))
 
 
 def po_leq(a: Instance, b: Instance, cfg: UniverseConfig) -> bool:
@@ -372,9 +352,9 @@ def _closed_subsets_cached(
             f"2**{len(atoms)} sets of atoms exceed the enumeration bound {cfg.max_enumeration}"
         )
     held = {rel: rel for rel in relations}
-    closures = {}  # keyed on masks, so that no closed set builds its views to be hashed
+    closures = {}  # keyed on masks, which hash without walking the views
     for k in range(len(atoms) + 1):
         for subset in itertools.combinations(atoms, k):
-            closed = _closure(_support(subset, cfg), held)
+            closed = _closure(support(subset, cfg), held)
             closures[closed.mask] = closed
     return tuple(sorted(closures.values(), key=ClosedInstance.sort_key))

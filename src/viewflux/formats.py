@@ -115,23 +115,29 @@ def load_instance(path: str | Path) -> tuple[Instance, frozenset[Constant]]:
     return parse_instance(_read_text(Path(path)))
 
 
+def render_closed(support: list[tuple], domain: frozenset[Constant]) -> str:
+    """Render the closed set of a support (``closure.support``), building no
+    view: its views are the bottom and, per shape, the subsets of the shape's
+    sorted rows in lexicographic order, named ``v1, v2, ...`` in that order,
+    each listing its rows in order."""
+    lines = ["domain: " + " ".join(sorted(domain)), "", "relation v1/1: empty"]
+    names = itertools.count(2)
+    for _, n, rows in support:
+        for subset in lex_subsets([" ".join(row) for row in rows]):
+            lines += ("", f"relation v{next(names)}/{n}:", *subset)
+    return "\n".join(lines) + "\n"
+
+
 def render_instance(inst: Instance, domain: frozenset[Constant]) -> str:
     """Render an instance in the text format.
 
     Relations keep their labels; unlabeled ones are named ``v1, v2, ...`` in
     canonical order, so closures print deterministically.  A closed set, whose
-    labels are empty, is written from its support rows, building no view: its
-    views are the bottom and, per shape, the subsets of the shape's sorted
-    rows in lexicographic order, each listing its rows in order.
+    labels are empty, is written from its support rows (``render_closed``).
     """
-    lines = ["domain: " + " ".join(sorted(domain))]
     if isinstance(inst, ClosedInstance):
-        lines += ("", "relation v1/1: empty")
-        names = itertools.count(2)
-        for _, n, rows in inst.support:
-            for subset in lex_subsets([" ".join(row) for row in rows]):
-                lines += ("", f"relation v{next(names)}/{n}:", *subset)
-        return "\n".join(lines) + "\n"
+        return render_closed(inst.support, domain)
+    lines = ["domain: " + " ".join(sorted(domain))]
     name_of = {rel: name for name, rel in inst.labels.items()}
     counter = 1
     for rel in inst:

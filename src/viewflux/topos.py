@@ -85,7 +85,7 @@ def distance(a: Instance, b: Instance, cfg: UniverseConfig) -> ClosedInstance:
 def closure_classes(cfg: UniverseConfig, max_relations: int, instances=None) -> list[Instance]:
     """One representative instance per behavioral class of ``instances``
     (by default the enumeration ``subset_instances(cfg, max_relations)``)."""
-    seen: dict[int, tuple[ClosedInstance, Instance]] = {}  # keyed on masks: no view is built
+    seen: dict[int, tuple[ClosedInstance, Instance]] = {}  # keyed on masks, hashed without a call
     for inst in subset_instances(cfg, max_relations) if instances is None else instances:
         closed = power_view(inst, cfg)
         seen.setdefault(closed.mask, (closed, inst))

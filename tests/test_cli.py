@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import viewflux
+from viewflux import closure
 from viewflux.cli import main
 
 A_DB = "domain: a b\n\nrelation r1/1:\na\n"
@@ -451,8 +452,9 @@ def test_printed_closure_matches_golden(tmp_path, capsys, monkeypatch, name):
 
 
 def test_closure_command_builds_no_view(tmp_path, capsys, monkeypatch, clear_caches):
-    # The 519 views of the binary path print from the support rows of its
-    # closed set, so the one relation built is the file's own.
+    # The 519 views of the binary path print from the support the command
+    # computes, so the one relation built is the file's own, and no closed
+    # set is built.
     _write_closed_inputs(tmp_path)
     monkeypatch.chdir(tmp_path)
     built = []
@@ -462,6 +464,11 @@ def test_closure_command_builds_no_view(tmp_path, capsys, monkeypatch, clear_cac
     monkeypatch.undo()
     assert [r.tuples for r in built] == [{("a", "b"), ("b", "c")}]
     assert text == (GOLDEN_CLOSED / "closure-k2.txt").read_text()
+    assert not closure._closed
+    # The support is held to the view bound as the closure was.
+    monkeypatch.setenv("VIEWFLUX_MAX_ENUM", "2")
+    code, err = _error(capsys, "closure", str(tmp_path / "path.db"), "--kmax", "2")
+    assert (code, err) == (2, "error: saturation produced more than 2 views\n")
 
 
 @pytest.mark.parametrize("argv, code, parsers", [

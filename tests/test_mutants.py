@@ -106,6 +106,11 @@ def _zero_against_the_total(a, b, cfg):
     return zero_object() if power_view(b, cfg) == total_object(cfg) else matching(a, b, cfg)
 
 
+def _true_arrow_into_zero(cfg):
+    """A mutant true arrow: it targets the zero object, not the classifier."""
+    return empty_arrow(zero_object(), zero_object(), cfg)
+
+
 def _matching_losing_a_lone_view(a, b, cfg):
     """A mutant matching: the meet of the closures, losing a lone view (``test_suites``)."""
     return _meet_losing_a_lone_view(power_view(a, cfg), power_view(b, cfg))
@@ -212,6 +217,9 @@ MUTANTS = [
                  suites, "matching", _closure_of_the_first, 256, id="monoidal.commutative"),
     pytest.param("monoidal.associative", suites.law_tensor_associative,
                  suites, "matching", _zero_against_the_total, 64, id="monoidal.associative"),
+    pytest.param("monoidal.idempotent-unit-zero", suites.law_tensor_units,
+                 suites, "matching", _zero_against_the_total, 16,
+                 id="monoidal.idempotent-unit-zero"),
     pytest.param("lattice.distributive", suites.law_distributive,
                  suites, "matching", _matching_losing_a_lone_view, 64, id="lattice.distributive"),
     pytest.param("monoidal.hom-counting", suites.law_hom_counting,
@@ -230,6 +238,8 @@ MUTANTS = [
                  topos, "semantic_homset", _every_flux_twice, 9, id="topos.classifier"),
     pytest.param("topos.equalizer", suites.law_equalizer,
                  topos, "semantic_homset", _every_flux_twice, 9, id="topos.equalizer"),
+    pytest.param("topos.true-arrow", suites.law_true_arrow,
+                 suites, "true_arrow", _true_arrow_into_zero, 1, id="topos.true-arrow"),
     pytest.param("topos.factorization", suites.law_factorization,
                  topos, "semantic_homset", _every_flux_twice, 25, id="topos.factorization"),
     pytest.param("topos.classifier-audit", suites.law_classifier_audit,
@@ -358,6 +368,14 @@ def test_zero_against_the_total_breaks_associativity(ctx):
     assert any(
         mutant(mutant(a, b), c).relations != mutant(a, mutant(b, c)).relations
         for a, b, c in itertools.product(ctx.classes, repeat=3)
+    )
+
+
+def test_zero_against_the_total_breaks_the_unit(ctx):
+    # The total object is the unit of matching: a . total is the closure of a.
+    assert any(
+        _zero_against_the_total(a, ctx.total, ctx.cfg).relations != power_view(a, ctx.cfg).relations
+        for a in ctx.instances
     )
 
 
@@ -508,6 +526,13 @@ def test_a_chain_a_step_late_misses_the_closure_at_the_first_step(ctx):
         _chain_a_step_late(a, ctx.cfg, 3)[1].relations != power_view(a, ctx.cfg).relations
         for a in ctx.instances
     )
+
+
+def test_true_arrow_into_zero_misses_the_classifier(ctx):
+    # It still transmits nothing, but its target is not the total object.
+    t = _true_arrow_into_zero(ctx.cfg)
+    assert t.flux.relations == frozenset({BOTTOM})
+    assert t.target.relations != total_object(ctx.cfg).relations
 
 
 def test_ambient_audit_meets_views_outside_the_subobject(ctx):

@@ -367,18 +367,16 @@ def test_lattice_laws_catch_a_merging_that_keeps_one_operand(cfg0, law, check, m
 
 
 def test_check_all_builds_one_closed_instance_per_closed_set(clear_caches, monkeypatch):
-    # ``_intern`` is the one constructor of closed sets, called on a miss of
-    # the table; a closed set whose views are read passes through ``__getattr__``.
-    built, read = [], []
-    intern, getattr_ = closure._intern, closure._Unread.__getattr__
+    # ``_intern`` is the one constructor of closed sets, called on a miss of the table.
+    built = []
+    intern = closure._intern
     monkeypatch.setattr(closure, "_intern", lambda *args: built.append(intern(*args)) or built[-1])
-    monkeypatch.setattr(closure._Unread, "__getattr__", lambda c, name: read.append(c) or getattr_(c, name))
     report = run_suite("all", UniverseConfig(domain=frozenset({"a", "b"}), k_max=1))
     assert report.ok
     # Every construction is kept alive in ``built``, and none repeats a set,
-    # named by its mask or by its views; every closed set read was built there.
+    # named by its mask or by its views; the objects built are the table's.
     assert len(built) == len({c.mask for c in built}) == len({c.relations for c in built}) > 8
-    assert {id(c) for c in read} <= {id(c) for c in built} == {id(c) for c in closure._closed.values()}
+    assert {id(c) for c in built} == {id(c) for c in closure._closed.values()}
 
 
 @pytest.mark.parametrize(

@@ -44,7 +44,7 @@ the interpreter specializes.  A closed set's sort key reads its support
 rows, and ``formats.render_closed`` prints a support, so the ``closure``
 command prints the support it computes without building a closed set.
 ``power_view`` and ``matching`` are memoized on relation sets in front of
-the table.
+the table.  The total object is the closure of the domain's unary relation.
 
 An atom of a closed instance is a view of it with exactly one tuple whose
 arity is 1 or above ``k_max``; a tagged atom and its untagged twin are two
@@ -66,7 +66,6 @@ from .core import (
     Relation,
     UniverseConfig,
     sorted_relations,
-    universe_relations,
     with_default_labels,
 )
 from .errors import EnumerationTooLarge, NotClosedDomain, UniverseTooLarge, UnknownConstant
@@ -307,12 +306,12 @@ def generating_queries(inst: Instance, cfg: UniverseConfig) -> dict[Relation, Qu
 
 
 def total_object(cfg: UniverseConfig) -> ClosedInstance:
-    """The local total object: the universe, every relation over the domain
-    up to the cap, which is closed; one over ``max_universe`` is refused.
-    Closed through the table alone, so that the front memo of ``power_view``
-    is keyed on the closed set's own relations when it is read."""
-    relations = universe_relations(cfg)
-    return _closure(support(relations, cfg), dict(zip(relations, relations)))
+    """The local total object: every relation over the domain up to the cap,
+    refused past ``max_universe`` as ``universe_size`` refuses it.  By the
+    closed form it is the closure of the unary relation of all constants,
+    looked up in the table alone, not through ``power_view``'s memo."""
+    cfg.universe_size()
+    return _closure(support([Relation(1, frozenset(zip(cfg.domain)))], cfg), {})
 
 
 def po_leq(a: Instance, b: Instance, cfg: UniverseConfig) -> bool:

@@ -245,7 +245,7 @@ class UniverseConfig:
         return sorted(self.domain)
 
     def universe_size(self) -> int:
-        """Number of distinct relations with arity at most k_max, bottom included."""
+        """Number of relations of arity at most k_max, bottom included, refused past max_universe."""
         total = 1
         for n in range(1, self.k_max + 1):
             exponent = len(self.domain) ** n
@@ -254,6 +254,8 @@ class UniverseConfig:
                     f"2**{exponent} relations of arity {n} exceed any workable bound"
                 )
             total += (1 << exponent) - 1
+        if total > self.max_universe:
+            raise UniverseTooLarge(f"universe holds {total} relations, bound is {self.max_universe}")
         return total
 
 
@@ -264,9 +266,7 @@ def universe_relations(cfg: UniverseConfig) -> tuple[Relation, ...]:
     The bottom relation appears once; all empty extensions are identified
     with it.  Memoized per configuration; an over-bound one raises on every call.
     """
-    size = cfg.universe_size()
-    if size > cfg.max_universe:
-        raise UniverseTooLarge(f"universe holds {size} relations, bound is {cfg.max_universe}")
+    cfg.universe_size()
     out = [BOTTOM]
     constants = cfg.constants()
     for n in range(1, cfg.k_max + 1):

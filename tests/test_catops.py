@@ -281,6 +281,18 @@ def test_arrow_tensor_and_coproduct_reject_mixed_configurations(cfg0, cfg2, pa, 
                 op(left, right)
 
 
+def test_arrow_operations_accept_equal_configurations_held_apart(cfg0, pa, pb, pab, clear_caches):
+    # Equal configurations are one configuration, even as two objects.
+    equal = UniverseConfig(cfg0.domain, cfg0.k_max)
+    f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
+    g = semantic_arrow(pb, pab, power_view(pb, equal), equal)
+    assert f.cfg == g.cfg and f.cfg is not g.cfg
+    assert tensor_arrow(f, g).flux.mask == f.flux.mask & g.flux.mask
+    assert arrow_coproduct(f, g).source == coproduct(pa, pb)
+    paired = copair(f, g)
+    assert (paired.source, paired.target) == (coproduct(pa, pb), pab)
+
+
 def test_copair_and_arrow_coproduct_are_memoized_per_law_pass(cfg0, pa, pb, pab):
     f = semantic_arrow(pa, pab, power_view(pa, cfg0), cfg0)
     g = semantic_arrow(pb, pab, power_view(pb, cfg0), cfg0)

@@ -300,6 +300,16 @@ def test_closure_of_binary_chain_exceeds_view_bound(files, capsys):
     assert err == "error: saturation produced more than 20000 views\n"
 
 
+@pytest.mark.parametrize("domain, kmax, message", [
+    ("a,b,c", "3", "universe holds 134218246 relations, bound is 20000"),
+    ("a,b,c,d,e,f,g,h,i", "2", "2**81 relations of arity 2 exceed any workable bound"),
+])
+def test_total_refuses_an_over_bound_universe_by_its_size(capsys, domain, kmax, message):
+    # The universe is counted before a support row is formed.
+    code, err = _error(capsys, "total", "--domain", domain, "--kmax", kmax)
+    assert (code, err) == (2, f"error: {message}\n")
+
+
 def test_chain_rejects_negative_steps(files, capsys):
     code, err = _error(capsys, "chain", str(files / "A.db"), "--steps", "-1")
     assert code == 2

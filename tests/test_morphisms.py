@@ -363,6 +363,17 @@ def test_arrow_po(cfg0, pa, pab):
         arrow_po_leq(bottom, empty_arrow(pab, pa, cfg0))
 
 
+def test_arrow_order_refuses_a_half_parallel_pair(cfg0, pa, pb, pab):
+    # One end shared, the other not: same source, then same target.
+    for f, g in (
+        (empty_arrow(pa, pab, cfg0), empty_arrow(pa, pa, cfg0)),
+        (empty_arrow(pa, pab, cfg0), empty_arrow(pb, pab, cfg0)),
+    ):
+        for left, right in ((f, g), (g, f)):
+            with pytest.raises(NotParallel):
+                arrow_po_leq(left, right)
+
+
 def test_semantic_homset_sizes(cfg0, pa, pb, pab):
     assert len(semantic_homset(pa, pb, cfg0)) == 1
     assert len(semantic_homset(pab, pab, cfg0)) == 4

@@ -153,9 +153,14 @@ def _audit_meeting_the_ambient(in_a, cfg):
     return generators, power_view(Instance(generators, {}), cfg).relations & tb
 
 
-def _metric_order(ctx):
-    """The ``metric.order`` result of the pass that checks the metric laws together."""
-    return next(result for result in suites.law_metric(ctx) if result.law == "metric.order")
+def _total_when_below(a, b, cfg):
+    """A mutant distance: the total object whenever a is behaviorally below b."""
+    return total_object(cfg) if po_leq(a, b, cfg) else distance(a, b, cfg)
+
+
+def _metric(law):
+    """The check of ``law``: its result from the pass that checks the metric laws together."""
+    return lambda ctx: next(result for result in suites.law_metric(ctx) if result.law == law)
 
 
 def _verdict(result):
@@ -209,8 +214,12 @@ MUTANTS = [
                  suites, "po_leq", _strictly_below, 256, id="closure.order"),
     pytest.param("lattice.bounds", suites.law_bounds,
                  suites, "po_leq", _strictly_below, 16, id="lattice.bounds"),
-    pytest.param("metric.order", _metric_order,
+    pytest.param("metric.order", _metric("metric.order"),
                  topos, "po_leq", _strictly_below, 256, id="metric.order"),
+    pytest.param("metric.self-distance", _metric("metric.self-distance"),
+                 topos, "distance", matching, 16, id="metric.self-distance"),
+    pytest.param("metric.indiscernible", _metric("metric.indiscernible"),
+                 topos, "distance", _total_when_below, 256, id="metric.indiscernible"),
     pytest.param("closure.intersections", suites.law_closure_intersections,
                  suites, "is_closed", _closed_but_not_zero, 16, id="closure.intersections"),
     pytest.param("monoidal.commutative", suites.law_tensor_commutative,
@@ -438,6 +447,20 @@ def test_strict_inclusion_breaks_distance_refinement(ctx):
     assert any(
         _strictly_below(a, b, ctx.cfg) != all(d[a, k] <= d[b, k] for k in separating[a])
         for a, b in itertools.product(views, repeat=2)
+    )
+
+
+def test_matching_breaks_the_self_distance(ctx):
+    # d(a, a) is the total object for every a; a distance without its total
+    # branch is the matching, the closure of a.
+    assert any(matching(a, a, ctx.cfg).mask != ctx.total.mask for a in ctx.instances)
+
+
+def test_total_when_below_breaks_indiscernibility(ctx):
+    # d(a, b) is the total object only when a and b are equivalent.
+    assert any(
+        _total_when_below(a, b, ctx.cfg).mask == ctx.total.mask and not isomorphic(a, b, ctx.cfg)
+        for a, b in itertools.product(ctx.instances, repeat=2)
     )
 
 

@@ -33,8 +33,9 @@ from viewflux import (
     subset_instances,
     total_object,
     true_arrow,
+    universe_relations,
 )
-from viewflux import suites, topos
+from viewflux import closure, suites, topos
 from viewflux.closure import zero_object
 from viewflux.topos import (
     closure_classes,
@@ -165,6 +166,29 @@ def test_metric_order_is_a_theorem_by_brute_force(domain, max_relations):
 def test_metric_isomorphic_branch(cfg0, pa):
     closed = Instance(power_view(pa, cfg0).relations, {})
     assert distance(pa, closed, cfg0).relations == total_object(cfg0).relations
+
+
+def test_a_metric_pass_at_k2_forms_the_universes_support_at_most_once(monkeypatch, clear_caches):
+    # The total object is the closure of the domain's unary relation, so the
+    # distance of an equivalent pair does not walk the universe; a walk per
+    # such pair would form its support 210 times here.  A count, not a time.
+    cfg = UniverseConfig(domain=frozenset({"a", "b"}), k_max=2)
+    universe = frozenset(universe_relations(cfg))
+    instances = list(subset_instances(cfg, 1))
+    real, seen = closure.support, []
+
+    def counted(relations, cfg):
+        relations = tuple(relations)
+        seen.append(frozenset(relations))
+        return real(relations, cfg)
+
+    monkeypatch.setattr(closure, "support", counted)
+    assert len(instances) == 20
+    assert all(ok is True for _, ok in topos.metric_suite(cfg, instances))
+    assert seen.count(universe) <= 1
+    # Nothing outside the table holds the total object.
+    clear_caches()
+    assert closure._closed[total_object(cfg).mask] is total_object(cfg)
 
 
 def test_pullback_corner_is_flux_meet(cfg0, pa, pb, pab, classes):

@@ -8,19 +8,21 @@ keep the zero exit status.  Every command builds its configuration in
 ``_cfg``, where VIEWFLUX_MAX_ENUM overrides the enumeration bounds (the views
 of a closure, the instances of a run and the triples of them the suites walk,
 the sets of atoms a closed-subset enumeration closes).
-One call builds only the parsers it needs: the top-level parser and that of
-the command its first argument names, or every command's when it names none
-(no arguments, ``--help``, an unknown command), so help and usage errors read
-the same either way.
+A plain call (``_read_plain``: a command, its positionals in order and each of
+its options at most once as ``--flag value``, every value valid) is read off
+``COMMANDS`` without argparse.  Every other argument list reaches argparse
+(``_parser``), which alone prints help and usage errors and reads the rarer
+valid forms (``--flag=value``, an abbreviated flag, ``--``, a value starting
+with ``-``, a repeated option); a plain call reads the same either way.
 """
 
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from functools import partial
+from types import SimpleNamespace
 
 from .catops import matching, merging, omega_chain
 from .closure import po_leq, power_view, support, total_object
@@ -188,25 +190,75 @@ COMMANDS = {
 }
 
 
-def main(argv: list[str] | None = None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
+def _arguments(command: str) -> list[tuple[str, dict]]:
+    """Each of a command's arguments as its name and add_argument options."""
+    return [(arg, {}) if isinstance(arg, str) else arg for arg in COMMANDS[command][1]]
+
+
+def _read_plain(argv: list[str]) -> SimpleNamespace | None:
+    """The arguments of a plain call (module docstring), as argparse reads
+    them; None for any other ``argv``."""
+    if not argv or argv[0] not in COMMANDS:
+        return None
+    specs = _arguments(argv[0])
+    options = {flag: spec for flag, spec in specs if flag.startswith("-")}
+    positionals = iter([name for name, _ in specs if name not in options])
+    given = {}
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if token in options and token not in given:
+            name = token
+            if options[name].get("action") == "store_true":
+                given[name] = True
+                continue
+            token = next(tokens, "-")  # a missing value is refused as a dash
+        else:
+            name = next(positionals, None)
+        if name is None or token.startswith("-"):
+            return None
+        given[name] = token
+    namespace = {"command": argv[0]}
+    for name, spec in specs:
+        if name in given:
+            value = given[name]
+            if "type" in spec:
+                try:
+                    value = spec["type"](value)
+                except (TypeError, ValueError):
+                    return None
+            if value not in spec.get("choices", (value,)):
+                return None
+        elif name in options and not spec.get("required"):
+            value = spec.get("default", False if spec.get("action") == "store_true" else None)
+        else:
+            return None
+        namespace[name.lstrip("-").replace("-", "_")] = value
+    return SimpleNamespace(**namespace)
+
+
+def _parser():
+    """The argument parser of every command: help, usage errors and the
+    argument lists ``_read_plain`` leaves to it."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="viewflux",
         description="Finite model of the category of database instances "
         "and view-based morphisms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    # Usage lines and the invalid-choice error read the choices: every
-    # command, even when only the named command's parser is built below.
-    sub.choices = COMMANDS
-    # The parser of the command argv[0] names, or every command's if none.
-    for name in [n for n in argv[:1] if n in COMMANDS] or COMMANDS:
-        help_text, arguments, _ = COMMANDS[name]
+    for name, (help_text, _, _) in COMMANDS.items():
         p = sub.add_parser(name, help=help_text)
-        for arg in arguments:
-            flag, options = (arg, {}) if isinstance(arg, str) else arg
+        for flag, options in _arguments(name):
             p.add_argument(flag, **options)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv: list[str] | None = None) -> int:
+    argv = sys.argv[1:] if argv is None else argv
+    args = _read_plain(argv)
+    if args is None:
+        args = _parser().parse_args(argv)
     # The collections the command triggers skip what exists before it, the
     # loaded modules above all: otherwise a call's time depends on whether
     # the imports left an older-generation collection due within it.

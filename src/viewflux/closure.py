@@ -122,22 +122,28 @@ def support(relations: Iterable[Relation], cfg: UniverseConfig) -> list[tuple]:
         if rel.arity > cfg.k_max:
             high.setdefault(rel.arity, set()).update(rel.tuples)
     shared_adom, shared_high = parts[()]
-    shapes = []
+    cap = cfg.max_universe.bit_length() + 1  # count the views before building one
+    views, shapes = 1, []
     for tag in sorted(parts):
         adom, high = parts[tag]
         if not adom <= cfg.domain:
             raise UnknownConstant(f"constant {min(adom - cfg.domain)!r} is not in the domain")
         adom = sorted(adom | shared_adom)
-        shapes += [(tag, n, adom, len(adom) ** n) for n in range(1, cfg.k_max + 1)]
+        # Past the bound no arity is formed, so a large k_max costs no more.
+        for n in range(1, cfg.k_max + 1) if adom else ():
+            if views > cfg.max_universe:
+                break
+            shapes.append((tag, n, adom))
+            views += (1 << min(len(adom) ** n, cap)) - 1
         for n in sorted(high):
             rows = sorted(high[n] | shared_high.get(n, set()))
-            shapes.append((tag, n, rows, len(rows)))
-    cap = cfg.max_universe.bit_length() + 1  # count the views before building one
-    if 1 + sum((1 << min(size, cap)) - 1 for *_, size in shapes) > cfg.max_universe:
+            shapes.append((tag, n, rows))
+            views += (1 << min(len(rows), cap)) - 1
+    if views > cfg.max_universe:
         raise UniverseTooLarge(f"saturation produced more than {cfg.max_universe} views")
     return [
         (tag, n, tuple(itertools.product(rows, repeat=n)) if n <= cfg.k_max else tuple(rows))
-        for tag, n, rows, size in shapes if size
+        for tag, n, rows in shapes
     ]
 
 

@@ -246,14 +246,17 @@ class UniverseConfig:
 
     def universe_size(self) -> int:
         """Number of relations of arity at most k_max, bottom included, refused past max_universe."""
-        total = 1
-        for n in range(1, self.k_max + 1):
-            exponent = len(self.domain) ** n
-            if exponent > 60:
-                raise UniverseTooLarge(
-                    f"2**{exponent} relations of arity {n} exceed any workable bound"
-                )
-            total += (1 << exponent) - 1
+        if len(self.domain) == 1:  # one relation per arity, counted without a walk
+            total = 1 + self.k_max
+        else:  # the walk refuses by arity 6, where 2**64 relations lie
+            total = 1
+            for n in range(1, self.k_max + 1):
+                exponent = len(self.domain) ** n
+                if exponent > 60:
+                    raise UniverseTooLarge(
+                        f"2**{exponent} relations of arity {n} exceed any workable bound"
+                    )
+                total += (1 << exponent) - 1
         if total > self.max_universe:
             raise UniverseTooLarge(f"universe holds {total} relations, bound is {self.max_universe}")
         return total

@@ -1,8 +1,13 @@
 import argparse
+import contextlib
 import gc
+import importlib.util
+import io
 import itertools
 import json
 import os
+import random
+import resource
 import subprocess
 import sys
 from pathlib import Path
@@ -10,8 +15,9 @@ from pathlib import Path
 import pytest
 
 import viewflux
-from viewflux import closure
+from viewflux import cli, closure
 from viewflux.cli import main
+from viewflux.suites import SUITE_NAMES
 
 A_DB = "domain: a b\n\nrelation r1/1:\na\n"
 B_DB = "domain: a b\n\nrelation s1/1:\na\n\nrelation s2/1:\nb\n"
@@ -303,11 +309,25 @@ def test_closure_of_binary_chain_exceeds_view_bound(files, capsys):
 @pytest.mark.parametrize("domain, kmax, message", [
     ("a,b,c", "3", "universe holds 134218246 relations, bound is 20000"),
     ("a,b,c,d,e,f,g,h,i", "2", "2**81 relations of arity 2 exceed any workable bound"),
+    ("a", "1000000000", "universe holds 1000000001 relations, bound is 20000"),
 ])
-def test_total_refuses_an_over_bound_universe_by_its_size(capsys, domain, kmax, message):
-    # The universe is counted before a support row is formed.
-    code, err = _error(capsys, "total", "--domain", domain, "--kmax", kmax)
-    assert (code, err) == (2, f"error: {message}\n")
+def test_total_refuses_an_over_bound_universe_by_its_size(domain, kmax, message):
+    # The universe is counted before a support row is formed, and one
+    # constant's without a walk over its arities.
+    proc = _run_bounded("total", "--domain", domain, "--kmax", kmax)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize("text, code, out, err", [
+    ("domain: a\n\nrelation r1/1:\na\n", 2, "", "error: saturation produced more than 20000 views\n"),
+    ("domain: a b\n", 0, "domain: a b\n\nrelation v1/1: empty\n", ""),
+], ids=["one-constant", "no-tuple"])
+def test_closure_at_a_billion_arities_forms_none_past_the_bound(tmp_path, text, code, out, err):
+    # One constant makes one view per arity, so the count passes the bound
+    # at arity 20,000; an instance with no tuple forms no arity at all.
+    (tmp_path / "X.db").write_text(text)
+    proc = _run_bounded("closure", str(tmp_path / "X.db"), "--kmax", "1000000000")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
 def test_chain_rejects_negative_steps(files, capsys):
@@ -316,10 +336,13 @@ def test_chain_rejects_negative_steps(files, capsys):
     assert "steps must be at least 0, got -1" in err
 
 
+KMAX_9_ARGV = ["check", "all", "--domain", "a", "--kmax", "9", "--max-relations", "1"]
+
+
 def test_check_all_at_kmax_9_passes(files, capsys):
     # Witness queries are read off the closed form, so no saturation tries
     # the 9 + 9**2 + ... + 9**9 projections of a relation of arity 9.
-    code, out = run(capsys, "check", "all", "--domain", "a", "--kmax", "9", "--max-relations", "1")
+    code, out = run(capsys, *KMAX_9_ARGV)
     assert code == 0, out
     assert "result: PASS (60 laws, 0 failed" in out
 
@@ -337,8 +360,9 @@ def test_check_fails_early_on_the_instance_cap(files, capsys):
     assert "520 instances enumerated" in err
 
 
-def _run_with_src(*argv):
-    """Run ``python *argv`` with this checkout's ``src`` on ``PYTHONPATH``."""
+def _run_with_src(*argv, **options):
+    """Run ``python *argv`` with this checkout's ``src`` on ``PYTHONPATH``;
+    ``options`` go to ``subprocess.run``."""
     src = str(Path(viewflux.__file__).parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return subprocess.run(
@@ -346,7 +370,19 @@ def _run_with_src(*argv):
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,
         text=True,
+        **options,
     )
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def _run_bounded(*argv):
+    """``python -m viewflux *argv`` held to 20 s and 1 GiB of address space,
+    so that a walk over a billion arities fails the test instead of running
+    for minutes or exhausting the machine's memory."""
+    return _run_with_src("-m", "viewflux", *argv, timeout=20, preexec_fn=_limit_address_space)
 
 
 def test_main_unfreezes_the_objects_it_froze(files, capsys):
@@ -362,6 +398,14 @@ def test_python_m_viewflux_runs_the_cli():
 
 
 BENCH = Path(__file__).parents[1] / "bench"
+
+
+def _load_bench_module(name: str):
+    """A module of ``bench/``, loaded from its file without changing ``sys.path``."""
+    spec = importlib.util.spec_from_file_location(f"viewflux_bench_{name}", BENCH / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def test_benchmark_worker_sets_up_and_runs_check_abc():
@@ -481,15 +525,73 @@ def test_closure_command_builds_no_view(tmp_path, capsys, monkeypatch, clear_cac
     assert (code, err) == (2, "error: saturation produced more than 2 views\n")
 
 
+# --- the plain-call reader ----------------------------------------------------
+
+#: Tokens of the differential corpus: every declared flag, forms that only
+#: argparse reads (``--flag=value``, an abbreviation, ``--``, ``-``, help),
+#: values argparse converts or refuses in ways of its own, suites and files.
+PLAIN_POOL = [
+    *sorted({flag for name in cli.COMMANDS for flag, _ in cli._arguments(name) if flag.startswith("-")}),
+    "--kmax=2", "--km", "-h", "--", "-", "",
+    "-1", "+3", " 4", "\u0663", "9" * 5000, "2", "a,b",
+    *SUITE_NAMES, "A.db", "B.db", "f.morph",
+]
+
+
+def _typed(namespace) -> list[tuple]:
+    # ``True == 1``, so the types are compared too.
+    return sorted((name, type(value).__name__, value) for name, value in vars(namespace).items())
+
+
+def test_plain_reader_agrees_with_argparse():
+    # Whatever the reader accepts, argparse reads alike; what it leaves,
+    # argparse reads or refuses as before.
+    rng = random.Random(2011)
+    commands = list(cli.COMMANDS)
+    parser = cli._parser()
+    accepted = set()
+    for _ in range(50_000):
+        argv = [rng.choice(commands), *rng.choices(PLAIN_POOL, k=rng.randint(0, 6))]
+        plain = cli._read_plain(argv)
+        if plain is None:
+            continue
+        accepted.add(argv[0])
+        with contextlib.redirect_stderr(io.StringIO()) as err:
+            try:
+                expected = parser.parse_args(argv)
+            except SystemExit:
+                pytest.fail(f"argparse refuses {argv!r}: {err.getvalue()}")
+        assert _typed(plain) == _typed(expected), argv
+    assert accepted == set(cli.COMMANDS)
+
+
+def test_plain_reader_accepts_the_documented_calls():
+    workloads = _load_bench_module("workloads")
+    argvs = [
+        *CLOSED_CASES.values(),
+        *workloads.CHECK_ARGS.values(),
+        workloads.closure_args("X.db"),
+        KMAX_9_ARGV,
+    ]
+    parser = cli._parser()
+    for argv in argvs:
+        plain = cli._read_plain(argv)
+        assert plain is not None, argv
+        assert _typed(plain) == _typed(parser.parse_args(argv))
+
+
 @pytest.mark.parametrize("argv, code, parsers", [
-    (["closure", "A.db", "--kmax", "2"], 0, 2),
-    (["check", "all", "--domain", "a"], 0, 2),
+    (["closure", "A.db", "--kmax", "2"], 0, 0),
+    (["check", "all", "--domain", "a"], 0, 0),
     (["--help"], 0, 14),
     (["nosuch"], 2, 14),
+    (["closure", "A.db", "--kmax=2"], 0, 14),
 ])
-def test_main_builds_only_the_named_commands_parser(files, capsys, monkeypatch, argv, code, parsers):
-    # The top-level parser and the named command's; every command's when
-    # the first argument names none, so that help and errors list them all.
+def test_main_builds_argument_parsers_only_for_what_the_reader_leaves(
+    files, capsys, monkeypatch, argv, code, parsers
+):
+    # A plain call builds none; any other builds the top-level parser and
+    # every command's, so that help and errors list them all.
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -503,11 +605,23 @@ def test_main_builds_only_the_named_commands_parser(files, capsys, monkeypatch, 
     assert len(built) == parsers
 
 
+def test_a_plain_call_loads_no_argument_parser(files):
+    # argparse, and the gettext and locale modules its first use loads,
+    # stay unloaded through a plain call.
+    script = (
+        "import sys\n"
+        "from viewflux.cli import main\n"
+        f"assert main(['closure', {str(files / 'A.db')!r}, '--kmax', '2']) == 0\n"
+        "print(sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)))\n"
+    )
+    proc = _run_with_src("-c", script)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 if __name__ == "__main__":
     # Rewrite the golden transcripts and printed closures:
     # PYTHONPATH=src python tests/test_cli.py
-    import contextlib
-    import io
     import tempfile
 
     def redirected(argv):

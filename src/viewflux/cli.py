@@ -40,9 +40,14 @@ def _cfg(domain, k_max: int) -> UniverseConfig:
     env = os.environ.get("VIEWFLUX_MAX_ENUM")
     if not env:
         return UniverseConfig(domain, k_max)
-    if not env.strip().isdecimal() or int(env) < 1:
+    digits = env.strip()
+    try:
+        bound = int(digits) if digits.isdecimal() else 0
+    except ValueError:  # past the interpreter's int_max_str_digits
+        raise ViewfluxError(f"VIEWFLUX_MAX_ENUM has {len(digits)} digits, too many to read") from None
+    if bound < 1:
         raise ViewfluxError(f"VIEWFLUX_MAX_ENUM must be a positive integer, got {env!r}")
-    return UniverseConfig(domain, k_max, max_universe=int(env), max_enumeration=int(env))
+    return UniverseConfig(domain, k_max, max_universe=bound, max_enumeration=bound)
 
 
 def _load_pair(path_a, path_b, k_max):

@@ -1,4 +1,4 @@
-"""Finite relations, database instances and the enumerable relation universe.
+"""Finite relations, database instances and their bounded enumeration.
 
 Relations are positional (columns are 1-based positions) and set-valued.
 The single empty relation ``BOTTOM`` is arity-erased: every empty extension
@@ -9,9 +9,8 @@ extensions are equal.  All values are immutable and safe to share.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import partial
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .errors import (
@@ -262,33 +261,35 @@ class UniverseConfig:
         return total
 
 
-@lru_cache(maxsize=None)
 def universe_relations(cfg: UniverseConfig) -> tuple[Relation, ...]:
-    """Every relation over the domain with arity <= k_max, in canonical order.
+    """Every relation over the domain with arity <= k_max, in canonical order:
+    the total object's views, one tuple per configuration (``total_object``)."""
+    from .closure import total_object  # closure imports core
 
-    The bottom relation appears once; all empty extensions are identified
-    with it.  Memoized per configuration; an over-bound one raises on every call.
-    """
-    cfg.universe_size()
-    out = [BOTTOM]
-    constants = cfg.constants()
-    for n in range(1, cfg.k_max + 1):
-        all_tuples = sorted(itertools.product(constants, repeat=n))
-        for k in range(1, len(all_tuples) + 1):
-            for combo in itertools.combinations(all_tuples, k):
-                out.append(Relation(n, frozenset(combo)))
-    return tuple(sorted_relations(out))
+    return total_object(cfg).views
+
+
+def number_text(number: int) -> str:
+    """``number`` in decimal, or ``2**e`` (``over 2**e``) when it has too many digits to print."""
+    try:
+        return str(number)
+    except ValueError:  # past the interpreter's int_max_str_digits
+        e = number.bit_length() - 1
+        return f"{'' if number == 1 << e else 'over '}2**{e}"
 
 
 def instance_count(cfg: UniverseConfig, max_relations: int) -> int:
-    """How many instances ``subset_instances`` yields, counted without building
-    one; a count over the enumeration bound raises."""
+    """How many instances ``subset_instances`` yields, counted from the
+    universe's size alone; a count over the enumeration bound raises."""
     if max_relations < 1:
         raise ViewfluxError(f"max_relations must be at least 1, got {max_relations}")
-    size = len(universe_relations(cfg))
-    total = sum(math.comb(size, k) for k in range(0, max_relations + 1))
+    size = cfg.universe_size()
+    total = binomial = 1
+    for k in range(min(max_relations, size)):  # C(size, k + 1) from C(size, k)
+        binomial = binomial * (size - k) // (k + 1)
+        total += binomial
     if total > cfg.max_enumeration:
-        raise EnumerationTooLarge(f"{total} instances requested, bound is {cfg.max_enumeration}")
+        raise EnumerationTooLarge(f"{number_text(total)} instances requested, bound is {cfg.max_enumeration}")
     return total
 
 
@@ -297,11 +298,11 @@ def subset_instances(cfg: UniverseConfig, max_relations: int) -> Iterator[Instan
 
     Instances stream in canonical order (by size, then lexicographically by
     the canonical relation order) and carry auto-labels ``r1..rn``.  The
-    empty subset plays the role of the zero object.
+    empty subset plays the role of the zero object; none is larger than the universe.
     """
     instance_count(cfg, max_relations)
     universe = universe_relations(cfg)
-    for k in range(0, max_relations + 1):
+    for k in range(0, min(max_relations, len(universe)) + 1):
         for combo in itertools.combinations(range(len(universe)), k):
             rels = [universe[i] for i in combo]
             labels = {f"r{i + 1}": rel for i, rel in enumerate(rels)}

@@ -49,6 +49,7 @@ from .core import (
     UniverseConfig,
     instance_count,
     instance_union,
+    number_text,
     sorted_relations,
     subset_instances,
     with_default_labels,
@@ -149,7 +150,8 @@ class SuiteContext:
         count = instance_count(cfg, max_relations)  # refuse before building an instance
         if count**3 > cfg.max_enumeration:  # metric.triangle walks every triple
             raise EnumerationTooLarge(
-                f"{count} instances enumerated; the suites walk their {count**3} triples, "
+                f"{number_text(count)} instances enumerated; "
+                f"the suites walk their {number_text(count**3)} triples, "
                 f"over the enumeration bound {cfg.max_enumeration}. "
                 "Lower max_relations (or raise max_enumeration)."
             )

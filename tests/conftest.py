@@ -103,7 +103,9 @@ def flux_pairs(coproduct_inputs, cfg0, cfg2):
 def clear_caches():
     """A function that empties every cache holding closed sets, and the
     arrow tables that hold them, all at once, so that closed sets are built
-    (and interned) again; called once on entry."""
+    (and interned) again; called once on entry.  Emptying ``_closed`` drops
+    the relation universe too, which ``universe_relations`` reads off the
+    total object."""
 
     def clear():
         morphisms.clear_arrows()

@@ -330,6 +330,34 @@ def test_closure_at_a_billion_arities_forms_none_past_the_bound(tmp_path, text, 
     assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
 
 
+@pytest.mark.parametrize("max_relations", ["1000000000", "100000000000000000000"])
+def test_check_past_the_universes_size_enumerates_the_same_instances(capsys, max_relations):
+    # No instance holds more than the universe's four relations, so the count
+    # and the enumeration stop there; only the config line keeps the value.
+    proc = _run_bounded("check", "closure", "--max-relations", max_relations)
+    code, out = run(capsys, "check", "closure", "--max-relations", "4")
+    given = out.replace("max_relations=4\n", f"max_relations={max_relations}\n")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (code, given, "") and code == 0
+
+
+@pytest.mark.parametrize("env, domain, max_relations, message", [
+    (None, "abcdefghijklmn", "4800", "over 2**14289 instances requested, bound is 200000"),
+    (None, "abcdefghijklmn", "100000", "2**16384 instances requested, bound is 200000"),
+    ("9" * 2500, "abcdefghijklm", "8192",
+     f"{2**8192} instances enumerated; the suites walk their 2**24576 triples, over the "
+     f"enumeration bound {'9' * 2500}. Lower max_relations (or raise max_enumeration)."),
+    ("9" * 4301, "ab", "4", "VIEWFLUX_MAX_ENUM has 4301 digits, too many to read"),
+], ids=["count", "count-past-the-universe", "triples", "bound"])
+def test_numbers_past_the_int_text_limit_are_refused(monkeypatch, env, domain, max_relations, message):
+    # Each number has more digits than str() converts: a count over 14 or 13
+    # constants, the cube of one under a raised bound, or the bound itself.
+    # A power of two prints as one, any other count as the power below it.
+    if env is not None:
+        monkeypatch.setenv("VIEWFLUX_MAX_ENUM", env)
+    proc = _run_bounded("check", "closure", "--domain", ",".join(domain), "--max-relations", max_relations)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (2, "", f"error: {message}\n")
+
+
 def test_chain_rejects_negative_steps(files, capsys):
     code, err = _error(capsys, "chain", str(files / "A.db"), "--steps", "-1")
     assert code == 2

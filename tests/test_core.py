@@ -6,6 +6,7 @@ import pytest
 from viewflux import (
     ArityMismatch,
     BOTTOM,
+    EnumerationTooLarge,
     Instance,
     Relation,
     UniverseConfig,
@@ -16,9 +17,11 @@ from viewflux import (
     instance_union,
     make_relation,
     subset_instances,
+    total_object,
     universe_relations,
     with_default_labels,
 )
+from viewflux.core import instance_count
 
 
 def test_make_relation_direct(ra):
@@ -218,3 +221,30 @@ def test_labels_must_reference_members(ra, rb):
 
     with pytest.raises(ViewfluxError):
         Instance(frozenset({ra}), {"x": rb})
+
+
+@pytest.mark.parametrize("domain, k_max", [("ab", 1), ("ab", 2), ("abc", 2)])
+def test_universe_is_the_total_objects_views(domain, k_max):
+    # One object per relation: the universe, and every enumerated instance,
+    # hold the total object's own relations.
+    cfg = UniverseConfig(domain=frozenset(domain), k_max=k_max)
+    views = total_object(cfg).views
+    universe = universe_relations(cfg)
+    assert list(map(id, universe)) == list(map(id, views))
+    held = {id(view) for view in views}
+    assert all(id(rel) in held for inst in subset_instances(cfg, 1) for rel in inst.relations)
+
+
+@pytest.mark.parametrize("domain", ["abc", "xyz"])
+def test_instance_count_builds_no_relation(monkeypatch, domain):
+    # The count reads the universe's size; {x,y,z} is built by no other
+    # test, so no table holds its universe before the count.
+    built = []
+    post_init = Relation.__post_init__
+    monkeypatch.setattr(
+        Relation, "__post_init__", lambda self: built.append(self) or post_init(self)
+    )
+    cfg = UniverseConfig(domain=frozenset(domain), k_max=2)
+    with pytest.raises(EnumerationTooLarge, match="^23300160 instances requested, bound is 200000$"):
+        instance_count(cfg, 3)
+    assert built == []

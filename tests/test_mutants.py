@@ -202,6 +202,8 @@ MUTANTS = [
     pytest.param("closure.extensive", suites.law_closure_extensive,
                  suites, "power_view", _closure_of_the_first_relation, 16,
                  id="closure.extensive"),
+    pytest.param("closure.algebraic", suites.law_closure_algebraic,
+                 suites, "power_view", _closure_of_the_first_relation, 16, id="closure.algebraic"),
     pytest.param("closure.monotone", suites.law_closure_monotone,
                  suites, "power_view", _closure_of_the_first_relation, 65, id="closure.monotone"),
     pytest.param("closure.idempotent", suites.law_closure_idempotent,
@@ -231,6 +233,8 @@ MUTANTS = [
                  id="monoidal.idempotent-unit-zero"),
     pytest.param("lattice.distributive", suites.law_distributive,
                  suites, "matching", _matching_losing_a_lone_view, 64, id="lattice.distributive"),
+    pytest.param("monoidal.flux-range", suites.law_flux_range,
+                 suites, "matching", _matching_losing_a_lone_view, 25, id="monoidal.flux-range"),
     pytest.param("monoidal.hom-counting", suites.law_hom_counting,
                  suites, "matching", _closure_of_the_first, 64, id="monoidal.hom-counting"),
     pytest.param("lattice.federation", suites.law_federation,
@@ -338,6 +342,19 @@ def test_first_relation_closure_breaks_monotonicity(ctx):
     )
 
 
+def test_first_relation_closure_breaks_algebraicity(ctx):
+    # The subinstances of a include each of its relations alone, so the
+    # union of their mutant closures holds the closure of every relation.
+    mutant = lambda rels: _closure_of_the_first_relation(Instance(frozenset(rels), {}), ctx.cfg)
+    assert any(
+        frozenset().union(
+            *(mutant(sub).relations for k in range(len(a) + 1)
+              for sub in itertools.combinations(a.relations, k))
+        ) != mutant(a.relations).relations
+        for a in ctx.instances
+    )
+
+
 def test_closure_less_the_inputs_breaks_idempotence(ctx):
     assert any(
         _closure_less_the_inputs(ta, ctx.cfg).relations != ta.relations
@@ -396,6 +413,15 @@ def test_lone_view_loss_breaks_distributivity(ctx):
         mutant(merging(a, b, ctx.cfg), c).relations
         != merging(mutant(a, c), mutant(b, c), ctx.cfg).relations
         for a, b, c in itertools.product(ctx.classes, repeat=3)
+    )
+
+
+def test_lone_view_loss_breaks_the_flux_range(ctx):
+    # An arrow that transmits the one view its endpoints share has a flux
+    # above the zero object the mutant returns for their matching.
+    assert any(
+        not f.flux.relations <= _matching_losing_a_lone_view(f.source, f.target, ctx.cfg).relations
+        for f in _arrows(ctx)
     )
 
 
